@@ -1,5 +1,7 @@
 #include "core/peer_state.h"
 
+#include <utility>
+
 #include "util/macros.h"
 
 namespace pgrid {
@@ -41,6 +43,16 @@ bool PeerState::AddBuddy(PeerId peer, size_t max_buddies) {
   }
   if (max_buddies > 0 && buddies_.size() >= max_buddies) return false;
   buddies_.push_back(peer);
+  return true;
+}
+
+bool PeerState::RemoveBuddy(PeerId peer) {
+  TightVec<PeerId> kept;
+  for (PeerId b : buddies_) {
+    if (b != peer) kept.push_back(b);
+  }
+  if (kept.size() == buddies_.size()) return false;
+  buddies_ = std::move(kept);
   return true;
 }
 

@@ -73,6 +73,10 @@ class PeerState {
   bool AddBuddy(PeerId peer, size_t max_buddies = 0);
   void ClearBuddies() { buddies_.clear(); }
 
+  /// Removes `peer` from the buddy list; the remaining buddies keep their order.
+  /// Returns true if it was present.
+  bool RemoveBuddy(PeerId peer);
+
   /// Leaf-level index D: references to data items under this peer's path.
   LeafIndex& index() { return index_; }
   const LeafIndex& index() const { return index_; }

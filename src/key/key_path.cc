@@ -243,10 +243,6 @@ size_t KeyPath::CommonPrefixLength(const KeyPath& other) const {
   return limit;
 }
 
-bool KeyPath::IsPrefixOf(const KeyPath& other) const {
-  return length_ <= other.length_ && CommonPrefixLength(other) == length_;
-}
-
 double KeyPath::Value() const {
   double v = 0.0;
   double w = 0.5;

@@ -94,7 +94,15 @@ class KeyPath {
   size_t CommonPrefixLength(const KeyPath& other) const;
 
   /// True iff this path is a (not necessarily proper) prefix of `other`.
-  bool IsPrefixOf(const KeyPath& other) const;
+  bool IsPrefixOf(const KeyPath& other) const {
+    if (length_ > other.length_) return false;
+    if ((heap_words_ | other.heap_words_) == 0) {
+      // Both inline: compare the first length_ bits of the two words.
+      const uint64_t mask = length_ == 64 ? ~uint64_t{0} : (uint64_t{1} << length_) - 1;
+      return ((inline_word_ ^ other.inline_word_) & mask) == 0;
+    }
+    return CommonPrefixLength(other) == length_;
+  }
 
   /// val(k) = sum_{i=1..n} 2^-i p_i, mapping the path to [0, 1).
   double Value() const;
@@ -166,7 +174,8 @@ inline int ComplementBit(int b) { return 1 - b; }
 /// True iff the intervals of two paths overlap, i.e. one is a prefix of the other.
 /// A peer with path `a` is (co-)responsible for a key `b` iff PathsOverlap(a, b).
 inline bool PathsOverlap(const KeyPath& a, const KeyPath& b) {
-  return a.IsPrefixOf(b) || b.IsPrefixOf(a);
+  // Only the shorter path can be a prefix of the other (equal paths are both).
+  return a.length() <= b.length() ? a.IsPrefixOf(b) : b.IsPrefixOf(a);
 }
 
 /// Hash functor for unordered containers keyed by KeyPath.

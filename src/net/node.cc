@@ -1,10 +1,13 @@
 #include "net/node.h"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <tuple>
 
-#include "net/node_persist.h"
 #include "obs/export.h"
+#include "sim/digest.h"
+#include "storage/persist.h"
 #include "util/logging.h"
 #include "util/macros.h"
 
@@ -12,6 +15,9 @@ namespace pgrid {
 namespace net {
 
 namespace {
+
+/// The node's own id in its address book and PeerState.
+constexpr PeerId kSelf = 0;
 
 /// Deduplicating union of address lists.
 std::vector<std::string> UnionAddrs(std::vector<std::string> a,
@@ -26,35 +32,19 @@ void RemoveAddr(std::vector<std::string>* v, const std::string& addr) {
   v->erase(std::remove(v->begin(), v->end(), addr), v->end());
 }
 
-/// Order-independent FNV-1a digest of an entry set (entry order on two replicas
-/// is not canonical, so the fold must commute). Matches the simulator's
-/// IndexDigest idiom: equal sets at equal versions iff equal digests. Each
-/// per-entry hash is finalized with Mix64 before summing -- raw FNV values are
-/// linear enough in the trailing version field that version skew on two entries
-/// can cancel across the sum (see sim/digest.h).
-uint64_t EntrySetDigest(const std::vector<WireEntry>& entries) {
-  uint64_t sum = entries.size() * 0x9e3779b97f4a7c15ull;
-  for (const WireEntry& e : entries) {
-    uint64_t h = 0xcbf29ce484222325ull;
-    const auto fold = [&h](const void* data, size_t n) {
-      const unsigned char* p = static_cast<const unsigned char*>(data);
-      for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-      }
-    };
-    const auto fold_u64 = [&fold](uint64_t v) { fold(&v, sizeof(v)); };
-    const auto fold_str = [&](const std::string& s) {
-      fold_u64(s.size());
-      fold(s.data(), s.size());
-    };
-    fold_str(e.holder);
-    fold_u64(e.item_id);
-    fold_str(e.key.ToString());
-    fold_u64(e.version);
-    sum += Mix64(h);
+/// The node's store directory name: its address with every character outside
+/// [A-Za-z0-9.-] mapped to '_'.
+std::string StoreDirName(std::string address) {
+  for (char& c : address) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '-' && c != '.') c = '_';
   }
-  return sum;
+  return "node-" + address;
+}
+
+repair::SuspicionTable MakeSuspicionTable(const NodeConfig& config) {
+  return repair::SuspicionTable(static_cast<uint32_t>(config.suspicion_threshold),
+                                /*slow_threshold=*/0,
+                                static_cast<uint32_t>(config.eviction_cooldown));
 }
 
 }  // namespace
@@ -65,6 +55,9 @@ PGridNode::PGridNode(std::string address, RpcTransport* transport,
     : address_(std::move(address)),
       transport_(transport),
       config_(config),
+      state_(kSelf),
+      book_(address_),
+      suspicion_(MakeSuspicionTable(config)),
       rng_(seed) {
   PGRID_CHECK(transport != nullptr);
   PGRID_CHECK(config.Validate().ok());
@@ -96,32 +89,25 @@ PGridNode::PGridNode(std::string address, RpcTransport* transport,
   retry_ = std::make_unique<RetryPolicy>(config_.retry,
                                          seed ^ 0x9E3779B97F4A7C15ull, metrics_);
   if (config_.storage.enabled()) {
-    persist_ = std::make_unique<NodePersistence>(config_.storage, address_);
+    storage::StorageConfig store = config_.storage;
+    store.dir += "/" + StoreDirName(address_);
+    persist_ = std::make_unique<storage::PersistenceManager>(std::move(store),
+                                                             config_.maxl);
   }
-}
-
-NodeImage PGridNode::SnapshotImageLocked() const {
-  NodeImage image;
-  image.path = path_;
-  image.refs = refs_;
-  image.buddies = buddies_;
-  image.entries = entries_;
-  image.foreign = foreign_;
-  image.items.reserve(store_.size());
-  for (const auto& [id, item] : store_) image.items.push_back(item);
-  image.epoch = epoch_;
-  return image;
 }
 
 void PGridNode::PersistState() {
   if (persist_ == nullptr) return;
   std::lock_guard<std::mutex> plock(persist_mu_);
-  NodeImage image;
+  PeerState state(kSelf);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    image = SnapshotImageLocked();
+    state = state_;
+    const std::vector<std::string>& names = book_.names();
+    persisted_names_.insert(persisted_names_.end(),
+                            names.begin() + persisted_names_.size(), names.end());
   }
-  Result<uint64_t> committed = persist_->Commit(image);
+  Result<storage::CommitInfo> committed = persist_->Commit(state, persisted_names_);
   if (!committed.ok()) {
     PGRID_LOG(Warning) << "durable commit failed for " << address_ << ": "
                        << committed.status().ToString();
@@ -169,30 +155,23 @@ void PGridNode::NoteCallOutcome(const std::string& to, bool ok) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (ok) {
-      suspicion_.erase(to);
+      // An address the book never saw has no suspicion to clear.
+      const PeerId id = book_.Find(to);
+      if (id != kInvalidPeer) suspicion_.NoteSuccess(id);
       return;
     }
-    // The failure is only final after the retry policy gave up, so the counter
-    // tracks consecutive *exhausted* calls, not individual packets.
-    if (++suspicion_[to] < config_.suspicion_threshold) return;
-    suspicion_.erase(to);  // eviction resets the slate for a later re-recruitment
-    if (eviction_cooldown_left_ > 0) {
-      // Rate-limited: this crossing is suppressed, the suspect stays
-      // referenced (and starts accumulating suspicion again from zero).
-      --eviction_cooldown_left_;
-      return;
-    }
-    eviction_cooldown_left_ = config_.eviction_cooldown;
-    for (std::vector<std::string>& level : refs_) {
-      const size_t before = level.size();
-      RemoveAddr(&level, to);
-      removed += before - level.size();
+    // The failure is only final after the retry policy gave up, so the table
+    // counts consecutive *exhausted* calls, not individual packets. Crossing
+    // the threshold resets the count; with a cooldown pending the crossing is
+    // suppressed and the suspect stays referenced.
+    const PeerId id = book_.Intern(to);
+    if (!suspicion_.NoteFailure(id)) return;
+    for (size_t level = 1; level <= state_.depth(); ++level) {
+      removed += state_.RemoveRefAt(level, id);
     }
     // Buddies go too: a confirmed-dead replica would otherwise be re-probed on
     // every maintenance round and fanned out to on every publish, forever.
-    const size_t buddies_before = buddies_.size();
-    RemoveAddr(&buddies_, to);
-    removed += buddies_before - buddies_.size();
+    if (state_.RemoveBuddy(id)) ++removed;
     c_refs_evicted_->Increment(removed);
   }
   if (removed > 0) PersistState();
@@ -204,32 +183,39 @@ Status PGridNode::Start() {
   recovered_ = false;
   if (persist_ != nullptr) {
     std::lock_guard<std::mutex> plock(persist_mu_);
-    if (persist_->HasState()) {
-      Result<NodeImage> image = persist_->Recover();
-      if (!image.ok()) return image.status();
-      // Re-baseline before installing: Attach copies the image, so the moves
-      // below are safe, and the WAL restarts empty against a fresh snapshot.
-      PGRID_RETURN_IF_ERROR(persist_->Attach(*image));
+    if (persist_->HasState(kSelf)) {
+      // Recovery checks every stored id against the stored name table; the
+      // book then checks that the table is this node's.
+      std::vector<std::string> names;
+      PGRID_ASSIGN_OR_RETURN(PeerState recovered, persist_->Recover(kSelf, &names));
+      PGRID_ASSIGN_OR_RETURN(AddressBook book, AddressBook::FromNames(names, address_));
+      // Re-baseline before installing: the WAL restarts empty against a fresh
+      // snapshot.
+      PGRID_RETURN_IF_ERROR(persist_->Attach(recovered, names));
       std::lock_guard<std::mutex> lock(mu_);
-      path_ = std::move(image->path);
-      refs_ = std::move(image->refs);
-      buddies_ = std::move(image->buddies);
-      entries_ = std::move(image->entries);
-      foreign_ = std::move(image->foreign);
-      store_ = DataStore();
-      for (DataItem& item : image->items) store_.Upsert(std::move(item));
+      state_ = std::move(recovered);
+      book_ = std::move(book);
+      persisted_names_ = std::move(names);
+      // A WAL cut inside a commit can leave entries the recovered path no
+      // longer covers; the next drain scans for them.
+      drained_depth_ = 0;
       // A restart is a state change: directives computed against the
       // pre-crash state (an exchange in flight when we died) must not apply.
-      epoch_ = image->epoch + 1;
-      suspicion_.clear();  // the failure detector restarts from a clean slate
+      // The epoch is not stored: MeetWithDepth compares it only with the
+      // epoch of its own request, so no comparison spans a restart.
+      ++epoch_;
+      // The failure detector restarts from a clean slate; its ids indexed the
+      // book just replaced.
+      suspicion_ = MakeSuspicionTable(config_);
       recovered_ = true;
     } else {
-      NodeImage image;
+      PeerState state(kSelf);
       {
         std::lock_guard<std::mutex> lock(mu_);
-        image = SnapshotImageLocked();
+        state = state_;
+        persisted_names_ = book_.names();
       }
-      PGRID_RETURN_IF_ERROR(persist_->Attach(image));
+      PGRID_RETURN_IF_ERROR(persist_->Attach(state, persisted_names_));
     }
   }
   Status s = transport_->Serve(
@@ -249,28 +235,38 @@ void PGridNode::Stop() {
 
 KeyPath PGridNode::path() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return path_;
+  return state_.path();
 }
 
 std::vector<std::string> PGridNode::RefsAt(size_t level) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (level < 1 || level > refs_.size()) return {};
-  return refs_[level - 1];
+  if (level < 1 || level > state_.depth()) return {};
+  return NamesLocked(state_.RefsAt(level));
 }
 
 std::vector<std::string> PGridNode::buddies() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return buddies_;
+  return NamesLocked(state_.buddies());
 }
 
 std::vector<WireEntry> PGridNode::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_;
+  std::vector<WireEntry> out;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    state_.index().ForEach([&](const IndexEntry& e) { out.push_back(ToWireLocked(e)); });
+  }
+  // Canonical order, so equal sets compare equal (e.g. across a restart).
+  std::sort(out.begin(), out.end(), [](const WireEntry& a, const WireEntry& b) {
+    return std::tie(a.holder, a.item_id) < std::tie(b.holder, b.item_id);
+  });
+  return out;
 }
 
 std::vector<WireEntry> PGridNode::foreign_entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return foreign_;
+  std::vector<WireEntry> out;
+  for (const IndexEntry& e : state_.foreign_entries()) out.push_back(ToWireLocked(e));
+  return out;
 }
 
 NodeStats PGridNode::stats() const {
@@ -285,67 +281,90 @@ NodeStats PGridNode::stats() const {
 
 std::vector<std::string> PGridNode::KnownPeers() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  for (const auto& level : refs_) {
-    for (const std::string& addr : level) {
-      if (std::find(out.begin(), out.end(), addr) == out.end()) out.push_back(addr);
-    }
+  std::vector<PeerId> ids;
+  const auto add = [&ids](PeerId id) {
+    if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+  };
+  for (size_t level = 1; level <= state_.depth(); ++level) {
+    for (PeerId id : state_.RefsAt(level)) add(id);
   }
-  for (const std::string& addr : buddies_) {
-    if (std::find(out.begin(), out.end(), addr) == out.end()) out.push_back(addr);
-  }
-  return out;
+  for (PeerId id : state_.buddies()) add(id);
+  return NamesLocked(ids);
 }
 
 // ---- locked helpers ----
 
-bool PGridNode::AdoptEntryLocked(const WireEntry& entry) {
-  for (WireEntry& e : entries_) {
-    if (e.holder == entry.holder && e.item_id == entry.item_id) {
-      if (entry.version > e.version) {
-        e.version = entry.version;
-        e.key = entry.key;
-        return true;
-      }
-      return false;
-    }
-  }
-  entries_.push_back(entry);
-  c_entries_adopted_->Increment();
-  return true;
+std::vector<std::string> PGridNode::NamesLocked(Span<PeerId> ids) const {
+  std::vector<std::string> out;
+  out.reserve(ids.size());
+  for (PeerId id : ids) out.push_back(book_.Name(id));
+  return out;
 }
 
-std::vector<WireEntry> PGridNode::DrainNonMatchingLocked() {
-  std::vector<WireEntry> out = std::move(foreign_);
-  foreign_.clear();
-  auto mid = std::partition(entries_.begin(), entries_.end(), [this](const WireEntry& e) {
-    return PathsOverlap(path_, e.key);
-  });
-  out.insert(out.end(), std::make_move_iterator(mid),
-             std::make_move_iterator(entries_.end()));
-  entries_.erase(mid, entries_.end());
+void PGridNode::SetRefsLocked(size_t level, const std::vector<std::string>& addresses) {
+  std::vector<PeerId> ids;
+  ids.reserve(addresses.size());
+  for (const std::string& a : addresses) ids.push_back(book_.Intern(a));
+  state_.SetRefsAt(level, std::move(ids));
+}
+
+WireEntry PGridNode::ToWireLocked(const IndexEntry& entry) const {
+  return WireEntry{book_.Name(entry.holder), entry.item_id, entry.key, entry.version};
+}
+
+void PGridNode::AdoptEntryLocked(const WireEntry& entry) {
+  LeafIndex& index = state_.index();
+  const size_t before = index.size();
+  index.InsertOrRefresh(
+      IndexEntry{book_.Intern(entry.holder), entry.item_id, entry.key, entry.version});
+  if (index.size() > before) c_entries_adopted_->Increment();
+}
+
+void PGridNode::AdoptOrParkLocked(const WireEntry& entry) {
+  if (PathsOverlap(state_.path(), entry.key)) {
+    AdoptEntryLocked(entry);
+  } else {
+    state_.foreign_entries().push_back(
+        IndexEntry{book_.Intern(entry.holder), entry.item_id, entry.key, entry.version});
+  }
+}
+
+std::vector<IndexEntry> PGridNode::DrainNonMatchingLocked() {
+  TightVec<IndexEntry>& foreign = state_.foreign_entries();
+  std::vector<IndexEntry> out(std::make_move_iterator(foreign.begin()),
+                              std::make_move_iterator(foreign.end()));
+  foreign.clear();
+  // An entry is adopted only if it overlaps the path, so only a path that grew
+  // since the last drain can leave entries behind: skip the index scan otherwise.
+  if (state_.depth() != drained_depth_) {
+    for (IndexEntry& e : state_.index().ExtractNotMatching(state_.path())) {
+      out.push_back(std::move(e));
+    }
+    drained_depth_ = state_.depth();
+  }
   return out;
 }
 
 PGridNode::LocalMatch PGridNode::MatchLocked(const KeyPath& key, uint32_t consumed) {
   LocalMatch out;
-  const KeyPath rempath = path_.SuffixFrom(consumed);
+  const KeyPath& path = state_.path();
+  const KeyPath rempath = path.SuffixFrom(consumed);
   const size_t lc = key.CommonPrefixLength(rempath);
   if (lc == key.length() || lc == rempath.length()) {
     out.found = true;
     // Reconstruct the full query: the consumed prefix of our own path plus the
     // remaining suffix (they agree by the routing invariant).
     const KeyPath full =
-        path_.Prefix(std::min<size_t>(consumed, path_.length())).Concat(key);
-    for (const WireEntry& e : entries_) {
-      if (PathsOverlap(e.key, full)) out.matching.push_back(e);
-    }
+        path.Prefix(std::min<size_t>(consumed, path.length())).Concat(key);
+    state_.index().ForEach([&](const IndexEntry& e) {
+      if (PathsOverlap(e.key, full)) out.matching.push_back(ToWireLocked(e));
+    });
     return out;
   }
   out.consumed = consumed + static_cast<uint32_t>(lc);
   out.remaining = key.SuffixFrom(lc);
   const size_t level = consumed + lc + 1;  // 1-indexed divergence level
-  if (level <= refs_.size()) out.candidates = refs_[level - 1];
+  if (level <= state_.depth()) out.candidates = NamesLocked(state_.RefsAt(level));
   return out;
 }
 
@@ -412,31 +431,24 @@ std::string PGridNode::Handle(const std::string& from, const std::string& reques
 
 std::string PGridNode::Dispatch(const std::string& from, const std::string& request,
                                 MsgType type, const obs::TraceContext& ctx) {
+  // State-changing requests commit to durable storage before they answer.
+  const auto persisted = [this](std::string response) {
+    PersistState();
+    return response;
+  };
   switch (type) {
     case MsgType::kPing:
       return EncodePong();
     case MsgType::kQueryReq:
       return HandleQuery(request);
-    case MsgType::kPublishReq: {
-      std::string response = HandlePublish(request, ctx);
-      PersistState();
-      return response;
-    }
-    case MsgType::kExchangeReq: {
-      std::string response = HandleExchange(from, request, ctx);
-      PersistState();
-      return response;
-    }
-    case MsgType::kCommitReq: {
-      std::string response = HandleCommit(from, request);
-      PersistState();
-      return response;
-    }
-    case MsgType::kEntryPushReq: {
-      std::string response = HandleEntryPush(request);
-      PersistState();
-      return response;
-    }
+    case MsgType::kPublishReq:
+      return persisted(HandlePublish(request, ctx));
+    case MsgType::kExchangeReq:
+      return persisted(HandleExchange(from, request, ctx));
+    case MsgType::kCommitReq:
+      return persisted(HandleCommit(from, request));
+    case MsgType::kEntryPushReq:
+      return persisted(HandleEntryPush(request));
     case MsgType::kStatsReq:
       return HandleStats();
     case MsgType::kProbeReq:
@@ -455,9 +467,12 @@ std::string PGridNode::HandleStats() {
 std::string PGridNode::HandleProbe() {
   ProbeResponse resp;
   std::lock_guard<std::mutex> lock(mu_);
-  resp.path = path_;
-  resp.entry_count = static_cast<uint32_t>(entries_.size());
-  resp.index_digest = EntrySetDigest(entries_);
+  resp.path = state_.path();
+  resp.entry_count = static_cast<uint32_t>(state_.index().size());
+  // Holders fold as addresses, so digests compare across nodes' id tables.
+  resp.index_digest = sim::IndexDigest(
+      state_.index(),
+      [this](sim::Digest& d, PeerId holder) { d.Str(book_.Name(holder)); });
   return EncodeProbeResponse(resp);
 }
 
@@ -490,19 +505,16 @@ std::string PGridNode::HandlePublish(const std::string& request,
   c_publishes_served_->Increment();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (PathsOverlap(path_, req->entry.key)) {
+    if (PathsOverlap(state_.path(), req->entry.key)) {
       AdoptEntryLocked(req->entry);
       ack.installed = 1;
-      if (req->forward_to_buddies != 0) buddies_to_notify = buddies_;
+      if (req->forward_to_buddies != 0) buddies_to_notify = NamesLocked(state_.buddies());
     }
   }
   // Fan out to buddies without holding the lock; the forwarded request must not
   // fan out again (the buddy lists of replicas largely coincide).
   if (!buddies_to_notify.empty()) {
-    PublishRequest forward;
-    forward.entry = req->entry;
-    forward.forward_to_buddies = 0;
-    const std::string bytes = EncodePublishRequest(forward);
+    const std::string bytes = EncodePublishRequest({req->entry, /*forward_to_buddies=*/0});
     for (const std::string& buddy : buddies_to_notify) {
       if (CallWithRetry(buddy, bytes, ctx).ok()) ++ack.buddies_notified;
     }
@@ -516,23 +528,25 @@ std::string PGridNode::HandleCommit(const std::string& from,
   if (!req.ok()) return EncodeError(req.status().ToString());
   std::lock_guard<std::mutex> lock(mu_);
   const size_t level = req->level;
-  if (level < 1 || level > path_.length()) {
+  if (level < 1 || level > state_.depth()) {
     return EncodeError("commit level out of range");
   }
   // Only accept references that satisfy the Sec. 2 property: the committer's bit
   // at `level` must be the complement of ours. (Our own bits never change once
   // set, so this check cannot race.)
-  if (req->bit != static_cast<uint8_t>(ComplementBit(path_.bit(level - 1)))) {
+  if (req->bit != static_cast<uint8_t>(ComplementBit(state_.PathBit(level)))) {
     return EncodeError("commit bit does not complement ours");
   }
-  std::vector<std::string>& refs = refs_[level - 1];
-  if (std::find(refs.begin(), refs.end(), from) == refs.end()) {
+  const PeerId committer = book_.Intern(from);
+  std::vector<PeerId> refs = state_.RefsAt(level).ToVector();
+  if (std::find(refs.begin(), refs.end(), committer) == refs.end()) {
     if (refs.size() < config_.refmax) {
-      refs.push_back(from);
+      refs.push_back(committer);
     } else {
       // Full: replace a random entry, keeping the reference set fresh.
-      refs[rng_.UniformIndex(refs.size())] = from;
+      refs[rng_.UniformIndex(refs.size())] = committer;
     }
+    state_.SetRefsAt(level, std::move(refs));
   }
   return EncodeCommitAck();
 }
@@ -543,7 +557,7 @@ std::string PGridNode::HandleEntryPush(const std::string& request) {
   EntryPushResponse resp;
   std::lock_guard<std::mutex> lock(mu_);
   for (const WireEntry& e : req->entries) {
-    if (PathsOverlap(path_, e.key)) {
+    if (PathsOverlap(state_.path(), e.key)) {
       AdoptEntryLocked(e);
     } else {
       resp.rejected.push_back(e);
@@ -577,19 +591,19 @@ std::string PGridNode::HandleExchange(const std::string& from,
   c_exchanges_served_->Increment();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const size_t lc = req.path.CommonPrefixLength(path_);
+    const size_t lc = req.path.CommonPrefixLength(state_.path());
     const size_t l1 = req.path.length() - lc;
-    const size_t l2 = path_.length() - lc;
+    const size_t l2 = state_.depth() - lc;
 
+    // Reference lists from the wire are unioned and sampled as addresses; only
+    // the sample this node keeps is interned.
     if (lc > 0) {
       // Cross-pollinate level-lc references (both sides have them).
-      std::vector<std::string> mine = refs_[lc - 1];
+      std::vector<std::string> mine = NamesLocked(state_.RefsAt(lc));
       std::vector<std::string> theirs = refs1_at(lc);
-      refs_[lc - 1] = SampleRefsLocked(mine, theirs, address_);
-      WireRefLevel update;
-      update.level = static_cast<uint32_t>(lc);
-      update.addresses = SampleRefsLocked(std::move(mine), theirs, req.initiator);
-      resp.ref_updates.push_back(std::move(update));
+      SetRefsLocked(lc, SampleRefsLocked(mine, theirs, address_));
+      resp.ref_updates.push_back({static_cast<uint32_t>(lc),
+                                  SampleRefsLocked(std::move(mine), theirs, req.initiator)});
     }
 
     if (l1 == 0 && l2 == 0 && lc < config_.maxl) {
@@ -598,36 +612,28 @@ std::string PGridNode::HandleExchange(const std::string& from,
       // is NOT installed yet: the initiator may discard the directive (epoch
       // race); it confirms its new bit with a commit message (HandleCommit).
       const int my_bit = rng_.Bit();
-      path_.PushBack(my_bit);
-      refs_.emplace_back();
+      state_.AppendPathBit(my_bit);
       ++epoch_;
       resp.append_bits.PushBack(ComplementBit(my_bit));
-      WireRefLevel update;
-      update.level = static_cast<uint32_t>(lc + 1);
-      update.addresses = {address_};
-      resp.ref_updates.push_back(std::move(update));
+      resp.ref_updates.push_back({static_cast<uint32_t>(lc + 1), {address_}});
     } else if (l1 == 0 && l2 > 0 && lc < config_.maxl) {
       // Case 2: initiator's path is a prefix of ours -- it specializes opposite to
       // our next bit. As in case 1, we only learn about it as a reference once it
       // commits.
-      resp.append_bits.PushBack(ComplementBit(path_.bit(lc)));
-      WireRefLevel update;
-      update.level = static_cast<uint32_t>(lc + 1);
-      update.addresses = {address_};
-      resp.ref_updates.push_back(std::move(update));
+      resp.append_bits.PushBack(ComplementBit(state_.PathBit(lc + 1)));
+      resp.ref_updates.push_back({static_cast<uint32_t>(lc + 1), {address_}});
     } else if (l1 > 0 && l2 == 0 && lc < config_.maxl) {
       // Case 3: we specialize opposite to the initiator's next bit.
-      path_.PushBack(ComplementBit(req.path.bit(lc)));
-      refs_.push_back({req.initiator});
+      state_.AppendPathBit(ComplementBit(req.path.bit(lc)));
+      SetRefsLocked(state_.depth(), {req.initiator});
       ++epoch_;
-      WireRefLevel update;
-      update.level = static_cast<uint32_t>(lc + 1);
-      update.addresses = SampleRefsLocked({address_}, refs1_at(lc + 1), req.initiator);
-      resp.ref_updates.push_back(std::move(update));
+      resp.ref_updates.push_back(
+          {static_cast<uint32_t>(lc + 1),
+           SampleRefsLocked({address_}, refs1_at(lc + 1), req.initiator)});
     } else if (l1 > 0 && l2 > 0 && depth < config_.recmax) {
       // Case 4: diverging paths -- refer the initiator to our references on its
       // side, and (after releasing the lock) exchange with its references on ours.
-      std::vector<std::string> referrals = refs_[lc];
+      std::vector<std::string> referrals = NamesLocked(state_.RefsAt(lc + 1));
       RemoveAddr(&referrals, req.initiator);
       resp.referrals = rng_.SampleWithoutReplacement(
           std::move(referrals),
@@ -640,25 +646,21 @@ std::string PGridNode::HandleExchange(const std::string& from,
     } else if (l1 == 0 && l2 == 0) {
       // Replica case: identical complete paths at maxl -- become buddies and give
       // the initiator everything we index (its push completes the sync).
-      if (req.initiator != address_ &&
-          std::find(buddies_.begin(), buddies_.end(), req.initiator) ==
-              buddies_.end()) {
-        buddies_.push_back(req.initiator);
-      }
+      state_.AddBuddy(book_.Intern(req.initiator));
       resp.buddy = 1;
-      resp.entries = entries_;
+      state_.index().ForEach(
+          [&](const IndexEntry& e) { resp.entries.push_back(ToWireLocked(e)); });
     }
 
     // Data reconciliation: hand the initiator whatever we hold that belongs on its
     // side now (it applies the same logic after applying the directives).
     if (resp.buddy == 0) {
-      KeyPath initiator_path = req.path.Concat(resp.append_bits);
-      std::vector<WireEntry> drained = DrainNonMatchingLocked();
-      for (WireEntry& e : drained) {
+      const KeyPath initiator_path = req.path.Concat(resp.append_bits);
+      for (IndexEntry& e : DrainNonMatchingLocked()) {
         if (PathsOverlap(initiator_path, e.key)) {
-          resp.entries.push_back(std::move(e));
+          resp.entries.push_back(ToWireLocked(e));
         } else {
-          foreign_.push_back(std::move(e));
+          state_.foreign_entries().push_back(std::move(e));
         }
       }
     }
@@ -689,12 +691,9 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
   {
     std::lock_guard<std::mutex> lock(mu_);
     req.epoch = epoch_;
-    req.path = path_;
-    for (size_t level = 1; level <= refs_.size(); ++level) {
-      WireRefLevel rl;
-      rl.level = static_cast<uint32_t>(level);
-      rl.addresses = refs_[level - 1];
-      req.refs.push_back(std::move(rl));
+    req.path = state_.path();
+    for (size_t level = 1; level <= state_.depth(); ++level) {
+      req.refs.push_back({static_cast<uint32_t>(level), NamesLocked(state_.RefsAt(level))});
     }
   }
 
@@ -721,42 +720,29 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
       return Status::OK();
     }
     if (!resp.append_bits.empty() &&
-        path_.length() + resp.append_bits.length() > config_.maxl) {
+        state_.depth() + resp.append_bits.length() > config_.maxl) {
       return Status::OK();  // would exceed maxl: stale or malicious; ignore
     }
     for (size_t i = 0; i < resp.append_bits.length(); ++i) {
-      path_.PushBack(resp.append_bits.bit(i));
-      refs_.emplace_back();
-      CommitRequest commit;
-      commit.level = static_cast<uint32_t>(path_.length());
-      commit.bit = static_cast<uint8_t>(resp.append_bits.bit(i));
-      commits.push_back(commit);
+      state_.AppendPathBit(resp.append_bits.bit(i));
+      commits.push_back({static_cast<uint32_t>(state_.depth()),
+                         static_cast<uint8_t>(resp.append_bits.bit(i))});
     }
     if (!resp.append_bits.empty()) ++epoch_;
     for (const WireRefLevel& rl : resp.ref_updates) {
-      if (rl.level >= 1 && rl.level <= refs_.size()) {
+      if (rl.level >= 1 && rl.level <= state_.depth()) {
         std::vector<std::string> addrs = rl.addresses;
         RemoveAddr(&addrs, address_);
         if (addrs.size() > config_.refmax) addrs.resize(config_.refmax);
-        refs_[rl.level - 1] = std::move(addrs);
+        SetRefsLocked(rl.level, addrs);
       }
     }
-    if (resp.buddy != 0 &&
-        std::find(buddies_.begin(), buddies_.end(), peer) == buddies_.end()) {
-      buddies_.push_back(peer);
-      became_buddy = true;
-    }
-    for (const WireEntry& e : resp.entries) {
-      if (PathsOverlap(path_, e.key)) {
-        AdoptEntryLocked(e);
-      } else {
-        foreign_.push_back(e);
-      }
-    }
-    push = DrainNonMatchingLocked();
+    if (resp.buddy != 0) became_buddy = state_.AddBuddy(book_.Intern(peer));
+    for (const WireEntry& e : resp.entries) AdoptOrParkLocked(e);
+    for (const IndexEntry& e : DrainNonMatchingLocked()) push.push_back(ToWireLocked(e));
     if (became_buddy) {
       // Complete the bidirectional sync: give the new buddy our index.
-      push.insert(push.end(), entries_.begin(), entries_.end());
+      state_.index().ForEach([&](const IndexEntry& e) { push.push_back(ToWireLocked(e)); });
     }
   }
 
@@ -791,13 +777,7 @@ void PGridNode::PushEntries(const std::string& peer, std::vector<WireEntry> entr
   }
   if (rejected.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  for (WireEntry& e : rejected) {
-    if (PathsOverlap(path_, e.key)) {
-      AdoptEntryLocked(e);
-    } else {
-      foreign_.push_back(std::move(e));
-    }
-  }
+  for (const WireEntry& e : rejected) AdoptOrParkLocked(e);
 }
 
 Status PGridNode::Publish(const DataItem& item) {
@@ -805,14 +785,10 @@ Status PGridNode::Publish(const DataItem& item) {
   const obs::TraceContext ctx = trace_ != nullptr ? span.context() : obs::TraceContext{};
   {
     std::lock_guard<std::mutex> lock(mu_);
-    store_.Upsert(item);
+    state_.store().Upsert(item);
   }
   PersistState();
-  WireEntry entry;
-  entry.holder = address_;
-  entry.item_id = item.id;
-  entry.key = item.key;
-  entry.version = item.version;
+  const WireEntry entry{address_, item.id, item.key, item.version};
 
   Result<RouteResult> routed = Route(item.key, ctx);
   if (!routed.ok()) return routed.status();
@@ -821,23 +797,18 @@ Status PGridNode::Publish(const DataItem& item) {
     std::vector<std::string> buddies_copy;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      AdoptEntryLocked(entry);
-      buddies_copy = buddies_;
+      AdoptOrParkLocked(entry);  // the path may have grown since the route
+      buddies_copy = NamesLocked(state_.buddies());
     }
-    PublishRequest forward;
-    forward.entry = entry;
-    forward.forward_to_buddies = 0;
-    const std::string bytes = EncodePublishRequest(forward);
+    const std::string bytes = EncodePublishRequest({entry, /*forward_to_buddies=*/0});
     for (const std::string& buddy : buddies_copy) {
       (void)CallWithRetry(buddy, bytes, ctx);
     }
     PersistState();
     return Status::OK();
   }
-  PublishRequest preq;
-  preq.entry = entry;
-  preq.forward_to_buddies = 1;
-  Result<std::string> raw = CallWithRetry(responder, EncodePublishRequest(preq), ctx);
+  Result<std::string> raw =
+      CallWithRetry(responder, EncodePublishRequest({entry, /*forward_to_buddies=*/1}), ctx);
   if (!raw.ok()) return raw.status();
   Result<PublishAck> ack = DecodePublishAck(*raw);
   if (!ack.ok()) return ack.status();
@@ -972,9 +943,9 @@ size_t PGridNode::MaintainReferences() {
   std::vector<size_t> underfull;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    my_path = path_;
-    for (size_t level = 1; level <= refs_.size(); ++level) {
-      if (refs_[level - 1].size() < config_.refmax) underfull.push_back(level);
+    my_path = state_.path();
+    for (size_t level = 1; level <= state_.depth(); ++level) {
+      if (state_.RefsAt(level).size() < config_.refmax) underfull.push_back(level);
     }
   }
   size_t recruited = 0;
@@ -993,16 +964,15 @@ size_t PGridNode::MaintainReferences() {
     Result<ProbeResponse> info = Probe(responder, ctx);
     if (!info.ok()) continue;
     std::lock_guard<std::mutex> lock(mu_);
-    if (level > path_.length() || level > refs_.size()) continue;
+    const KeyPath& path = state_.path();
+    if (level > path.length()) continue;
     if (info->path.length() < level ||
-        path_.CommonPrefixLength(info->path) < level - 1 ||
-        info->path.bit(level - 1) != ComplementBit(path_.bit(level - 1))) {
+        path.CommonPrefixLength(info->path) < level - 1 ||
+        info->path.bit(level - 1) != ComplementBit(path.bit(level - 1))) {
       continue;
     }
-    std::vector<std::string>& refs = refs_[level - 1];
-    if (refs.size() < config_.refmax &&
-        std::find(refs.begin(), refs.end(), responder) == refs.end()) {
-      refs.push_back(responder);
+    if (state_.RefsAt(level).size() < config_.refmax &&
+        state_.AddRefAt(level, book_.Intern(responder))) {
       c_refs_recruited_->Increment();
       ++recruited;
     }

@@ -1,10 +1,16 @@
 // A deployable P-Grid peer: the core algorithms running over a real transport.
 //
-// PGridNode holds one peer's protocol state (path, per-level references, leaf index,
-// buddies) and serves the message handlers of protocol.h. The evaluation of the
-// paper runs on the in-memory simulator (src/core, src/sim); this class is the
-// deployment skeleton a downstream system embeds -- same algorithms, expressed as
-// request/response interactions:
+// PGridNode holds one peer's protocol state and serves the message handlers of
+// protocol.h. The state is the simulator's own PeerState (core/peer_state.h):
+// path, per-level references, buddies, leaf index, parked foreign entries and
+// the local DataStore. Peers in it are dense ids into the node's address book
+// (net/address_book.h), with the node itself at id 0; ids turn back into
+// transport addresses only at the wire and in the public accessors. The node
+// also reuses the simulator's failure detector (repair::SuspicionTable), entry
+// digest (sim::IndexDigest) and durable storage (storage::PersistenceManager).
+// The evaluation of the paper runs on the in-memory simulator (src/core,
+// src/sim); this class is the deployment skeleton a downstream system embeds --
+// same algorithms, expressed as request/response interactions:
 //
 //  - MeetWith(peer) runs the Fig. 3 exchange: the initiator ships a state snapshot,
 //    the responder merges and replies with directives (path bits to append,
@@ -29,24 +35,27 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/peer_state.h"
 #include "key/key_path.h"
+#include "net/address_book.h"
 #include "net/protocol.h"
 #include "net/retry.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "repair/health.h"
 #include "storage/data_store.h"
 #include "storage/storage_config.h"
 #include "util/rng.h"
 
 namespace pgrid {
-namespace net {
+namespace storage {
+class PersistenceManager;
+}  // namespace storage
 
-struct NodeImage;
-class NodePersistence;
+namespace net {
 
 /// Protocol parameters of a node (the paper's knobs).
 struct NodeConfig {
@@ -86,10 +95,11 @@ struct NodeConfig {
   RetryConfig retry;
 
   /// Opt-in durable storage (storage/storage_config.h). With a non-empty dir
-  /// the node persists its protocol state (snapshot + WAL delta, see
-  /// net/node_persist.h) after every state-changing operation, and Start()
-  /// recovers from disk when a snapshot for this address exists -- the restart
-  /// path docs/storage.md describes. Empty dir (the default) = off.
+  /// the node persists its protocol state and address book (snapshot + WAL
+  /// delta, see storage/persist.h) under dir/node-<address>/ after every
+  /// state-changing operation, and Start() recovers from disk when a snapshot
+  /// for this address exists -- the restart path docs/storage.md describes.
+  /// Empty dir (the default) = off.
   storage::StorageConfig storage;
 
   Status Validate() const {
@@ -151,7 +161,7 @@ class PGridNode {
   /// Snapshot of known same-path replicas.
   std::vector<std::string> buddies() const;
 
-  /// Snapshot of the leaf index.
+  /// Snapshot of the leaf index, sorted by (holder address, item id).
   std::vector<WireEntry> entries() const;
 
   /// Entries parked because no responsible peer is known yet.
@@ -257,18 +267,33 @@ class PGridNode {
   Status MeetWithDepth(const std::string& peer, uint32_t depth,
                        const obs::TraceContext& parent = {});
 
-  /// Sends entries to `peer`; whatever it rejects is parked in foreign_.
+  /// Sends entries to `peer`; whatever it rejects is adopted back, or parked as
+  /// foreign if the path no longer covers it.
   void PushEntries(const std::string& peer, std::vector<WireEntry> entries,
                    const obs::TraceContext& ctx = {});
 
   // ---- locked helpers (mu_ must be held) ----
-  /// Adds an entry to the leaf index, deduplicating by (holder, item); refreshes
-  /// key/version if newer. Returns true if anything changed.
-  bool AdoptEntryLocked(const WireEntry& entry);
+  /// Addresses of `ids`, in order.
+  std::vector<std::string> NamesLocked(Span<PeerId> ids) const;
+
+  /// Interns `addresses` and installs them as the references at `level`.
+  void SetRefsLocked(size_t level, const std::vector<std::string>& addresses);
+
+  WireEntry ToWireLocked(const IndexEntry& entry) const;
+
+  /// Adds an entry to the leaf index, deduplicating by (holder, item);
+  /// refreshes key/version if newer. Counts new (holder, item) pairs on
+  /// node.entries_adopted.
+  void AdoptEntryLocked(const WireEntry& entry);
+
+  /// Adopts `entry` if it overlaps the path, else parks it as foreign.
+  void AdoptOrParkLocked(const WireEntry& entry);
 
   /// Extracts index entries that no longer overlap the path, plus parked foreign
-  /// entries.
-  std::vector<WireEntry> DrainNonMatchingLocked();
+  /// entries. Every mutation that adopts an entry checks it against the path
+  /// under the same lock hold, so the index is scanned only when the path grew
+  /// since the last drain.
+  std::vector<IndexEntry> DrainNonMatchingLocked();
 
   /// One routing step against local state (the Fig. 2 match).
   struct LocalMatch {
@@ -285,9 +310,6 @@ class PGridNode {
                                             const std::vector<std::string>& b,
                                             const std::string& exclude);
 
-  /// Copies the persistent slice of the node's state (net/node_persist.h).
-  NodeImage SnapshotImageLocked() const;
-
   /// Commits the current state to durable storage (no-op without it).
   /// persist_mu_ serializes committers and orders their WAL appends; mu_ is
   /// taken only for the in-memory state copy, never across the disk write.
@@ -297,23 +319,22 @@ class PGridNode {
   RpcTransport* transport_;
   const NodeConfig config_;
 
+  // Protocol state. Every PeerId in state_ (references, buddies, entry
+  // holders) indexes book_; the node itself is id 0.
   mutable std::mutex mu_;
-  KeyPath path_;
-  std::vector<std::vector<std::string>> refs_;  // refs_[i] = level i+1
-  std::vector<std::string> buddies_;
-  std::vector<WireEntry> entries_;
-  std::vector<WireEntry> foreign_;
-  DataStore store_;
-  std::unordered_map<std::string, size_t> suspicion_;  // consecutive call failures
-  size_t eviction_cooldown_left_ = 0;  // crossings to suppress before next evict
+  PeerState state_;
+  AddressBook book_;
+  repair::SuspicionTable suspicion_;  // consecutive call failures, by book_ id
+  size_t drained_depth_ = 0;          // path depth at the last index drain
   uint64_t epoch_ = 0;
   Rng rng_;
   bool serving_ = false;
 
   // Durable storage (null without NodeConfig::storage). persist_mu_ is always
   // acquired before mu_ (PersistState); never the other way around.
-  std::unique_ptr<NodePersistence> persist_;
+  std::unique_ptr<storage::PersistenceManager> persist_;
   std::mutex persist_mu_;
+  std::vector<std::string> persisted_names_;  // book_'s names as last committed
   bool recovered_ = false;
 
   // Registry-backed protocol counters: handler threads bump these concurrently,

@@ -232,8 +232,8 @@ void TcpTransport::StopServing(const std::string& address) {
   server->stopping.store(true);
   ::shutdown(server->listen_fd, SHUT_RDWR);
   ::close(server->listen_fd);
-  server->listen_fd = -1;
   if (server->acceptor.joinable()) server->acceptor.join();
+  server->listen_fd = -1;  // only after the join: the acceptor reads it
   // Wait briefly for in-flight connection threads (they hold a shared_ptr to the
   // server, so even if they outlive this loop nothing dangles).
   for (int i = 0; i < 100 && server->active_connections.load() > 0; ++i) {

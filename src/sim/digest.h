@@ -58,17 +58,26 @@ class Digest {
 /// digests by +/-delta amounts that cancel across the sum with probability
 /// ~1/8 -- two visibly diverged replicas then compare "equal" and anti-entropy
 /// never reconciles them. The finalizer makes such cancellation 2^-64.
-inline uint64_t IndexDigest(const LeafIndex& index) {
+///
+/// `fold_holder(Digest&, PeerId)` folds an entry's holder. The simulator folds
+/// the PeerId itself; a networked node folds the holder's transport address,
+/// so its digests compare equal across nodes whose id tables differ.
+template <typename FoldHolder>
+uint64_t IndexDigest(const LeafIndex& index, FoldHolder&& fold_holder) {
   uint64_t sum = index.size() * 0x9e3779b97f4a7c15ull;
-  index.ForEach([&sum](const IndexEntry& e) {
+  index.ForEach([&](const IndexEntry& e) {
     Digest d;
-    d.U64(e.holder);
+    fold_holder(d, e.holder);
     d.U64(e.item_id);
     d.Str(e.key.ToString());
     d.U64(e.version);
     sum += Mix64(d.value());
   });
   return sum;
+}
+
+inline uint64_t IndexDigest(const LeafIndex& index) {
+  return IndexDigest(index, [](Digest& d, PeerId holder) { d.U64(holder); });
 }
 
 /// Digest of the full structural state of a grid: paths, per-level references,

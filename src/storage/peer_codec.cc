@@ -96,6 +96,9 @@ Status ReadPeerCore(net::ByteReader* r, const PeerCoreBounds& bounds,
   }
   for (uint32_t i = 0; i < num_entries; ++i) {
     PGRID_ASSIGN_OR_RETURN(IndexEntry e, ReadIndexEntry(r));
+    if (e.holder >= bounds.holder_id_bound) {
+      return Status::InvalidArgument("entry holder out of range");
+    }
     peer->index().InsertOrRefresh(e);
   }
   PGRID_ASSIGN_OR_RETURN(uint32_t num_foreign, r->ReadU32());
@@ -104,6 +107,9 @@ Status ReadPeerCore(net::ByteReader* r, const PeerCoreBounds& bounds,
   }
   for (uint32_t i = 0; i < num_foreign; ++i) {
     PGRID_ASSIGN_OR_RETURN(IndexEntry e, ReadIndexEntry(r));
+    if (e.holder >= bounds.holder_id_bound) {
+      return Status::InvalidArgument("foreign entry holder out of range");
+    }
     peer->foreign_entries().push_back(std::move(e));
   }
   return Status::OK();

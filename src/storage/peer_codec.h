@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/peer_state.h"
@@ -49,10 +50,12 @@ std::vector<IndexEntry> CanonicalEntries(const LeafIndex& index);
 void WritePeerCore(net::ByteWriter* w, const PeerState& peer);
 
 /// Validation bounds for ReadPeerCore. Reference and buddy ids must be below
-/// `peer_id_bound`; the path must not exceed `maxl` bits.
+/// `peer_id_bound`, index and foreign-entry holders below `holder_id_bound`;
+/// the path must not exceed `maxl` bits.
 struct PeerCoreBounds {
   size_t maxl = 0;
   uint64_t peer_id_bound = 0;
+  uint64_t holder_id_bound = std::numeric_limits<uint64_t>::max();
 };
 
 /// Reads one core block into `peer`, which must be freshly constructed (empty

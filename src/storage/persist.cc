@@ -12,6 +12,7 @@
 #include "storage/peer_codec.h"
 
 #ifndef _WIN32
+#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -21,11 +22,13 @@ namespace storage {
 namespace {
 
 constexpr char kSnapMagic[4] = {'P', 'G', 'P', 'S'};
-constexpr uint32_t kSnapVersion = 1;
+/// Version 2 added the name block ahead of the core block.
+constexpr uint32_t kSnapVersion = 2;
 
 /// WAL record types. Every record carries absolute state for its slice (full
-/// path, full reference level, full buddy list, one whole entry/item), which is
-/// what makes replay idempotent -- see the file comment in persist.h.
+/// path, full reference level, full buddy list, one whole entry/item, names at
+/// absolute table positions), which is what makes replay idempotent -- see the
+/// file comment in persist.h.
 enum RecordType : uint8_t {
   kSetPath = 1,
   kSetRefs = 2,
@@ -35,6 +38,7 @@ enum RecordType : uint8_t {
   kSetForeign = 6,
   kStorePut = 7,
   kStoreDelete = 8,
+  kAppendNames = 9,  // u32 first id + string list
 };
 
 bool SpanEquals(Span<PeerId> a, Span<PeerId> b) {
@@ -45,9 +49,17 @@ bool SpanEquals(Span<PeerId> a, Span<PeerId> b) {
   return true;
 }
 
-Status ApplyRecord(std::string_view body, PeerState* peer) {
+/// Replays one record onto `peer` and its name table `names`. With
+/// `check_ids`, every id the record names must be in the table.
+Status ApplyRecord(std::string_view body, bool check_ids, PeerState* peer,
+                   std::vector<std::string>* names) {
   net::ByteReader r(body);
   PGRID_ASSIGN_OR_RETURN(uint8_t type, r.ReadU8());
+  const auto check = [&](uint64_t id) {
+    if (!check_ids || id < names->size()) return Status::OK();
+    return Status::InvalidArgument("WAL record names id " + std::to_string(id) +
+                                   ", outside the name table");
+  };
   switch (type) {
     case kSetPath: {
       PGRID_ASSIGN_OR_RETURN(KeyPath path, r.ReadKeyPath());
@@ -76,6 +88,7 @@ Status ApplyRecord(std::string_view body, PeerState* peer) {
       refs.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         PGRID_ASSIGN_OR_RETURN(uint32_t ref, r.ReadU32());
+        PGRID_RETURN_IF_ERROR(check(ref));
         refs.push_back(ref);
       }
       peer->SetRefsAt(level, std::move(refs));
@@ -89,12 +102,14 @@ Status ApplyRecord(std::string_view body, PeerState* peer) {
       peer->ClearBuddies();
       for (uint32_t i = 0; i < count; ++i) {
         PGRID_ASSIGN_OR_RETURN(uint32_t buddy, r.ReadU32());
+        PGRID_RETURN_IF_ERROR(check(buddy));
         peer->AddBuddy(buddy);
       }
       break;
     }
     case kIndexPut: {
       PGRID_ASSIGN_OR_RETURN(IndexEntry e, ReadIndexEntry(&r));
+      PGRID_RETURN_IF_ERROR(check(e.holder));
       // Exact put, not max-version refresh: the diff layer emits a record
       // whenever key OR version changed, including legal same-version key
       // rewrites, so replay must overwrite unconditionally.
@@ -116,6 +131,7 @@ Status ApplyRecord(std::string_view body, PeerState* peer) {
       peer->foreign_entries().clear();
       for (uint32_t i = 0; i < count; ++i) {
         PGRID_ASSIGN_OR_RETURN(IndexEntry e, ReadIndexEntry(&r));
+        PGRID_RETURN_IF_ERROR(check(e.holder));
         peer->foreign_entries().push_back(std::move(e));
       }
       break;
@@ -132,6 +148,23 @@ Status ApplyRecord(std::string_view body, PeerState* peer) {
     case kStoreDelete: {
       PGRID_ASSIGN_OR_RETURN(ItemId id, r.ReadU64());
       peer->store().Remove(id);
+      break;
+    }
+    case kAppendNames: {
+      PGRID_ASSIGN_OR_RETURN(uint32_t first, r.ReadU32());
+      PGRID_ASSIGN_OR_RETURN(std::vector<std::string> added, r.ReadStringList());
+      if (first > names->size()) {
+        return Status::InvalidArgument("kAppendNames record leaves a gap in the table");
+      }
+      // Names the table already holds (a replay over the snapshot that folded
+      // them in) must match; the rest extend it.
+      for (size_t i = 0; i < added.size(); ++i) {
+        if (first + i == names->size()) {
+          names->push_back(std::move(added[i]));
+        } else if ((*names)[first + i] != added[i]) {
+          return Status::InvalidArgument("kAppendNames record renames an id");
+        }
+      }
       break;
     }
     default:
@@ -169,9 +202,11 @@ bool PersistenceManager::HasState(PeerId id) const {
   return std::filesystem::exists(SnapshotPath(id), ec);
 }
 
-Status PersistenceManager::WriteSnapshot(const PeerState& peer) {
+Status PersistenceManager::WriteSnapshot(const PeerState& peer,
+                                         const std::vector<std::string>& names) {
   net::ByteWriter w;
   w.WriteU32(kSnapVersion);
+  w.WriteStringList(names);
   WritePeerCore(&w, peer);
   WritePeerStore(&w, peer.store());
   const std::string& body = w.data();
@@ -202,10 +237,23 @@ Status PersistenceManager::WriteSnapshot(const PeerState& peer) {
     std::remove(tmp.c_str());
     return Status::Internal("rename of " + tmp + " failed");
   }
+#ifndef _WIN32
+  if (config_.sync_mode == SyncMode::kFsync) {
+    // The rename is durable only once the directory entry is. Every caller
+    // truncates the WAL next; without this sync an OS crash could bring back
+    // the old snapshot next to an already empty WAL.
+    const int dir = open(config_.dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dir < 0) return Status::Internal("cannot open " + config_.dir + " to sync it");
+    const bool synced = fsync(dir) == 0;
+    close(dir);
+    if (!synced) return Status::Internal("fsync of " + config_.dir + " failed");
+  }
+#endif
   return Status::OK();
 }
 
-Result<PeerState> PersistenceManager::ReadSnapshot(PeerId id) const {
+Result<PeerState> PersistenceManager::ReadSnapshot(
+    PeerId id, bool check_ids, std::vector<std::string>* names) const {
   const std::string path = SnapshotPath(id);
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::NotFound("cannot open " + path);
@@ -239,10 +287,12 @@ Result<PeerState> PersistenceManager::ReadSnapshot(PeerId id) const {
     return Status::InvalidArgument("unsupported peer snapshot version " +
                                    std::to_string(version));
   }
+  PGRID_ASSIGN_OR_RETURN(*names, r.ReadStringList());
   PeerState peer(id);
   PeerCoreBounds bounds;
   bounds.maxl = maxl_;
   bounds.peer_id_bound = static_cast<uint64_t>(kInvalidPeer);
+  if (check_ids) bounds.peer_id_bound = bounds.holder_id_bound = names->size();
   PGRID_RETURN_IF_ERROR(ReadPeerCore(&r, bounds, &peer, nullptr));
   PGRID_RETURN_IF_ERROR(ReadPeerStore(&r, &peer.store()));
   if (!r.AtEnd()) {
@@ -251,26 +301,41 @@ Result<PeerState> PersistenceManager::ReadSnapshot(PeerId id) const {
   return peer;
 }
 
-Status PersistenceManager::Attach(const PeerState& peer) {
+Status PersistenceManager::Attach(const PeerState& peer,
+                                  const std::vector<std::string>& names) {
   if (!config_.enabled()) {
     return Status::FailedPrecondition("storage is not configured (empty dir)");
   }
   auto tracked = std::make_unique<Tracked>(peer.id());
   tracked->shadow = peer;
-  PGRID_RETURN_IF_ERROR(WriteSnapshot(peer));
+  tracked->names = names;
+  PGRID_RETURN_IF_ERROR(WriteSnapshot(peer, names));
   PGRID_RETURN_IF_ERROR(
       tracked->wal.Open(WalPath(peer.id()), config_.sync_mode, /*truncate=*/true));
   tracked_[peer.id()] = std::move(tracked);
   return Status::OK();
 }
 
-Status PersistenceManager::AppendDelta(const PeerState& from, const PeerState& to,
+Status PersistenceManager::AppendDelta(const PeerState& from,
+                                       const std::vector<std::string>& from_names,
+                                       const PeerState& to,
+                                       const std::vector<std::string>& to_names,
                                        WalWriter* wal, uint64_t* records) {
   auto emit = [wal, records](const net::ByteWriter& w) -> Status {
     PGRID_RETURN_IF_ERROR(wal->Append(w.data()));
     ++*records;
     return Status::OK();
   };
+
+  // New names first: every later record may use their ids.
+  if (to_names.size() > from_names.size()) {
+    net::ByteWriter w;
+    w.WriteU8(kAppendNames);
+    w.WriteU32(static_cast<uint32_t>(from_names.size()));
+    w.WriteU32(static_cast<uint32_t>(to_names.size() - from_names.size()));
+    for (size_t i = from_names.size(); i < to_names.size(); ++i) w.WriteString(to_names[i]);
+    PGRID_RETURN_IF_ERROR(emit(w));
+  }
 
   if (to.path() != from.path()) {
     net::ByteWriter w;
@@ -360,7 +425,8 @@ Status PersistenceManager::AppendDelta(const PeerState& from, const PeerState& t
   return Status::OK();
 }
 
-Result<CommitInfo> PersistenceManager::Commit(const PeerState& peer) {
+Result<CommitInfo> PersistenceManager::Commit(const PeerState& peer,
+                                              const std::vector<std::string>& names) {
   auto it = tracked_.find(peer.id());
   if (it == tracked_.end()) {
     return Status::FailedPrecondition("peer " + std::to_string(peer.id()) +
@@ -368,9 +434,13 @@ Result<CommitInfo> PersistenceManager::Commit(const PeerState& peer) {
   }
   Tracked& t = *it->second;
   CommitInfo info;
-  PGRID_RETURN_IF_ERROR(AppendDelta(t.shadow, peer, &t.wal, &info.records));
+  PGRID_RETURN_IF_ERROR(
+      AppendDelta(t.shadow, t.names, peer, names, &t.wal, &info.records));
   if (info.records == 0) return info;
   t.shadow = peer;
+  if (names.size() > t.names.size()) {
+    t.names.insert(t.names.end(), names.begin() + t.names.size(), names.end());
+  }
   if (config_.compact_every != 0 &&
       ++t.commits_since_compact >= config_.compact_every) {
     PGRID_RETURN_IF_ERROR(Compact(peer.id()));
@@ -389,13 +459,14 @@ Status PersistenceManager::Compact(PeerId id) {
   // Snapshot first, truncate second: a crash between the two leaves a snapshot
   // plus a WAL whose records are already folded in -- harmless, because every
   // record is idempotent against the state it produced.
-  PGRID_RETURN_IF_ERROR(WriteSnapshot(t.shadow));
+  PGRID_RETURN_IF_ERROR(WriteSnapshot(t.shadow, t.names));
   PGRID_RETURN_IF_ERROR(t.wal.Open(WalPath(id), config_.sync_mode, /*truncate=*/true));
   t.commits_since_compact = 0;
   return Status::OK();
 }
 
-Result<PeerState> PersistenceManager::Recover(PeerId id) {
+Result<PeerState> PersistenceManager::Recover(PeerId id,
+                                              std::vector<std::string>* names) {
   // If we are still tracking this peer, its WalWriter may hold appended
   // records in the stdio buffer (SyncMode::kNone never flushes); push them to
   // the file so the read below sees everything committed so far.
@@ -403,14 +474,18 @@ Result<PeerState> PersistenceManager::Recover(PeerId id) {
   if (it != tracked_.end() && it->second->wal.is_open()) {
     PGRID_RETURN_IF_ERROR(it->second->wal.Sync());
   }
-  PGRID_ASSIGN_OR_RETURN(PeerState peer, ReadSnapshot(id));
+  // Without a caller's table the ids go unchecked and the table is dropped.
+  const bool check_ids = names != nullptr;
+  std::vector<std::string> dropped;
+  if (names == nullptr) names = &dropped;
+  PGRID_ASSIGN_OR_RETURN(PeerState peer, ReadSnapshot(id, check_ids, names));
   Result<WalContents> wal = ReadWal(WalPath(id));
   if (!wal.ok()) {
     if (wal.status().code() == StatusCode::kNotFound) return peer;
     return wal.status();
   }
   for (const std::string& record : wal->records) {
-    PGRID_RETURN_IF_ERROR(ApplyRecord(record, &peer));
+    PGRID_RETURN_IF_ERROR(ApplyRecord(record, check_ids, &peer, names));
   }
   if (wal->torn_tail) {
     PGRID_RETURN_IF_ERROR(TruncateWal(WalPath(id), wal->valid_bytes));

@@ -106,8 +106,8 @@ class Rng {
 };
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mix. Used for seed-stream
-/// splitting below and by the order-independent set digests (sim/digest.h,
-/// net/node.cc): those sum per-element hashes, and summing raw FNV-1a values is
+/// splitting below and by the order-independent set digests (sim/digest.h):
+/// those sum per-element hashes, and summing raw FNV-1a values is
 /// unsafe -- FNV folds a trailing u64 field as (h ^ v) * p^8, linear enough
 /// that version deltas on two elements cancel across the sum with probability
 /// ~1/8. Finalizing each element hash first destroys that linearity.

@@ -1,20 +1,18 @@
 // Scaling regression guard for the parallel builder (ctest labels: parallel,
 // heavy). PR 6's profiler attributed the old negative scaling to a ~68%
 // claim-conflict rate in the greedy wave partitioner; the edge-colored schedule
-// (core/wave_schedule.h) removed the claim loop entirely. This test pins both
-// halves of the fix at paper-adjacent scale (4k peers):
+// (core/wave_schedule.h) removed the claim loop entirely. This test pins the
+// structural half of the fix at paper-adjacent scale (4k peers): the
+// claim-conflict rate is < 5% (in fact identically 0), and t=1 and t=4 build
+// the same grid from one seed -- equal digests and meeting counts, one more
+// determinism check at a scale the unit tests do not reach.
 //
-//   - the claim-conflict rate is < 5% (in fact identically 0), and
-//   - t=4 does not lose to t=1. On hardware with >= 4 cores the guard is the
-//     issue's full criterion (t=4 meetings/s >= 1.5x t=1); on smaller hosts --
-//     the CI container exposes a single core, where real speedup is physically
-//     impossible -- it degrades to a no-collapse bound (t=4 >= 0.5x t=1),
-//     which the old claim-loop design failed and the wave schedule passes.
-//     Under ThreadSanitizer timing is synthetic, so only the structural half
-//     (conflict rate, determinism) is asserted.
-//
-// The two builds share a seed, so the guard doubles as one more determinism
-// check at a scale the unit tests do not reach.
+// The speed half -- t=4 meetings/s >= 1.5x t=1 on hosts with >= 4 cores, and no
+// collapse below 0.5x t=1 on smaller ones -- is a wall-clock ratio. One 200 ms
+// build cannot decide it: on a 4-core host the t=1 rate alone swung from 90k
+// to 147k meetings/s between runs, and the ratio from 0.86 to 1.51. So the test
+// only prints the ratio, and leg 3 of tools/check_parallel_tsan.sh asserts it
+// on the median of 5 runs of this test.
 
 #include <cstdio>
 #include <memory>
@@ -27,17 +25,6 @@
 #include "sim/digest.h"
 #include "sim/meeting_scheduler.h"
 #include "util/rng.h"
-
-#if defined(__SANITIZE_THREAD__)
-#define PGRID_UNDER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PGRID_UNDER_TSAN 1
-#endif
-#endif
-#ifndef PGRID_UNDER_TSAN
-#define PGRID_UNDER_TSAN 0
-#endif
 
 namespace pgrid {
 namespace {
@@ -94,6 +81,8 @@ TEST(ParallelScalingTest, FourThreadsDoNotLoseToOneAndConflictsStayNearZero) {
   EXPECT_LT(t4.conflict_rate, 0.05);
   EXPECT_DOUBLE_EQ(t4.conflict_rate, 0.0);
 
+  // The speed half is asserted by tools/check_parallel_tsan.sh (leg 3), which
+  // reads this line.
   const double r1 = t1.MeetingsPerSecond();
   const double r4 = t4.MeetingsPerSecond();
   ASSERT_GT(r1, 0.0);
@@ -102,18 +91,6 @@ TEST(ParallelScalingTest, FourThreadsDoNotLoseToOneAndConflictsStayNearZero) {
   std::printf("cores=%u  t1=%.0f meet/s  t4=%.0f meet/s  ratio=%.2f  "
               "conflicts t4=%.4f%%\n",
               cores, r1, r4, r4 / r1, 100.0 * t4.conflict_rate);
-#if PGRID_UNDER_TSAN
-  GTEST_SKIP() << "timing assertions skipped under ThreadSanitizer";
-#else
-  if (cores >= 4) {
-    // The issue's criterion, enforceable only where 4 lanes can actually run.
-    EXPECT_GE(r4, 1.5 * r1) << "t=4 should scale on a " << cores << "-core host";
-  } else {
-    // Single/dual-core host: demand no collapse. The greedy claim loop managed
-    // only ~0.72x here; the wave schedule must stay within 2x of serial.
-    EXPECT_GE(r4, 0.5 * r1) << "t=4 collapsed on a " << cores << "-core host";
-  }
-#endif
 }
 
 }  // namespace

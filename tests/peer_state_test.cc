@@ -49,6 +49,19 @@ TEST(PeerStateTest, BuddiesDedupAndExcludeSelf) {
   EXPECT_TRUE(p.buddies().empty());
 }
 
+TEST(PeerStateTest, RemoveBuddyKeepsTheOthersInOrder) {
+  PeerState p(1);
+  for (PeerId b : {5, 3, 8, 2}) p.AddBuddy(b);
+  EXPECT_TRUE(p.RemoveBuddy(3));
+  EXPECT_EQ(p.buddies(), (std::vector<PeerId>{5, 8, 2}));
+  EXPECT_FALSE(p.RemoveBuddy(3));
+  EXPECT_TRUE(p.RemoveBuddy(2));
+  EXPECT_TRUE(p.RemoveBuddy(5));
+  EXPECT_EQ(p.buddies(), (std::vector<PeerId>{8}));
+  EXPECT_TRUE(p.AddBuddy(3));  // a removed buddy can come back, at the end
+  EXPECT_EQ(p.buddies(), (std::vector<PeerId>{8, 3}));
+}
+
 TEST(PeerStateTest, PathCoversKeySemantics) {
   KeyPath path = KeyPath::FromString("01").value();
   EXPECT_TRUE(PathCoversKey(path, KeyPath::FromString("0110").value()));

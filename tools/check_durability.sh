@@ -25,10 +25,13 @@ cmake -B "${build_dir}" -S "${repo_root}" \
   -DPGRID_BUILD_EXAMPLES=OFF
 
 cmake --build "${build_dir}" -j "$(nproc)" --target \
-  wal_test recovery_test snapshot_test scenario_test fuzzer_test pgrid
+  wal_test recovery_test node_store_test node_fingerprint_test snapshot_test \
+  scenario_test fuzzer_test pgrid
 
 # The durable suite: the WAL crash-point battery (every truncation and
-# bit-flip boundary) and the persist -> recover identity properties.
+# bit-flip boundary), the persist -> recover identity properties, the node
+# store's name-table round trips and rejected stores, and the node community
+# fingerprint after every node restarted from disk.
 ctest --test-dir "${build_dir}" --output-on-failure -L durable
 
 # Crash-restart seed sweep through the CLI: generated interleavings include

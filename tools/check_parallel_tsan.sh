@@ -12,13 +12,17 @@
 #      50 generated scenarios, each routing its exchange steps through the
 #      parallel builder at a random thread count in {1,2,4,8}, each re-executed
 #      at builder_threads=1; any digest mismatch or invariant violation fails.
-#   3. Scaling guard -- a release (non-sanitized) build runs the
-#      ParallelScalingTest regression guard and a quick
-#      bench_t1_peers_vs_exchanges scaling sweep, then checks the resulting
+#   3. Scaling guard -- a release (non-sanitized) build runs
+#      ParallelScalingTest 5 times; each run builds the same 4k-peer grid at
+#      t=1 and t=4 and prints the t4/t1 meetings/s ratio. The median of the 5
+#      ratios must reach 1.5x on hosts with >= 4 cores and 0.5x (no collapse)
+#      on smaller ones, where speedup is physically impossible. (One run is
+#      too noisy to decide: ratios from 0.86 to 1.51 on one 4-core host, so
+#      the ratio is asserted here and not in ctest.) Then a quick
+#      bench_t1_peers_vs_exchanges scaling sweep checks the resulting
 #      BENCH_parallel_build.json: on hosts with >= 4 cores any multi-threaded
-#      row slower than its size's t=1 row fails; on smaller hosts (this CI
-#      container exposes one core, where speedup is physically impossible) the
-#      bound degrades to no-collapse (>= 0.5x t=1), which the old claim-loop
+#      row slower than its size's t=1 row fails; on smaller hosts the bound
+#      degrades to no-collapse (>= 0.5x t=1), which the old claim-loop
 #      scheduler failed and the wave schedule passes.
 #
 #   tools/check_parallel_tsan.sh                  # all three legs
@@ -66,8 +70,34 @@ cmake -B "${release_dir}" -S "${repo_root}"
 cmake --build "${release_dir}" -j "$(nproc)" --target \
   parallel_scaling_test bench_t1_peers_vs_exchanges
 
-echo "== scaling regression guard (4k peers, t=1 vs t=4) =="
-ctest --test-dir "${release_dir}" --output-on-failure -R ParallelScalingTest
+echo "== scaling regression guard (4k peers, t=4 vs t=1, median of 5 paired builds) =="
+ratios=""
+for run in 1 2 3 4 5; do
+  out="$("${release_dir}/tests/parallel_scaling_test")"
+  ratio="$(printf '%s\n' "${out}" | sed -n 's/.*ratio=\([0-9.]*\).*/\1/p')"
+  if [ -z "${ratio}" ]; then
+    printf '%s\n' "${out}"
+    echo "FAIL: parallel_scaling_test printed no ratio"
+    exit 1
+  fi
+  echo "run ${run}: t4/t1 = ${ratio}"
+  ratios="${ratios} ${ratio}"
+done
+# shellcheck disable=SC2086  # one argument per ratio
+python3 - ${ratios} <<'PY'
+import os, statistics, sys
+
+ratios = [float(r) for r in sys.argv[1:]]
+cores = os.cpu_count() or 1
+median = statistics.median(ratios)
+# The full criterion where 4 lanes can actually run; no collapse elsewhere.
+floor = 1.5 if cores >= 4 else 0.5
+if median < floor:
+    print(f"FAIL: median t4/t1 {median:.2f} < {floor:.1f} on a {cores}-core host "
+          f"(runs: {', '.join(f'{r:.2f}' for r in ratios)})")
+    sys.exit(1)
+print(f"OK: median t4/t1 {median:.2f} >= {floor:.1f} on a {cores}-core host")
+PY
 
 echo "== bench scaling sweep + JSON monotonicity check =="
 bench_json="${release_dir}/BENCH_parallel_build_ci.json"
