@@ -58,7 +58,8 @@ PGridNode::PGridNode(std::string address, RpcTransport* transport,
       state_(kSelf),
       book_(address_),
       suspicion_(MakeSuspicionTable(config)),
-      rng_(seed) {
+      rng_(seed),
+      delta_(/*recording=*/config.storage.enabled()) {
   PGRID_CHECK(transport != nullptr);
   PGRID_CHECK(config.Validate().ok());
   if (registry == nullptr) {
@@ -93,24 +94,50 @@ PGridNode::PGridNode(std::string address, RpcTransport* transport,
     store.dir += "/" + StoreDirName(address_);
     persist_ = std::make_unique<storage::PersistenceManager>(std::move(store),
                                                              config_.maxl);
+    c_storage_commits_ = metrics_->GetCounter("storage.commits");
+    c_storage_commit_records_ = metrics_->GetCounter("storage.commit_records");
+    c_storage_commit_bytes_ = metrics_->GetCounter("storage.commit_bytes");
+    c_storage_compactions_ = metrics_->GetCounter("storage.compactions");
+    h_storage_commit_us_ =
+        metrics_->GetHistogram("storage.commit_us", obs::LatencyBoundsUs());
+    PGRID_CHECK(c_storage_commits_ && c_storage_commit_records_ &&
+                c_storage_commit_bytes_ && c_storage_compactions_ && h_storage_commit_us_);
   }
 }
 
 void PGridNode::PersistState() {
   if (persist_ == nullptr) return;
   std::lock_guard<std::mutex> plock(persist_mu_);
-  PeerState state(kSelf);
-  {
+  Result<storage::CommitBatch> batch = [this] {
     std::lock_guard<std::mutex> lock(mu_);
-    state = state_;
-    const std::vector<std::string>& names = book_.names();
-    persisted_names_.insert(persisted_names_.end(),
-                            names.begin() + persisted_names_.size(), names.end());
+    Result<storage::CommitBatch> encoded = persist_->Encode(state_, delta_, book_.names());
+    delta_.Clear();
+    return encoded;
+  }();
+  Result<storage::CommitInfo> info =
+      batch.ok() ? persist_->Write(std::move(*batch)) : batch.status();
+  Status status = info.status();
+  if (info.ok() && info->records > 0) {
+    c_storage_commits_->Increment();
+    c_storage_commit_records_->Increment(info->records);
+    c_storage_commit_bytes_->Increment(info->bytes);
+    h_storage_commit_us_->Record((info->write_ns + 500) / 1000);
   }
-  Result<storage::CommitInfo> committed = persist_->Commit(state, persisted_names_);
-  if (!committed.ok()) {
+  if (info.ok() && info->compact_due) {
+    // The only full copy of the state a commit makes: once per compaction.
+    PeerState state(kSelf);
+    std::vector<std::string> names;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      state = state_;
+      names = book_.names();
+    }
+    status = persist_->Compact(state, names);
+    if (status.ok()) c_storage_compactions_->Increment();
+  }
+  if (!status.ok()) {
     PGRID_LOG(Warning) << "durable commit failed for " << address_ << ": "
-                       << committed.status().ToString();
+                       << status.ToString();
   }
 }
 
@@ -167,11 +194,16 @@ void PGridNode::NoteCallOutcome(const std::string& to, bool ok) {
     const PeerId id = book_.Intern(to);
     if (!suspicion_.NoteFailure(id)) return;
     for (size_t level = 1; level <= state_.depth(); ++level) {
-      removed += state_.RemoveRefAt(level, id);
+      const size_t gone = state_.RemoveRefAt(level, id);
+      if (gone > 0) delta_.MarkRefs(level);
+      removed += gone;
     }
     // Buddies go too: a confirmed-dead replica would otherwise be re-probed on
     // every maintenance round and fanned out to on every publish, forever.
-    if (state_.RemoveBuddy(id)) ++removed;
+    if (state_.RemoveBuddy(id)) {
+      delta_.MarkBuddies();
+      ++removed;
+    }
     c_refs_evicted_->Increment(removed);
   }
   if (removed > 0) PersistState();
@@ -195,7 +227,7 @@ Status PGridNode::Start() {
       std::lock_guard<std::mutex> lock(mu_);
       state_ = std::move(recovered);
       book_ = std::move(book);
-      persisted_names_ = std::move(names);
+      delta_.Clear();
       // A WAL cut inside a commit can leave entries the recovered path no
       // longer covers; the next drain scans for them.
       drained_depth_ = 0;
@@ -210,12 +242,16 @@ Status PGridNode::Start() {
       recovered_ = true;
     } else {
       PeerState state(kSelf);
+      std::vector<std::string> names;
       {
+        // The snapshot holds everything marked so far; later marks go to the
+        // first commit.
         std::lock_guard<std::mutex> lock(mu_);
         state = state_;
-        persisted_names_ = book_.names();
+        names = book_.names();
+        delta_.Clear();
       }
-      PGRID_RETURN_IF_ERROR(persist_->Attach(state, persisted_names_));
+      PGRID_RETURN_IF_ERROR(persist_->Attach(state, names));
     }
   }
   Status s = transport_->Serve(
@@ -305,7 +341,11 @@ void PGridNode::SetRefsLocked(size_t level, const std::vector<std::string>& addr
   std::vector<PeerId> ids;
   ids.reserve(addresses.size());
   for (const std::string& a : addresses) ids.push_back(book_.Intern(a));
+  // Most exchanges re-sample a level to the list it already holds; only a
+  // real change (order included) costs a record.
+  if (state_.RefsAt(level) == ids) return;
   state_.SetRefsAt(level, std::move(ids));
+  delta_.MarkRefs(level);
 }
 
 WireEntry PGridNode::ToWireLocked(const IndexEntry& entry) const {
@@ -315,8 +355,11 @@ WireEntry PGridNode::ToWireLocked(const IndexEntry& entry) const {
 void PGridNode::AdoptEntryLocked(const WireEntry& entry) {
   LeafIndex& index = state_.index();
   const size_t before = index.size();
-  index.InsertOrRefresh(
-      IndexEntry{book_.Intern(entry.holder), entry.item_id, entry.key, entry.version});
+  const PeerId holder = book_.Intern(entry.holder);
+  if (!index.InsertOrRefresh(IndexEntry{holder, entry.item_id, entry.key, entry.version})) {
+    return;
+  }
+  delta_.MarkIndex(holder, entry.item_id);
   if (index.size() > before) c_entries_adopted_->Increment();
 }
 
@@ -324,20 +367,26 @@ void PGridNode::AdoptOrParkLocked(const WireEntry& entry) {
   if (PathsOverlap(state_.path(), entry.key)) {
     AdoptEntryLocked(entry);
   } else {
-    state_.foreign_entries().push_back(
-        IndexEntry{book_.Intern(entry.holder), entry.item_id, entry.key, entry.version});
+    ParkLocked(IndexEntry{book_.Intern(entry.holder), entry.item_id, entry.key, entry.version});
   }
+}
+
+void PGridNode::ParkLocked(IndexEntry entry) {
+  state_.foreign_entries().push_back(std::move(entry));
+  delta_.MarkForeign();
 }
 
 std::vector<IndexEntry> PGridNode::DrainNonMatchingLocked() {
   TightVec<IndexEntry>& foreign = state_.foreign_entries();
   std::vector<IndexEntry> out(std::make_move_iterator(foreign.begin()),
                               std::make_move_iterator(foreign.end()));
+  if (!foreign.empty()) delta_.MarkForeign();
   foreign.clear();
   // An entry is adopted only if it overlaps the path, so only a path that grew
   // since the last drain can leave entries behind: skip the index scan otherwise.
   if (state_.depth() != drained_depth_) {
     for (IndexEntry& e : state_.index().ExtractNotMatching(state_.path())) {
+      delta_.MarkIndex(e.holder, e.item_id);
       out.push_back(std::move(e));
     }
     drained_depth_ = state_.depth();
@@ -547,6 +596,7 @@ std::string PGridNode::HandleCommit(const std::string& from,
       refs[rng_.UniformIndex(refs.size())] = committer;
     }
     state_.SetRefsAt(level, std::move(refs));
+    delta_.MarkRefs(level);
   }
   return EncodeCommitAck();
 }
@@ -613,6 +663,7 @@ std::string PGridNode::HandleExchange(const std::string& from,
       // race); it confirms its new bit with a commit message (HandleCommit).
       const int my_bit = rng_.Bit();
       state_.AppendPathBit(my_bit);
+      delta_.MarkPath();
       ++epoch_;
       resp.append_bits.PushBack(ComplementBit(my_bit));
       resp.ref_updates.push_back({static_cast<uint32_t>(lc + 1), {address_}});
@@ -625,6 +676,7 @@ std::string PGridNode::HandleExchange(const std::string& from,
     } else if (l1 > 0 && l2 == 0 && lc < config_.maxl) {
       // Case 3: we specialize opposite to the initiator's next bit.
       state_.AppendPathBit(ComplementBit(req.path.bit(lc)));
+      delta_.MarkPath();
       SetRefsLocked(state_.depth(), {req.initiator});
       ++epoch_;
       resp.ref_updates.push_back(
@@ -646,7 +698,7 @@ std::string PGridNode::HandleExchange(const std::string& from,
     } else if (l1 == 0 && l2 == 0) {
       // Replica case: identical complete paths at maxl -- become buddies and give
       // the initiator everything we index (its push completes the sync).
-      state_.AddBuddy(book_.Intern(req.initiator));
+      if (state_.AddBuddy(book_.Intern(req.initiator))) delta_.MarkBuddies();
       resp.buddy = 1;
       state_.index().ForEach(
           [&](const IndexEntry& e) { resp.entries.push_back(ToWireLocked(e)); });
@@ -660,7 +712,7 @@ std::string PGridNode::HandleExchange(const std::string& from,
         if (PathsOverlap(initiator_path, e.key)) {
           resp.entries.push_back(ToWireLocked(e));
         } else {
-          state_.foreign_entries().push_back(std::move(e));
+          ParkLocked(std::move(e));
         }
       }
     }
@@ -728,7 +780,10 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
       commits.push_back({static_cast<uint32_t>(state_.depth()),
                          static_cast<uint8_t>(resp.append_bits.bit(i))});
     }
-    if (!resp.append_bits.empty()) ++epoch_;
+    if (!resp.append_bits.empty()) {
+      delta_.MarkPath();
+      ++epoch_;
+    }
     for (const WireRefLevel& rl : resp.ref_updates) {
       if (rl.level >= 1 && rl.level <= state_.depth()) {
         std::vector<std::string> addrs = rl.addresses;
@@ -738,6 +793,7 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
       }
     }
     if (resp.buddy != 0) became_buddy = state_.AddBuddy(book_.Intern(peer));
+    if (became_buddy) delta_.MarkBuddies();
     for (const WireEntry& e : resp.entries) AdoptOrParkLocked(e);
     for (const IndexEntry& e : DrainNonMatchingLocked()) push.push_back(ToWireLocked(e));
     if (became_buddy) {
@@ -786,6 +842,7 @@ Status PGridNode::Publish(const DataItem& item) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     state_.store().Upsert(item);
+    delta_.MarkItem(item.id);
   }
   PersistState();
   const WireEntry entry{address_, item.id, item.key, item.version};
@@ -973,6 +1030,7 @@ size_t PGridNode::MaintainReferences() {
     }
     if (state_.RefsAt(level).size() < config_.refmax &&
         state_.AddRefAt(level, book_.Intern(responder))) {
+      delta_.MarkRefs(level);
       c_refs_recruited_->Increment();
       ++recruited;
     }

@@ -47,6 +47,7 @@
 #include "obs/trace.h"
 #include "repair/health.h"
 #include "storage/data_store.h"
+#include "storage/peer_delta.h"
 #include "storage/storage_config.h"
 #include "util/rng.h"
 
@@ -276,7 +277,8 @@ class PGridNode {
   /// Addresses of `ids`, in order.
   std::vector<std::string> NamesLocked(Span<PeerId> ids) const;
 
-  /// Interns `addresses` and installs them as the references at `level`.
+  /// Interns `addresses` and installs them as the references at `level`,
+  /// marking the level in delta_ if the list changed.
   void SetRefsLocked(size_t level, const std::vector<std::string>& addresses);
 
   WireEntry ToWireLocked(const IndexEntry& entry) const;
@@ -288,6 +290,9 @@ class PGridNode {
 
   /// Adopts `entry` if it overlaps the path, else parks it as foreign.
   void AdoptOrParkLocked(const WireEntry& entry);
+
+  /// Parks `entry` in the foreign buffer.
+  void ParkLocked(IndexEntry entry);
 
   /// Extracts index entries that no longer overlap the path, plus parked foreign
   /// entries. Every mutation that adopts an entry checks it against the path
@@ -310,9 +315,10 @@ class PGridNode {
                                             const std::vector<std::string>& b,
                                             const std::string& exclude);
 
-  /// Commits the current state to durable storage (no-op without it).
+  /// Commits what delta_ marks to durable storage (no-op without it).
   /// persist_mu_ serializes committers and orders their WAL appends; mu_ is
-  /// taken only for the in-memory state copy, never across the disk write.
+  /// taken only to encode the delta (and, when a compaction is due, to copy
+  /// the state), never across the disk write.
   void PersistState();
 
   const std::string address_;
@@ -334,8 +340,10 @@ class PGridNode {
   // acquired before mu_ (PersistState); never the other way around.
   std::unique_ptr<storage::PersistenceManager> persist_;
   std::mutex persist_mu_;
-  std::vector<std::string> persisted_names_;  // book_'s names as last committed
   bool recovered_ = false;
+  // What changed in state_ since the last commit, guarded by mu_. Every
+  // mutation of state_ marks it; it records nothing without durable storage.
+  storage::PeerDelta delta_;
 
   // Registry-backed protocol counters: handler threads bump these concurrently,
   // so they must be atomic -- which registry counters are by construction.
@@ -354,6 +362,12 @@ class PGridNode {
   obs::Counter* c_refs_recruited_;
   obs::Counter* c_slow_calls_;
   obs::Histogram* h_route_attempts_;
+  // storage.* instruments; null without durable storage.
+  obs::Counter* c_storage_commits_ = nullptr;
+  obs::Counter* c_storage_commit_records_ = nullptr;
+  obs::Counter* c_storage_commit_bytes_ = nullptr;
+  obs::Counter* c_storage_compactions_ = nullptr;
+  obs::Histogram* h_storage_commit_us_ = nullptr;
   std::unique_ptr<RetryPolicy> retry_;  // shares the node's registry
   obs::TraceRecorder* trace_ = nullptr;
 };

@@ -699,7 +699,7 @@ struct ScenarioRunner::Impl {
       // state through the log as delta records. Recovery replays every record
       // over the empty snapshot -- the deep exercise of the record codec.
       PGRID_CHECK(persist->Attach(PeerState(victim)).ok());
-      PGRID_CHECK(persist->Commit(peer).ok());
+      PGRID_CHECK(persist->Commit(peer, storage::PeerDelta::All(peer)).ok());
     } else {
       // Snapshot flavor: the full state lands in the snapshot file, WAL empty.
       PGRID_CHECK(persist->Attach(peer).ok());

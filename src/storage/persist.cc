@@ -1,9 +1,10 @@
 #include "storage/persist.h"
 
-#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -40,14 +41,6 @@ enum RecordType : uint8_t {
   kStoreDelete = 8,
   kAppendNames = 9,  // u32 first id + string list
 };
-
-bool SpanEquals(Span<PeerId> a, Span<PeerId> b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
 
 /// Replays one record onto `peer` and its name table `names`. With
 /// `check_ids`, every id the record names must be in the table.
@@ -173,6 +166,25 @@ Status ApplyRecord(std::string_view body, bool check_ids, PeerState* peer,
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in WAL record");
+  }
+  return Status::OK();
+}
+
+struct IndexKeyHash {
+  size_t operator()(const IndexKey& k) const {
+    return std::hash<uint64_t>{}((static_cast<uint64_t>(k.holder) << 32) ^
+                                 (k.item_id * 0x9e3779b97f4a7c15ull));
+  }
+};
+
+/// Calls `fn` on each distinct key of `keys`, in the order of its first
+/// appearance, and stops at the first error.
+template <typename Key, typename Hash, typename Fn>
+Status ForEachFirstMark(const std::vector<Key>& keys, Hash hash, Fn&& fn) {
+  std::unordered_set<Key, Hash> seen(keys.size(), hash);
+  for (const Key& key : keys) {
+    if (!seen.insert(key).second) continue;
+    PGRID_RETURN_IF_ERROR(fn(key));
   }
   return Status::OK();
 }
@@ -306,8 +318,7 @@ Status PersistenceManager::Attach(const PeerState& peer,
   if (!config_.enabled()) {
     return Status::FailedPrecondition("storage is not configured (empty dir)");
   }
-  auto tracked = std::make_unique<Tracked>(peer.id());
-  tracked->shadow = peer;
+  auto tracked = std::make_unique<Tracked>();
   tracked->names = names;
   PGRID_RETURN_IF_ERROR(WriteSnapshot(peer, names));
   PGRID_RETURN_IF_ERROR(
@@ -316,41 +327,39 @@ Status PersistenceManager::Attach(const PeerState& peer,
   return Status::OK();
 }
 
-Status PersistenceManager::AppendDelta(const PeerState& from,
-                                       const std::vector<std::string>& from_names,
-                                       const PeerState& to,
-                                       const std::vector<std::string>& to_names,
-                                       WalWriter* wal, uint64_t* records) {
-  auto emit = [wal, records](const net::ByteWriter& w) -> Status {
-    PGRID_RETURN_IF_ERROR(wal->Append(w.data()));
-    ++*records;
-    return Status::OK();
-  };
+Result<CommitBatch> PersistenceManager::Encode(const PeerState& peer,
+                                               const PeerDelta& delta,
+                                               const std::vector<std::string>& names) const {
+  auto it = tracked_.find(peer.id());
+  if (it == tracked_.end()) {
+    return Status::FailedPrecondition("peer " + std::to_string(peer.id()) +
+                                      " is not attached");
+  }
+  const std::vector<std::string>& persisted = it->second->names;
+  CommitBatch batch;
+  batch.id = peer.id();
+  const auto emit = [&batch](const net::ByteWriter& w) { return batch.frames.Add(w.data()); };
 
   // New names first: every later record may use their ids.
-  if (to_names.size() > from_names.size()) {
+  if (names.size() > persisted.size()) {
+    batch.new_names.assign(names.begin() + static_cast<ptrdiff_t>(persisted.size()),
+                           names.end());
     net::ByteWriter w;
     w.WriteU8(kAppendNames);
-    w.WriteU32(static_cast<uint32_t>(from_names.size()));
-    w.WriteU32(static_cast<uint32_t>(to_names.size() - from_names.size()));
-    for (size_t i = from_names.size(); i < to_names.size(); ++i) w.WriteString(to_names[i]);
+    w.WriteU32(static_cast<uint32_t>(persisted.size()));
+    w.WriteStringList(batch.new_names);
     PGRID_RETURN_IF_ERROR(emit(w));
   }
 
-  if (to.path() != from.path()) {
+  if (delta.path()) {
     net::ByteWriter w;
     w.WriteU8(kSetPath);
-    w.WriteKeyPath(to.path());
+    w.WriteKeyPath(peer.path());
     PGRID_RETURN_IF_ERROR(emit(w));
   }
-  for (size_t level = 1; level <= to.depth(); ++level) {
-    if (level <= from.depth() && SpanEquals(to.RefsAt(level), from.RefsAt(level))) {
-      continue;
-    }
-    const auto refs = to.RefsAt(level);
-    // A level the shadow did not have yet only needs a record if non-empty
-    // (kSetPath replay already creates it empty).
-    if (level > from.depth() && refs.empty()) continue;
+  for (size_t level = 1; level <= peer.depth(); ++level) {
+    if (!delta.refs(level)) continue;
+    const auto refs = peer.RefsAt(level);
     net::ByteWriter w;
     w.WriteU8(kSetRefs);
     w.WriteU32(static_cast<uint32_t>(level));
@@ -358,110 +367,121 @@ Status PersistenceManager::AppendDelta(const PeerState& from,
     for (PeerId r : refs) w.WriteU32(r);
     PGRID_RETURN_IF_ERROR(emit(w));
   }
-  if (!SpanEquals(to.buddies(), from.buddies())) {
+  if (delta.buddies()) {
     net::ByteWriter w;
     w.WriteU8(kSetBuddies);
-    w.WriteU32(static_cast<uint32_t>(to.buddies().size()));
-    for (PeerId b : to.buddies()) w.WriteU32(b);
+    w.WriteU32(static_cast<uint32_t>(peer.buddies().size()));
+    for (PeerId b : peer.buddies()) w.WriteU32(b);
     PGRID_RETURN_IF_ERROR(emit(w));
   }
 
-  Status index_status = Status::OK();
-  to.index().ForEach([&](const IndexEntry& e) {
-    if (!index_status.ok()) return;
-    const IndexEntry* old = from.index().Find(e.holder, e.item_id);
-    if (old != nullptr && old->version == e.version && old->key == e.key) return;
-    net::ByteWriter w;
-    w.WriteU8(kIndexPut);
-    WriteIndexEntry(&w, e);
-    index_status = emit(w);
-  });
-  PGRID_RETURN_IF_ERROR(index_status);
-  from.index().ForEach([&](const IndexEntry& e) {
-    if (!index_status.ok()) return;
-    if (to.index().Find(e.holder, e.item_id) != nullptr) return;
-    net::ByteWriter w;
-    w.WriteU8(kIndexDelete);
-    w.WriteU32(e.holder);
-    w.WriteU64(e.item_id);
-    index_status = emit(w);
-  });
-  PGRID_RETURN_IF_ERROR(index_status);
+  PGRID_RETURN_IF_ERROR(ForEachFirstMark(
+      delta.index_keys(), IndexKeyHash{}, [&](const IndexKey& key) -> Status {
+        net::ByteWriter w;
+        if (const IndexEntry* e = peer.index().Find(key.holder, key.item_id)) {
+          w.WriteU8(kIndexPut);
+          WriteIndexEntry(&w, *e);
+        } else {
+          w.WriteU8(kIndexDelete);
+          w.WriteU32(key.holder);
+          w.WriteU64(key.item_id);
+        }
+        return emit(w);
+      }));
 
-  const auto& new_foreign = to.foreign_entries();
-  const auto& old_foreign = from.foreign_entries();
-  bool foreign_changed = new_foreign.size() != old_foreign.size();
-  for (size_t i = 0; !foreign_changed && i < new_foreign.size(); ++i) {
-    foreign_changed = !(new_foreign[i] == old_foreign[i]);
-  }
-  if (foreign_changed) {
+  if (delta.foreign()) {
     // The foreign buffer is a small parked list with arbitrary reorderings
-    // (drains compact it), so it is rewritten whole rather than diffed.
+    // (drains compact it), so it is rewritten whole.
     net::ByteWriter w;
     w.WriteU8(kSetForeign);
-    w.WriteU32(static_cast<uint32_t>(new_foreign.size()));
-    for (const IndexEntry& e : new_foreign) WriteIndexEntry(&w, e);
+    w.WriteU32(static_cast<uint32_t>(peer.foreign_entries().size()));
+    for (const IndexEntry& e : peer.foreign_entries()) WriteIndexEntry(&w, e);
     PGRID_RETURN_IF_ERROR(emit(w));
   }
 
-  for (const auto& [id, item] : to.store()) {
-    const DataItem* old = from.store().Get(id);
-    if (old != nullptr && *old == item) continue;
-    net::ByteWriter w;
-    w.WriteU8(kStorePut);
-    w.WriteU64(item.id);
-    w.WriteKeyPath(item.key);
-    w.WriteString(item.payload);
-    w.WriteU64(item.version);
-    PGRID_RETURN_IF_ERROR(emit(w));
+  PGRID_RETURN_IF_ERROR(ForEachFirstMark(
+      delta.items(), std::hash<ItemId>{}, [&](ItemId id) -> Status {
+        net::ByteWriter w;
+        if (const DataItem* item = peer.store().Get(id)) {
+          w.WriteU8(kStorePut);
+          w.WriteU64(item->id);
+          w.WriteKeyPath(item->key);
+          w.WriteString(item->payload);
+          w.WriteU64(item->version);
+        } else {
+          w.WriteU8(kStoreDelete);
+          w.WriteU64(id);
+        }
+        return emit(w);
+      }));
+  return batch;
+}
+
+Result<CommitInfo> PersistenceManager::Write(CommitBatch batch) {
+  auto it = tracked_.find(batch.id);
+  if (it == tracked_.end()) {
+    return Status::FailedPrecondition("peer " + std::to_string(batch.id) +
+                                      " is not attached");
   }
-  for (const auto& [id, item] : from.store()) {
-    if (to.store().Get(id) != nullptr) continue;
-    net::ByteWriter w;
-    w.WriteU8(kStoreDelete);
-    w.WriteU64(id);
-    PGRID_RETURN_IF_ERROR(emit(w));
+  Tracked& t = *it->second;
+  CommitInfo info;
+  if (t.resnapshot) {
+    // The WAL may end in a torn frame or miss an earlier commit's records:
+    // appending would not make this batch recoverable, rewriting the snapshot
+    // from the live state does.
+    info.compact_due = true;
+    return info;
   }
-  return Status::OK();
+  if (batch.frames.empty()) return info;
+  const auto start = std::chrono::steady_clock::now();
+  const Status written = t.wal.Append(batch.frames);
+  info.write_ns = static_cast<uint64_t>(
+      std::chrono::nanoseconds(std::chrono::steady_clock::now() - start).count());
+  if (!written.ok()) {
+    t.resnapshot = true;
+    return written;
+  }
+  info.records = batch.frames.records();
+  info.bytes = batch.frames.bytes().size();
+  t.names.insert(t.names.end(), std::make_move_iterator(batch.new_names.begin()),
+                 std::make_move_iterator(batch.new_names.end()));
+  info.compact_due = config_.compact_every != 0 &&
+                     ++t.commits_since_compact >= config_.compact_every;
+  return info;
 }
 
 Result<CommitInfo> PersistenceManager::Commit(const PeerState& peer,
+                                              const PeerDelta& delta,
                                               const std::vector<std::string>& names) {
+  PGRID_ASSIGN_OR_RETURN(CommitBatch batch, Encode(peer, delta, names));
+  PGRID_ASSIGN_OR_RETURN(CommitInfo info, Write(std::move(batch)));
+  if (info.compact_due) {
+    PGRID_RETURN_IF_ERROR(Compact(peer, names));
+    info.compacted = true;
+  }
+  return info;
+}
+
+Status PersistenceManager::Compact(const PeerState& peer,
+                                   const std::vector<std::string>& names) {
   auto it = tracked_.find(peer.id());
   if (it == tracked_.end()) {
     return Status::FailedPrecondition("peer " + std::to_string(peer.id()) +
                                       " is not attached");
   }
   Tracked& t = *it->second;
-  CommitInfo info;
-  PGRID_RETURN_IF_ERROR(
-      AppendDelta(t.shadow, t.names, peer, names, &t.wal, &info.records));
-  if (info.records == 0) return info;
-  t.shadow = peer;
-  if (names.size() > t.names.size()) {
-    t.names.insert(t.names.end(), names.begin() + t.names.size(), names.end());
-  }
-  if (config_.compact_every != 0 &&
-      ++t.commits_since_compact >= config_.compact_every) {
-    PGRID_RETURN_IF_ERROR(Compact(peer.id()));
-    info.compacted = true;
-  }
-  return info;
-}
-
-Status PersistenceManager::Compact(PeerId id) {
-  auto it = tracked_.find(id);
-  if (it == tracked_.end()) {
-    return Status::FailedPrecondition("peer " + std::to_string(id) +
-                                      " is not attached");
-  }
-  Tracked& t = *it->second;
   // Snapshot first, truncate second: a crash between the two leaves a snapshot
   // plus a WAL whose records are already folded in -- harmless, because every
   // record is idempotent against the state it produced.
-  PGRID_RETURN_IF_ERROR(WriteSnapshot(t.shadow, t.names));
-  PGRID_RETURN_IF_ERROR(t.wal.Open(WalPath(id), config_.sync_mode, /*truncate=*/true));
+  Status s = WriteSnapshot(peer, names);
+  if (s.ok()) s = t.wal.Open(WalPath(peer.id()), config_.sync_mode, /*truncate=*/true);
+  if (!s.ok()) {
+    t.resnapshot = true;
+    return s;
+  }
+  t.names = names;
   t.commits_since_compact = 0;
+  t.resnapshot = false;
   return Status::OK();
 }
 

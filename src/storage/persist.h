@@ -7,13 +7,22 @@
 //                    written atomically (tmp file + rename)
 //   peer-<id>.wal    CRC-framed delta records since that snapshot (storage/wal.h)
 //
-// The commit protocol is shadow-diff: the manager keeps a copy of each peer's
-// last persisted state; Commit(peer) diffs the live peer against it and appends
-// one typed record per logical change (path growth, reference-level or buddy
-// replacement, index put/delete, foreign-buffer replacement, store put/delete).
-// This keeps the engines persistence-oblivious -- no mutation hooks thread
-// through the protocol code -- at the cost of one retained state copy per
-// attached peer.
+// The commit protocol is delta-based: the owner of the state marks what it
+// changed in a PeerDelta (storage/peer_delta.h) where it changes it, and a
+// commit encodes one typed record per marked slice (path growth, reference
+// level or buddy replacement, index put/delete, foreign-buffer replacement,
+// store put/delete), valued from the live state, then appends the whole
+// commit to the WAL with one write. The manager keeps no copy of the state:
+// a commit costs O(delta), and a full copy is made only to compact. A commit
+// has two steps so a caller can hold its state lock for the first only:
+// Encode (pure, O(delta)) and Write (the one write, no state needed).
+// Commit() runs both back to back.
+//
+// A failed write may leave a torn frame at the WAL's tail, behind which
+// nothing later would be recovered; a clean failure still drops that commit's
+// records. Either way the next commit rewrites the snapshot from the live
+// state and truncates the WAL -- the same path as a due compaction -- instead
+// of appending.
 //
 // Every record is *idempotent* and carries absolute state (a kSetPath record
 // holds the full path, not the appended bit; a kSetRefs record the full level),
@@ -50,6 +59,7 @@
 #include <vector>
 
 #include "core/peer_state.h"
+#include "storage/peer_delta.h"
 #include "storage/storage_config.h"
 #include "storage/wal.h"
 #include "util/result.h"
@@ -57,10 +67,21 @@
 namespace pgrid {
 namespace storage {
 
-/// Counters one Commit() reports (for benches and tests; not a ledger).
+/// One commit, encoded and not yet written (PersistenceManager::Encode).
+struct CommitBatch {
+  PeerId id = kInvalidPeer;
+  WalBatch frames;
+  /// Names the batch appends to the persisted name table.
+  std::vector<std::string> new_names;
+};
+
+/// What one commit did (for metrics, benches and tests; not a ledger).
 struct CommitInfo {
-  uint64_t records = 0;    ///< WAL records appended by this commit
-  bool compacted = false;  ///< this commit triggered an automatic compaction
+  uint64_t records = 0;      ///< WAL records appended
+  uint64_t bytes = 0;        ///< WAL bytes appended (frame headers included)
+  uint64_t write_ns = 0;     ///< time spent in the WAL write
+  bool compact_due = false;  ///< Write(): the caller should Compact() now
+  bool compacted = false;    ///< Commit(): this commit compacted
 };
 
 /// Persists and recovers PeerState (see file comment for the protocol).
@@ -78,16 +99,27 @@ class PersistenceManager {
   /// WAL. Re-attaching an already-attached peer re-baselines it.
   Status Attach(const PeerState& peer, const std::vector<std::string>& names = {});
 
-  /// Appends delta records for every difference between `peer` and its last
-  /// persisted state. `names` is the peer's name table, which only ever grows:
-  /// the names past the persisted ones go into one kAppendNames record ahead of
-  /// the rest. Triggers a compaction after StorageConfig::compact_every commits
-  /// (0 = never). The peer must be attached.
-  Result<CommitInfo> Commit(const PeerState& peer,
+  /// Encodes one record per slice `delta` marks, valued from `peer`, into a
+  /// batch for Write(). `names` is the peer's name table, which only ever
+  /// grows: the names past the persisted ones go into one kAppendNames record
+  /// ahead of the rest. Pure and O(delta); an index key or item id marked
+  /// twice gives one record, in the order of its first mark. The peer must be
+  /// attached.
+  Result<CommitBatch> Encode(const PeerState& peer, const PeerDelta& delta,
+                             const std::vector<std::string>& names = {}) const;
+
+  /// Appends `batch` to its peer's WAL with one write. Sets compact_due when
+  /// the caller should now Compact(): after StorageConfig::compact_every
+  /// commits that wrote (0 = never), or, without writing the batch, when an
+  /// earlier write or compaction of this peer failed.
+  Result<CommitInfo> Write(CommitBatch batch);
+
+  /// Encode + Write, then Compact(peer, names) if that is due.
+  Result<CommitInfo> Commit(const PeerState& peer, const PeerDelta& delta,
                             const std::vector<std::string>& names = {});
 
-  /// Rewrites the snapshot from the shadow state and truncates the WAL.
-  Status Compact(PeerId id);
+  /// Rewrites the snapshot from `peer` and `names` and truncates the WAL.
+  Status Compact(const PeerState& peer, const std::vector<std::string>& names = {});
 
   /// Rebuilds the peer's state from disk: snapshot, then WAL tail, then tail
   /// truncation. Works without a prior Attach in this process (restart path).
@@ -96,8 +128,8 @@ class PersistenceManager {
   /// an id outside its table is rejected.
   Result<PeerState> Recover(PeerId id, std::vector<std::string>* names = nullptr);
 
-  /// Stops tracking `id` in memory (shadow copy and WAL handle released). The
-  /// on-disk files stay; a later Attach re-baselines them.
+  /// Stops tracking `id` in memory (WAL handle released). The on-disk files
+  /// stay; a later Attach re-baselines them.
   void Detach(PeerId id);
 
   /// True iff a snapshot file for `id` exists on disk.
@@ -112,11 +144,10 @@ class PersistenceManager {
 
  private:
   struct Tracked {
-    PeerState shadow;
-    std::vector<std::string> names;  // persisted name table
     WalWriter wal;
+    std::vector<std::string> names;  // persisted name table
     uint64_t commits_since_compact = 0;
-    explicit Tracked(PeerId id) : shadow(id) {}
+    bool resnapshot = false;  // a write failed: the WAL may miss records
   };
 
   Status WriteSnapshot(const PeerState& peer, const std::vector<std::string>& names);
@@ -124,13 +155,6 @@ class PersistenceManager {
   /// against the table iff `check_ids`.
   Result<PeerState> ReadSnapshot(PeerId id, bool check_ids,
                                  std::vector<std::string>* names) const;
-
-  /// Appends one record per difference between `from` (persisted) and `to`
-  /// (live) to `wal`, starting with the names `to_names` has beyond
-  /// `from_names`.
-  Status AppendDelta(const PeerState& from, const std::vector<std::string>& from_names,
-                     const PeerState& to, const std::vector<std::string>& to_names,
-                     WalWriter* wal, uint64_t* records);
 
   StorageConfig config_;
   size_t maxl_;

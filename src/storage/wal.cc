@@ -81,23 +81,36 @@ Status WalWriter::Open(const std::string& path, SyncMode mode, bool truncate) {
     Close();
     return Status::Internal("write of WAL header to " + path + " failed");
   }
-  return Sync();
+  Status synced = Sync();
+  if (!synced.ok()) Close();
+  return synced;
 }
 
-Status WalWriter::Append(std::string_view body) {
-  if (file_ == nullptr) return Status::FailedPrecondition("WAL is not open");
+Status WalBatch::Add(std::string_view body) {
   if (body.size() > kMaxWalRecordBytes) {
     return Status::InvalidArgument("WAL record exceeds the size cap");
   }
-  std::string frame;
-  frame.reserve(8 + body.size());
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
-  PutU32(&frame, Crc32(body));
-  frame.append(body);
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
+  PutU32(&frames_, static_cast<uint32_t>(body.size()));
+  PutU32(&frames_, Crc32(body));
+  frames_.append(body);
+  ++records_;
+  return Status::OK();
+}
+
+Status WalWriter::Append(std::string_view body) {
+  WalBatch one;
+  PGRID_RETURN_IF_ERROR(one.Add(body));
+  return Append(one);
+}
+
+Status WalWriter::Append(const WalBatch& batch) {
+  if (file_ == nullptr) return Status::FailedPrecondition("WAL is not open");
+  if (batch.empty()) return Status::OK();
+  const std::string& frames = batch.bytes();
+  if (std::fwrite(frames.data(), 1, frames.size(), file_) != frames.size()) {
     return Status::Internal("WAL append failed");
   }
-  ++appended_;
+  appended_ += batch.records();
   if (mode_ != SyncMode::kNone) return Sync();
   return Status::OK();
 }

@@ -37,6 +37,26 @@ inline constexpr size_t kWalHeaderBytes = 8;
 /// corruption (a garbage length must not trigger a giant allocation).
 inline constexpr uint32_t kMaxWalRecordBytes = 1u << 28;
 
+/// CRC-framed records collected for one write (WalWriter::Append(const
+/// WalBatch&)). The frames are laid out exactly as single appends would lay
+/// them out, back to back.
+class WalBatch {
+ public:
+  /// Frames `body` behind the records already added. InvalidArgument if it is
+  /// larger than kMaxWalRecordBytes.
+  Status Add(std::string_view body);
+
+  uint64_t records() const { return records_; }
+  bool empty() const { return records_ == 0; }
+
+  /// The framed records, as they go to the file.
+  const std::string& bytes() const { return frames_; }
+
+ private:
+  std::string frames_;
+  uint64_t records_ = 0;
+};
+
 /// Appends CRC-framed records to one WAL file.
 class WalWriter {
  public:
@@ -48,11 +68,18 @@ class WalWriter {
 
   /// Opens `path` for appending. With `truncate` the file is recreated with a
   /// fresh header; otherwise an existing file is validated (magic + version)
-  /// and appended to, and a missing file is created.
+  /// and appended to, and a missing file is created. A failed open leaves the
+  /// writer closed.
   Status Open(const std::string& path, SyncMode mode, bool truncate);
 
   /// Appends one record and applies the sync mode. The writer must be open.
   Status Append(std::string_view body);
+
+  /// Appends every record of `batch` with one write and applies the sync mode
+  /// once. A crash or error inside the write leaves a prefix of the batch's
+  /// frames, possibly ending in a torn one, which ReadWal cuts at the last
+  /// whole frame. No-op for an empty batch.
+  Status Append(const WalBatch& batch);
 
   /// Forces buffered records to the OS (and the disk under kFsync).
   Status Sync();

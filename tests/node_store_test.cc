@@ -5,8 +5,9 @@
 // as the store's name table. These tests pin the table's round trips (commit
 // a larger table, recover the same names; save -> recover -> save stays
 // byte-identical; a WAL replayed over the snapshot that already folded it in
-// converges), the kFsync round trip, and that Start() refuses a store whose
-// ids or table do not belong to the node instead of installing it.
+// converges), the kFsync round trip, the node's storage.* metrics, and that
+// Start() refuses a store whose ids or table do not belong to the node
+// instead of installing it.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "net/inproc_transport.h"
 #include "net/node.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "storage/peer_codec.h"
 #include "storage/persist.h"
 #include "storage/wal.h"
@@ -110,6 +112,14 @@ std::vector<std::string> GrownNames() {
   return names;
 }
 
+/// What GrownPeer changed in SamplePeer.
+storage::PeerDelta GrownDelta() {
+  storage::PeerDelta delta;
+  delta.MarkBuddies();
+  delta.MarkIndex(5, 14);
+  return delta;
+}
+
 TEST(NodeStoreTest, CommitOfALargerTableRecoversTheSameNames) {
   storage::StorageConfig config;
   config.dir = FreshDir("node_store_names");
@@ -118,11 +128,11 @@ TEST(NodeStoreTest, CommitOfALargerTableRecoversTheSameNames) {
   ASSERT_TRUE(manager.Attach(SamplePeer(), kNames).ok());
 
   const PeerState grown = GrownPeer();
-  Result<storage::CommitInfo> info = manager.Commit(grown, GrownNames());
+  Result<storage::CommitInfo> info = manager.Commit(grown, GrownDelta(), GrownNames());
   ASSERT_TRUE(info.ok()) << info.status();
   EXPECT_EQ(info->records, 3u);  // the two names, the buddy list, the new entry
   // Nothing changed since: no record, not even for the names.
-  info = manager.Commit(grown, GrownNames());
+  info = manager.Commit(grown, storage::PeerDelta(), GrownNames());
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->records, 0u);
 
@@ -141,10 +151,15 @@ TEST(NodeStoreTest, SaveRecoverSaveIsByteIdenticalWithANameTable) {
   config2.dir = FreshDir("node_store_canonical_b");
   storage::PersistenceManager second(config2, 4);
 
-  // The state and the names reach the first store through the WAL.
+  // The state and the names reach the first store through the WAL, and the
+  // compaction writes what recovery rebuilt from it.
   ASSERT_TRUE(first.Attach(PeerState(0), {"self:0"}).ok());
-  ASSERT_TRUE(first.Commit(GrownPeer(), GrownNames()).ok());
-  ASSERT_TRUE(first.Compact(0).ok());
+  const PeerState grown = GrownPeer();
+  ASSERT_TRUE(first.Commit(grown, storage::PeerDelta::All(grown), GrownNames()).ok());
+  std::vector<std::string> replayed_names;
+  Result<PeerState> replayed = first.Recover(0, &replayed_names);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  ASSERT_TRUE(first.Compact(*replayed, replayed_names).ok());
   std::vector<std::string> names;
   Result<PeerState> recovered = first.Recover(0, &names);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
@@ -158,11 +173,12 @@ TEST(NodeStoreTest, WalReplayedOverTheSnapshotThatFoldedItInConverges) {
   config.compact_every = 0;
   storage::PersistenceManager manager(config, 4);
   ASSERT_TRUE(manager.Attach(PeerState(0), {"self:0"}).ok());
-  ASSERT_TRUE(manager.Commit(GrownPeer(), GrownNames()).ok());
+  const PeerState grown = GrownPeer();
+  ASSERT_TRUE(manager.Commit(grown, storage::PeerDelta::All(grown), GrownNames()).ok());
   const std::string wal = ReadFileBytes(manager.WalPath(0));
   // A crash after the compaction's snapshot rename but before its WAL
   // truncation leaves the new snapshot next to the old WAL.
-  ASSERT_TRUE(manager.Compact(0).ok());
+  ASSERT_TRUE(manager.Compact(grown, GrownNames()).ok());
   manager.Detach(0);
   {
     std::ofstream out(manager.WalPath(0), std::ios::binary | std::ios::trunc);
@@ -185,12 +201,14 @@ TEST(NodeStoreTest, FsyncModeRoundTrips) {
   config.compact_every = 1;
   storage::PersistenceManager manager(config, 4);
   ASSERT_TRUE(manager.Attach(SamplePeer(), kNames).ok());
-  Result<storage::CommitInfo> info = manager.Commit(GrownPeer(), GrownNames());
+  Result<storage::CommitInfo> info = manager.Commit(GrownPeer(), GrownDelta(), GrownNames());
   ASSERT_TRUE(info.ok()) << info.status();
   EXPECT_TRUE(info->compacted);
   PeerState later = GrownPeer();
   later.RemoveBuddy(2);
-  info = manager.Commit(later, GrownNames());
+  storage::PeerDelta buddies;
+  buddies.MarkBuddies();
+  info = manager.Commit(later, buddies, GrownNames());
   ASSERT_TRUE(info.ok()) << info.status();
 
   std::vector<std::string> names;
@@ -280,6 +298,45 @@ TEST(NodeStoreTest, StartRejectsAStoreRecoveredUnderAnotherAddress) {
   ASSERT_TRUE(owner.Start().ok());
   EXPECT_TRUE(owner.recovered_from_disk());
   EXPECT_FALSE(owner.path().empty());
+}
+
+// ---- the node's storage.* metrics ----
+
+TEST(NodeStoreTest, StorageMetricsCountWhatTheCommitsWrote) {
+  const std::string dir = FreshDir("node_store_metrics");
+  net::InProcTransport transport(0.0, /*seed=*/99);
+  net::NodeConfig config = StoreConfig(dir);
+  config.storage.compact_every = 0;
+  net::PGridNode node("node:1", &transport, config, 1);
+  ASSERT_TRUE(node.Start().ok());
+  const std::string wal = dir + "/node-node_1/peer-0.wal";
+  const uint64_t before = fs::file_size(wal);
+
+  DataItem item;
+  item.id = 5;
+  item.key = Key("0101");
+  item.payload = "five";
+  item.version = 1;
+  ASSERT_TRUE(node.Publish(item).ok());
+  obs::MetricsRegistry& m = node.metrics();
+  EXPECT_GT(fs::file_size(wal), before);
+  EXPECT_EQ(m.GetCounter("storage.commit_bytes")->value(), fs::file_size(wal) - before);
+  // A lone node is responsible for every key: the publish commits the stored
+  // item, then the index entry it installs at itself.
+  EXPECT_EQ(m.GetCounter("storage.commits")->value(), 2u);
+  EXPECT_EQ(m.GetCounter("storage.commit_records")->value(), 2u);
+  EXPECT_EQ(m.GetHistogram("storage.commit_us", obs::LatencyBoundsUs())->count(), 2u);
+  EXPECT_EQ(m.GetCounter("storage.compactions")->value(), 0u);
+
+  // With a compaction after every commit, each commit counts one.
+  const std::string dir2 = FreshDir("node_store_metrics_compacting");
+  net::NodeConfig compacting = StoreConfig(dir2);
+  compacting.storage.compact_every = 1;
+  net::PGridNode other("node:2", &transport, compacting, 2);
+  ASSERT_TRUE(other.Start().ok());
+  ASSERT_TRUE(other.Publish(item).ok());
+  EXPECT_EQ(other.metrics().GetCounter("storage.commits")->value(), 2u);
+  EXPECT_EQ(other.metrics().GetCounter("storage.compactions")->value(), 2u);
 }
 
 }  // namespace

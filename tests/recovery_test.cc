@@ -1,5 +1,5 @@
 // Crash-recovery property tests for the durable storage backend
-// (storage/persist.h, net/node_persist.h) and the kill/restart scenario steps
+// (storage/persist.h) and the kill/restart scenario steps
 // (sim/scenario.h).
 //
 // The central property: for any reachable grid state, persist -> recover is
@@ -8,13 +8,16 @@
 // streamed through WAL delta records). The 50-seed sweep below checks it over
 // fuzzer-generated states rather than hand-picked ones. The remaining tests
 // pin the operational story: torn tails are truncated during recovery,
-// compaction folds the WAL into the snapshot, a killed-and-restarted peer
+// compaction folds the WAL into the snapshot, a commit after a failed or torn
+// write re-snapshots instead of losing state, a killed-and-restarted peer
 // rejoins byte-identically and converges via RejoinSync at a fraction of the
 // recruitment cost, and the simulated-network node recovers through the same
 // machinery.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -123,7 +126,7 @@ TEST(RecoveryTest, FiftyFuzzSeedsRoundTripEveryPeerByteIdentically) {
         ASSERT_TRUE(manager.Attach(live).ok());
       } else {
         ASSERT_TRUE(manager.Attach(PeerState(id)).ok());
-        ASSERT_TRUE(manager.Commit(live).ok());
+        ASSERT_TRUE(manager.Commit(live, storage::PeerDelta::All(live)).ok());
       }
       Result<PeerState> recovered = manager.Recover(id);
       ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
@@ -178,7 +181,7 @@ TEST(RecoveryTest, RecoverTruncatesATornWalTail) {
   const PeerId victim = 5;
   const PeerState& live = built.grid->peer(victim);
   ASSERT_TRUE(manager.Attach(PeerState(victim)).ok());
-  ASSERT_TRUE(manager.Commit(live).ok());
+  ASSERT_TRUE(manager.Commit(live, storage::PeerDelta::All(live)).ok());
   manager.Detach(victim);  // close the WAL handle before damaging the file
 
   const std::string wal_path = manager.WalPath(victim);
@@ -213,7 +216,9 @@ TEST(RecoveryTest, AutomaticCompactionFoldsTheWalIntoTheSnapshot) {
 
   peer.index().InsertOrRefresh(
       {id, 9001, testing_util::Key(peer.path().ToString().c_str()), 1});
-  Result<storage::CommitInfo> c1 = manager.Commit(peer);
+  storage::PeerDelta d1;
+  d1.MarkIndex(id, 9001);
+  Result<storage::CommitInfo> c1 = manager.Commit(peer, d1);
   ASSERT_TRUE(c1.ok());
   EXPECT_GT(c1->records, 0u);
   EXPECT_FALSE(c1->compacted);
@@ -221,7 +226,9 @@ TEST(RecoveryTest, AutomaticCompactionFoldsTheWalIntoTheSnapshot) {
 
   peer.index().InsertOrRefresh(
       {id, 9002, testing_util::Key(peer.path().ToString().c_str()), 1});
-  Result<storage::CommitInfo> c2 = manager.Commit(peer);
+  storage::PeerDelta d2;
+  d2.MarkIndex(id, 9002);
+  Result<storage::CommitInfo> c2 = manager.Commit(peer, d2);
   ASSERT_TRUE(c2.ok());
   EXPECT_TRUE(c2->compacted);
   // Compaction rewrote the snapshot and truncated the WAL back to its header.
@@ -229,6 +236,103 @@ TEST(RecoveryTest, AutomaticCompactionFoldsTheWalIntoTheSnapshot) {
 
   Result<PeerState> recovered = manager.Recover(id);
   ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(PeerDigest(*recovered), PeerDigest(peer));
+}
+
+// ---- a failed write loses nothing: the next commit re-snapshots ----
+
+TEST(RecoveryTest, AFailedWriteIsRepairedByTheNextCommit) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "needs /dev/full";
+  auto built = testing_util::Build(64, 4, 3, 2, 6);
+  storage::StorageConfig config;
+  config.dir = FreshDir("recovery_failed_write");
+  config.compact_every = 0;
+  storage::PersistenceManager manager(config, built.config.maxl);
+  const PeerId id = 2;
+  PeerState peer = built.grid->peer(id);
+  ASSERT_TRUE(manager.Attach(peer).ok());
+  const KeyPath key = testing_util::Key(peer.path().ToString().c_str());
+
+  // Point the log's path at a device on which every write fails. The next
+  // re-open of the log -- a compaction's truncation -- picks it up.
+  const std::string wal = manager.WalPath(id);
+  fs::remove(wal);
+  fs::create_symlink("/dev/full", wal);
+  EXPECT_FALSE(manager.Compact(peer).ok());
+  peer.index().InsertOrRefresh({id, 9001, key, 1});
+  storage::PeerDelta first;
+  first.MarkIndex(id, 9001);
+  EXPECT_FALSE(manager.Commit(peer, first).ok());
+
+  // With the path restored, the next commit rewrites the snapshot from the
+  // live state -- the failed commit's entry included -- and starts a new log.
+  fs::remove(wal);
+  peer.index().InsertOrRefresh({id, 9002, key, 1});
+  storage::PeerDelta second;
+  second.MarkIndex(id, 9002);
+  Result<storage::CommitInfo> repaired = manager.Commit(peer, second);
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_TRUE(repaired->compacted);
+  EXPECT_EQ(repaired->records, 0u);
+  Result<PeerState> recovered = manager.Recover(id);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(PeerDigest(*recovered), PeerDigest(peer));
+
+  // Later commits append again.
+  peer.index().Erase(id, 9001);
+  Result<storage::CommitInfo> next = manager.Commit(peer, first);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->records, 1u);
+  EXPECT_FALSE(next->compacted);
+  recovered = manager.Recover(id);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(PeerDigest(*recovered), PeerDigest(peer));
+}
+
+TEST(RecoveryTest, ATornWriteIsRepairedByTheNextCommit) {
+  auto built = testing_util::Build(64, 4, 3, 2, 6);
+  storage::StorageConfig config;
+  config.dir = FreshDir("recovery_torn_write");
+  config.compact_every = 0;
+  storage::PersistenceManager manager(config, built.config.maxl);
+  const PeerId id = 2;
+  PeerState peer = built.grid->peer(id);
+  ASSERT_TRUE(manager.Attach(peer).ok());
+  const KeyPath key = testing_util::Key(peer.path().ToString().c_str());
+  const std::string wal = manager.WalPath(id);
+
+  // Cap the process's file size a few bytes past the log's end: the next
+  // commit's write stops inside its first frame, the way a crash or a full
+  // disk cuts a write short, and leaves a torn frame behind.
+  const uint64_t clean_size = fs::file_size(wal);
+  struct rlimit limit;
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &limit), 0);
+  struct rlimit cap = limit;
+  cap.rlim_cur = clean_size + 5;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &cap), 0);
+  peer.index().InsertOrRefresh({id, 9001, key, 1});
+  storage::PeerDelta first;
+  first.MarkIndex(id, 9001);
+  const bool torn_ok = manager.Commit(peer, first).ok();
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &limit), 0);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_FALSE(torn_ok);
+  Result<storage::WalContents> torn = storage::ReadWal(wal);
+  ASSERT_TRUE(torn.ok());
+  EXPECT_TRUE(torn->torn_tail);
+
+  // Appending behind the torn frame would hide every later record from
+  // recovery; the next commit re-snapshots instead.
+  peer.index().InsertOrRefresh({id, 9002, key, 1});
+  storage::PeerDelta second;
+  second.MarkIndex(id, 9002);
+  Result<storage::CommitInfo> repaired = manager.Commit(peer, second);
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_TRUE(repaired->compacted);
+  EXPECT_EQ(fs::file_size(wal), storage::kWalHeaderBytes);
+  Result<PeerState> recovered = manager.Recover(id);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ(PeerDigest(*recovered), PeerDigest(peer));
 }
 
@@ -416,7 +520,7 @@ TEST(RecoveryTest, RestartedPeerRejoinsByteIdenticalAndCheaperThanHealing) {
       << " msgs (" << ticks << " ticks)";
 }
 
-// ---- simulated-network node recovery (net/node_persist.h) ----
+// ---- simulated-network node recovery (net/node.h) ----
 
 TEST(RecoveryTest, NodeRestartsFromDurableStorage) {
   net::InProcTransport transport(0.0, /*seed=*/99);

@@ -7,7 +7,10 @@
 // points programmatically -- a truncation at every record boundary, inside
 // every frame header, and inside every body, plus bit-flips in every length
 // field, CRC field, and body -- and asserts that contract for each one, then
-// proves TruncateWal + append yields a cleanly extendable log again.
+// proves TruncateWal + append yields a cleanly extendable log again. The
+// battery runs twice: over a log written one record per append, and over the
+// same records written in batches (one write per batch, the way a durable
+// commit writes them).
 
 #include "storage/wal.h"
 
@@ -58,19 +61,35 @@ std::vector<std::string> ReferenceBodies() {
   return bodies;
 }
 
+// Batch sizes that split ReferenceBodies() into one batch of one record, one
+// of two, and one of three.
+const std::vector<size_t> kBatchSizes = {1, 2, 3};
+
 // Writes the reference WAL and returns the byte offset one past each record:
 // boundaries[i] is where record i ends (boundaries[0] == kWalHeaderBytes,
-// i.e. "zero records end at the header").
+// i.e. "zero records end at the header"). With `batch_sizes` the records go
+// out in batches of those sizes (which must add up to bodies.size()), else
+// one append each.
 std::vector<uint64_t> WriteReferenceWal(const std::string& path,
-                                        const std::vector<std::string>& bodies) {
+                                        const std::vector<std::string>& bodies,
+                                        const std::vector<size_t>& batch_sizes = {}) {
   WalWriter writer;
   EXPECT_TRUE(writer.Open(path, SyncMode::kFlush, /*truncate=*/true).ok());
   std::vector<uint64_t> boundaries;
   boundaries.push_back(kWalHeaderBytes);
-  for (const std::string& body : bodies) {
-    EXPECT_TRUE(writer.Append(body).ok());
-    boundaries.push_back(boundaries.back() + 8 + body.size());
+  for (const std::string& body : bodies) boundaries.push_back(boundaries.back() + 8 + body.size());
+  if (batch_sizes.empty()) {
+    for (const std::string& body : bodies) EXPECT_TRUE(writer.Append(body).ok());
+  } else {
+    size_t next = 0;
+    for (size_t size : batch_sizes) {
+      WalBatch batch;
+      for (size_t i = 0; i < size; ++i) EXPECT_TRUE(batch.Add(bodies[next++]).ok());
+      EXPECT_TRUE(writer.Append(batch).ok());
+    }
+    EXPECT_EQ(next, bodies.size());
   }
+  EXPECT_EQ(writer.appended(), bodies.size());
   writer.Close();
   return boundaries;
 }
@@ -90,7 +109,11 @@ class WalCrashBattery : public ::testing::Test {
  protected:
   void SetUp() override {
     bodies_ = ReferenceBodies();
-    ref_path_ = TempPath("wal_crash_reference.wal");
+    // Files are named after the test: ctest runs the battery's tests in
+    // parallel processes.
+    name_ = std::string("wal_crash_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    ref_path_ = TempPath(name_ + ".reference.wal");
     boundaries_ = WriteReferenceWal(ref_path_, bodies_);
     pristine_ = ReadFileBytes(ref_path_);
     ASSERT_EQ(pristine_.size(), boundaries_.back());
@@ -138,6 +161,16 @@ class WalCrashBattery : public ::testing::Test {
     return table;
   }
 
+  // Rewrites the reference log in batches; the crash points stay the same,
+  // because the bytes must.
+  void WriteBatched() {
+    ASSERT_EQ(WriteReferenceWal(ref_path_, bodies_, kBatchSizes), boundaries_);
+    ASSERT_EQ(ReadFileBytes(ref_path_), pristine_);
+  }
+
+  void CheckEveryCrashPoint() const;
+  void CheckTruncateThenAppend() const;
+
   // Applies one crash point to a fresh copy and returns the damaged bytes.
   std::string Damage(const CrashPoint& cp) const {
     std::string bytes = pristine_;
@@ -151,14 +184,15 @@ class WalCrashBattery : public ::testing::Test {
 
   std::vector<std::string> bodies_;
   std::vector<uint64_t> boundaries_;
+  std::string name_;
   std::string ref_path_;
   std::string pristine_;
 };
 
-TEST_F(WalCrashBattery, EveryCrashPointRecoversTheExactValidPrefix) {
+void WalCrashBattery::CheckEveryCrashPoint() const {
   const std::vector<CrashPoint> table = BuildTable();
   ASSERT_GE(table.size(), 20u);
-  const std::string path = TempPath("wal_crash_case.wal");
+  const std::string path = TempPath(name_ + ".case.wal");
   for (const CrashPoint& cp : table) {
     SCOPED_TRACE(cp.name);
     WriteFileBytes(path, Damage(cp));
@@ -173,8 +207,8 @@ TEST_F(WalCrashBattery, EveryCrashPointRecoversTheExactValidPrefix) {
   }
 }
 
-TEST_F(WalCrashBattery, TruncateThenAppendExtendsACleanPrefix) {
-  const std::string path = TempPath("wal_truncate_case.wal");
+void WalCrashBattery::CheckTruncateThenAppend() const {
+  const std::string path = TempPath(name_ + ".case.wal");
   for (const CrashPoint& cp : BuildTable()) {
     if (!cp.expect_torn) continue;
     SCOPED_TRACE(cp.name);
@@ -200,6 +234,24 @@ TEST_F(WalCrashBattery, TruncateThenAppendExtendsACleanPrefix) {
     EXPECT_EQ(extended->records.back(), "appended-after-recovery");
     EXPECT_FALSE(extended->torn_tail);
   }
+}
+
+TEST_F(WalCrashBattery, EveryCrashPointRecoversTheExactValidPrefix) {
+  CheckEveryCrashPoint();
+}
+
+TEST_F(WalCrashBattery, TruncateThenAppendExtendsACleanPrefix) {
+  CheckTruncateThenAppend();
+}
+
+TEST_F(WalCrashBattery, EveryCrashPointOfABatchedLogRecoversTheExactValidPrefix) {
+  ASSERT_NO_FATAL_FAILURE(WriteBatched());
+  CheckEveryCrashPoint();
+}
+
+TEST_F(WalCrashBattery, TruncateThenAppendExtendsABatchedLog) {
+  ASSERT_NO_FATAL_FAILURE(WriteBatched());
+  CheckTruncateThenAppend();
 }
 
 // ---- header and framing edge cases ----
@@ -292,7 +344,32 @@ TEST(WalTest, ReopenAppendContinuesTheLog) {
 TEST(WalTest, AppendRequiresAnOpenWriter) {
   WalWriter writer;
   EXPECT_FALSE(writer.Append("nope").ok());
+  WalBatch batch;
+  ASSERT_TRUE(batch.Add("nope").ok());
+  EXPECT_FALSE(writer.Append(batch).ok());
   EXPECT_FALSE(writer.is_open());
+}
+
+TEST(WalTest, ABatchOfKFramesIsByteIdenticalToKSingleAppends) {
+  const std::vector<std::string> bodies = ReferenceBodies();
+  const std::string single = TempPath("wal_batch_single.wal");
+  const std::string batched = TempPath("wal_batch_batched.wal");
+  WriteReferenceWal(single, bodies);
+  WriteReferenceWal(batched, bodies, {bodies.size()});
+  EXPECT_EQ(ReadFileBytes(batched), ReadFileBytes(single));
+
+  WalBatch batch;
+  for (const std::string& body : bodies) ASSERT_TRUE(batch.Add(body).ok());
+  EXPECT_EQ(batch.records(), bodies.size());
+  EXPECT_EQ(batch.bytes(), ReadFileBytes(single).substr(kWalHeaderBytes));
+
+  // An empty batch writes nothing.
+  WalWriter writer;
+  ASSERT_TRUE(writer.Open(batched, SyncMode::kFlush, /*truncate=*/false).ok());
+  ASSERT_TRUE(writer.Append(WalBatch()).ok());
+  EXPECT_EQ(writer.appended(), 0u);
+  writer.Close();
+  EXPECT_EQ(ReadFileBytes(batched), ReadFileBytes(single));
 }
 
 // ---- CRC-32 primitive ----

@@ -25,13 +25,15 @@ cmake -B "${build_dir}" -S "${repo_root}" \
   -DPGRID_BUILD_EXAMPLES=OFF
 
 cmake --build "${build_dir}" -j "$(nproc)" --target \
-  wal_test recovery_test node_store_test node_fingerprint_test snapshot_test \
-  scenario_test fuzzer_test pgrid
+  wal_test recovery_test node_store_test node_fingerprint_test node_delta_test \
+  snapshot_test scenario_test fuzzer_test pgrid
 
 # The durable suite: the WAL crash-point battery (every truncation and
-# bit-flip boundary), the persist -> recover identity properties, the node
-# store's name-table round trips and rejected stores, and the node community
-# fingerprint after every node restarted from disk.
+# bit-flip boundary, over single and batched appends), the persist -> recover
+# identity properties and the re-snapshot after a failed write, the node
+# store's name-table round trips, metrics and rejected stores, the node
+# community fingerprint after every node restarted from disk, and the node's
+# delta marks checked against its recovered store after every operation.
 ctest --test-dir "${build_dir}" --output-on-failure -L durable
 
 # Crash-restart seed sweep through the CLI: generated interleavings include
