@@ -79,12 +79,14 @@ PGridNode::PGridNode(std::string address, RpcTransport* transport,
   c_refs_evicted_ = metrics_->GetCounter("node.refs_evicted");
   c_refs_recruited_ = metrics_->GetCounter("node.refs_recruited");
   c_slow_calls_ = metrics_->GetCounter("node.slow_calls");
+  c_meet_entries_shipped_ = metrics_->GetCounter("node.meet_entries_shipped");
+  c_replica_syncs_skipped_ = metrics_->GetCounter("node.replica_syncs_skipped");
   h_route_attempts_ = metrics_->GetHistogram("node.route_attempts", obs::CountBounds());
   PGRID_CHECK(c_exchanges_initiated_ && c_exchanges_served_ && c_queries_served_ &&
               c_publishes_served_ && c_entries_adopted_ && c_route_offline_skips_ &&
               c_route_backtracks_ && c_call_deadline_exceeded_ && c_probes_sent_ &&
               c_refs_evicted_ && c_refs_recruited_ && c_slow_calls_ &&
-              h_route_attempts_);
+              c_meet_entries_shipped_ && c_replica_syncs_skipped_ && h_route_attempts_);
   // An independent retry RNG stream: the node's protocol randomness (rng_) must
   // not shift when retries draw jitter.
   retry_ = std::make_unique<RetryPolicy>(config_.retry,
@@ -228,6 +230,10 @@ Status PGridNode::Start() {
       state_ = std::move(recovered);
       book_ = std::move(book);
       delta_.Clear();
+      index_terms_ = 0;
+      state_.index().ForEach([this](const IndexEntry& e) {
+        index_terms_ += sim::EntryTerm(HolderDigestLocked(e.holder), e);
+      });
       // A WAL cut inside a commit can leave entries the recovered path no
       // longer covers; the next drain scans for them.
       drained_depth_ = 0;
@@ -352,15 +358,31 @@ WireEntry PGridNode::ToWireLocked(const IndexEntry& entry) const {
   return WireEntry{book_.Name(entry.holder), entry.item_id, entry.key, entry.version};
 }
 
+uint64_t PGridNode::IndexDigestLocked() const {
+  return sim::SizeTerm(state_.index().size()) + index_terms_;
+}
+
+sim::Digest PGridNode::HolderDigestLocked(PeerId holder) const {
+  sim::Digest d;
+  d.Str(book_.Name(holder));
+  return d;
+}
+
 void PGridNode::AdoptEntryLocked(const WireEntry& entry) {
   LeafIndex& index = state_.index();
   const size_t before = index.size();
-  const PeerId holder = book_.Intern(entry.holder);
-  if (!index.InsertOrRefresh(IndexEntry{holder, entry.item_id, entry.key, entry.version})) {
-    return;
+  const IndexEntry adopted{book_.Intern(entry.holder), entry.item_id, entry.key,
+                           entry.version};
+  IndexEntry replaced;
+  if (!index.InsertOrRefresh(adopted, &replaced)) return;
+  delta_.MarkIndex(adopted.holder, adopted.item_id);
+  const sim::Digest holder = HolderDigestLocked(adopted.holder);
+  if (index.size() > before) {
+    c_entries_adopted_->Increment();
+  } else {
+    index_terms_ -= sim::EntryTerm(holder, replaced);  // a refresh
   }
-  delta_.MarkIndex(holder, entry.item_id);
-  if (index.size() > before) c_entries_adopted_->Increment();
+  index_terms_ += sim::EntryTerm(holder, adopted);
 }
 
 void PGridNode::AdoptOrParkLocked(const WireEntry& entry) {
@@ -387,6 +409,7 @@ std::vector<IndexEntry> PGridNode::DrainNonMatchingLocked() {
   if (state_.depth() != drained_depth_) {
     for (IndexEntry& e : state_.index().ExtractNotMatching(state_.path())) {
       delta_.MarkIndex(e.holder, e.item_id);
+      index_terms_ -= sim::EntryTerm(HolderDigestLocked(e.holder), e);
       out.push_back(std::move(e));
     }
     drained_depth_ = state_.depth();
@@ -518,10 +541,7 @@ std::string PGridNode::HandleProbe() {
   std::lock_guard<std::mutex> lock(mu_);
   resp.path = state_.path();
   resp.entry_count = static_cast<uint32_t>(state_.index().size());
-  // Holders fold as addresses, so digests compare across nodes' id tables.
-  resp.index_digest = sim::IndexDigest(
-      state_.index(),
-      [this](sim::Digest& d, PeerId holder) { d.Str(book_.Name(holder)); });
+  resp.index_digest = IndexDigestLocked();
   return EncodeProbeResponse(resp);
 }
 
@@ -697,11 +717,17 @@ std::string PGridNode::HandleExchange(const std::string& from,
           config_.recursion_fanout > 0 ? config_.recursion_fanout : config_.refmax);
     } else if (l1 == 0 && l2 == 0) {
       // Replica case: identical complete paths at maxl -- become buddies and give
-      // the initiator everything we index (its push completes the sync).
+      // the initiator everything we index (its push completes the sync). Equal
+      // digests mean equal entry sets, so then there is nothing to give.
       if (state_.AddBuddy(book_.Intern(req.initiator))) delta_.MarkBuddies();
       resp.buddy = 1;
-      state_.index().ForEach(
-          [&](const IndexEntry& e) { resp.entries.push_back(ToWireLocked(e)); });
+      if (req.index_digest == IndexDigestLocked()) {
+        resp.in_sync = 1;
+        c_replica_syncs_skipped_->Increment();
+      } else {
+        state_.index().ForEach(
+            [&](const IndexEntry& e) { resp.entries.push_back(ToWireLocked(e)); });
+      }
     }
 
     // Data reconciliation: hand the initiator whatever we hold that belongs on its
@@ -718,6 +744,7 @@ std::string PGridNode::HandleExchange(const std::string& from,
     }
   }
 
+  c_meet_entries_shipped_->Increment(resp.entries.size());
   // Responder-side case-4 recursion, outside the lock.
   for (const std::string& target : my_recursion_targets) {
     (void)MeetWithDepth(target, depth + 1, ctx);
@@ -747,6 +774,7 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
     for (size_t level = 1; level <= state_.depth(); ++level) {
       req.refs.push_back({static_cast<uint32_t>(level), NamesLocked(state_.RefsAt(level))});
     }
+    req.index_digest = IndexDigestLocked();
   }
 
   Result<std::string> raw = CallWithRetry(peer, EncodeExchangeRequest(req), ctx);
@@ -761,45 +789,54 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
 
   std::vector<WireEntry> push;
   std::vector<CommitRequest> commits;
-  bool became_buddy = false;
+  bool discarded = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (resp.epoch != epoch_) {
-      // Our state changed while the exchange was in flight (another meeting ran
-      // concurrently); the directives are stale. Dropping a randomized meeting is
-      // harmless -- and because we never commit, the responder installs no
-      // reference to us either.
-      return Status::OK();
-    }
-    if (!resp.append_bits.empty() &&
-        state_.depth() + resp.append_bits.length() > config_.maxl) {
-      return Status::OK();  // would exceed maxl: stale or malicious; ignore
-    }
-    for (size_t i = 0; i < resp.append_bits.length(); ++i) {
-      state_.AppendPathBit(resp.append_bits.bit(i));
-      commits.push_back({static_cast<uint32_t>(state_.depth()),
-                         static_cast<uint8_t>(resp.append_bits.bit(i))});
-    }
-    if (!resp.append_bits.empty()) {
-      delta_.MarkPath();
-      ++epoch_;
-    }
-    for (const WireRefLevel& rl : resp.ref_updates) {
-      if (rl.level >= 1 && rl.level <= state_.depth()) {
-        std::vector<std::string> addrs = rl.addresses;
-        RemoveAddr(&addrs, address_);
-        if (addrs.size() > config_.refmax) addrs.resize(config_.refmax);
-        SetRefsLocked(rl.level, addrs);
+    // The directives are discarded if our state changed while the exchange was
+    // in flight (another meeting ran concurrently), so they are stale, or if
+    // they would take the path past maxl (stale or malicious). Dropping a
+    // randomized meeting is harmless -- and because we never commit, the
+    // responder installs no reference to us either. The entries are not
+    // directives: the responder may have drained them from its own index, so
+    // we take custody of them either way.
+    discarded = resp.epoch != epoch_ ||
+                (!resp.append_bits.empty() &&
+                 state_.depth() + resp.append_bits.length() > config_.maxl);
+    if (discarded) {
+      for (const WireEntry& e : resp.entries) AdoptOrParkLocked(e);
+    } else {
+      for (size_t i = 0; i < resp.append_bits.length(); ++i) {
+        state_.AppendPathBit(resp.append_bits.bit(i));
+        commits.push_back({static_cast<uint32_t>(state_.depth()),
+                           static_cast<uint8_t>(resp.append_bits.bit(i))});
+      }
+      if (!resp.append_bits.empty()) {
+        delta_.MarkPath();
+        ++epoch_;
+      }
+      for (const WireRefLevel& rl : resp.ref_updates) {
+        if (rl.level >= 1 && rl.level <= state_.depth()) {
+          std::vector<std::string> addrs = rl.addresses;
+          RemoveAddr(&addrs, address_);
+          if (addrs.size() > config_.refmax) addrs.resize(config_.refmax);
+          SetRefsLocked(rl.level, addrs);
+        }
+      }
+      const bool became_buddy = resp.buddy != 0 && state_.AddBuddy(book_.Intern(peer));
+      if (became_buddy) delta_.MarkBuddies();
+      for (const WireEntry& e : resp.entries) AdoptOrParkLocked(e);
+      for (const IndexEntry& e : DrainNonMatchingLocked()) push.push_back(ToWireLocked(e));
+      if (became_buddy && resp.in_sync == 0) {
+        // Complete the bidirectional sync: give the new buddy our index, unless
+        // the responder found that it holds the same entries already.
+        state_.index().ForEach(
+            [&](const IndexEntry& e) { push.push_back(ToWireLocked(e)); });
       }
     }
-    if (resp.buddy != 0) became_buddy = state_.AddBuddy(book_.Intern(peer));
-    if (became_buddy) delta_.MarkBuddies();
-    for (const WireEntry& e : resp.entries) AdoptOrParkLocked(e);
-    for (const IndexEntry& e : DrainNonMatchingLocked()) push.push_back(ToWireLocked(e));
-    if (became_buddy) {
-      // Complete the bidirectional sync: give the new buddy our index.
-      state_.index().ForEach([&](const IndexEntry& e) { push.push_back(ToWireLocked(e)); });
-    }
+  }
+  if (discarded) {
+    PersistState();
+    return Status::OK();
   }
 
   // Confirm the applied append directives so the responder may now reference us
@@ -819,6 +856,7 @@ void PGridNode::PushEntries(const std::string& peer, std::vector<WireEntry> entr
                             const obs::TraceContext& ctx) {
   EntryPushRequest req;
   req.entries = std::move(entries);
+  c_meet_entries_shipped_->Increment(req.entries.size());
   Result<std::string> raw = CallWithRetry(peer, EncodeEntryPushRequest(req), ctx);
   std::vector<WireEntry> rejected;
   if (raw.ok()) {

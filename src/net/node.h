@@ -7,7 +7,8 @@
 // (net/address_book.h), with the node itself at id 0; ids turn back into
 // transport addresses only at the wire and in the public accessors. The node
 // also reuses the simulator's failure detector (repair::SuspicionTable), entry
-// digest (sim::IndexDigest) and durable storage (storage::PersistenceManager).
+// digest (sim::IndexDigest, kept as a running sum) and durable storage
+// (storage::PersistenceManager).
 // The evaluation of the paper runs on the in-memory simulator (src/core,
 // src/sim); this class is the deployment skeleton a downstream system embeds --
 // same algorithms, expressed as request/response interactions:
@@ -16,9 +17,10 @@
 //    the responder merges and replies with directives (path bits to append,
 //    reference-set replacements, referral addresses for recursive exchanges, index
 //    entries to adopt). An epoch guard discards directives that raced with another
-//    state change. Case-4 recursion is driven from both sides: the responder
-//    exchanges with the initiator's referrals and vice versa, bounded by recmax and
-//    the fan-out limit.
+//    state change; the entries are kept either way. Replicas compare index digests
+//    and ship their indexes only when the digests differ. Case-4 recursion is
+//    driven from both sides: the responder exchanges with the initiator's
+//    referrals and vice versa, bounded by recmax and the fan-out limit.
 //  - Search(key) routes iteratively: each hop returns either the responsible peer's
 //    matching entries or the candidate addresses at the divergence level; the
 //    client backtracks depth-first across candidates (offline peers are skipped).
@@ -52,6 +54,9 @@
 #include "util/rng.h"
 
 namespace pgrid {
+namespace sim {
+class Digest;
+}  // namespace sim
 namespace storage {
 class PersistenceManager;
 }  // namespace storage
@@ -283,6 +288,14 @@ class PGridNode {
 
   WireEntry ToWireLocked(const IndexEntry& entry) const;
 
+  /// The digest of the leaf index, sim::IndexDigest with holders folded as
+  /// addresses, read from the running sum in O(1).
+  uint64_t IndexDigestLocked() const;
+
+  /// `holder`'s address folded into a fresh digest: what sim::EntryTerm
+  /// continues for each of its entries.
+  sim::Digest HolderDigestLocked(PeerId holder) const;
+
   /// Adds an entry to the leaf index, deduplicating by (holder, item);
   /// refreshes key/version if newer. Counts new (holder, item) pairs on
   /// node.entries_adopted.
@@ -332,6 +345,10 @@ class PGridNode {
   AddressBook book_;
   repair::SuspicionTable suspicion_;  // consecutive call failures, by book_ id
   size_t drained_depth_ = 0;          // path depth at the last index drain
+  // Sum of the sim::EntryTerm of every entry in state_.index(): updated where
+  // the node changes its index (AdoptEntryLocked, DrainNonMatchingLocked) and
+  // re-seeded when Start() installs a recovered state.
+  uint64_t index_terms_ = 0;
   uint64_t epoch_ = 0;
   Rng rng_;
   bool serving_ = false;
@@ -361,6 +378,8 @@ class PGridNode {
   obs::Counter* c_refs_evicted_;
   obs::Counter* c_refs_recruited_;
   obs::Counter* c_slow_calls_;
+  obs::Counter* c_meet_entries_shipped_;
+  obs::Counter* c_replica_syncs_skipped_;
   obs::Histogram* h_route_attempts_;
   // storage.* instruments; null without durable storage.
   obs::Counter* c_storage_commits_ = nullptr;

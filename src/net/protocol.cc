@@ -136,6 +136,7 @@ std::string EncodeExchangeRequest(const ExchangeRequest& m) {
   w.WriteKeyPath(m.path);
   WriteRefLevels(&w, m.refs);
   w.WriteU32(m.depth);
+  w.WriteU64(m.index_digest);
   return w.Take();
 }
 
@@ -147,6 +148,7 @@ std::string EncodeExchangeResponse(const ExchangeResponse& m) {
   w.WriteStringList(m.referrals);
   w.WriteU8(m.buddy);
   WriteEntryList(&w, m.entries);
+  w.WriteU8(m.in_sync);
   return w.Take();
 }
 
@@ -321,6 +323,7 @@ Result<ExchangeRequest> DecodeExchangeRequest(const std::string& payload) {
   PGRID_ASSIGN_OR_RETURN(m.path, r.ReadKeyPath());
   PGRID_ASSIGN_OR_RETURN(m.refs, ReadRefLevels(&r));
   PGRID_ASSIGN_OR_RETURN(m.depth, r.ReadU32());
+  PGRID_ASSIGN_OR_RETURN(m.index_digest, r.ReadU64());
   return m;
 }
 
@@ -334,6 +337,7 @@ Result<ExchangeResponse> DecodeExchangeResponse(const std::string& payload) {
   PGRID_ASSIGN_OR_RETURN(m.referrals, r.ReadStringList());
   PGRID_ASSIGN_OR_RETURN(m.buddy, r.ReadU8());
   PGRID_ASSIGN_OR_RETURN(m.entries, ReadEntryList(&r));
+  PGRID_ASSIGN_OR_RETURN(m.in_sync, r.ReadU8());
   return m;
 }
 

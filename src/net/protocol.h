@@ -12,6 +12,8 @@
 //                     snapshot; the responder merges, mutates itself, and returns
 //                     directives (bits to append, reference updates, referral
 //                     addresses for recursive exchanges, entries to adopt).
+//                     Replicas compare index digests and ship their indexes
+//                     only when the digests differ.
 //   - EntryPush       hand over index entries (data reconciliation after splits);
 //                     the receiver returns the entries it rejected so nothing is
 //                     ever silently dropped.
@@ -117,6 +119,7 @@ struct ExchangeRequest {
   KeyPath path;
   std::vector<WireRefLevel> refs;
   uint32_t depth = 0;  ///< recursion depth (bounded by recmax)
+  uint64_t index_digest = 0;  ///< initiator's index digest (as in ProbeResponse)
 };
 
 struct ExchangeResponse {
@@ -126,6 +129,7 @@ struct ExchangeResponse {
   std::vector<std::string> referrals;     ///< peers to exchange with at depth+1
   uint8_t buddy = 0;               ///< responder is a same-path replica
   std::vector<WireEntry> entries;  ///< entries the initiator should adopt
+  uint8_t in_sync = 0;  ///< replica with the initiator's index digest: no entries
 };
 
 // ---- Commit ----

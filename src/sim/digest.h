@@ -23,12 +23,13 @@ namespace sim {
 /// FNV-1a over the byte stream fed to it.
 class Digest {
  public:
+  void Byte(unsigned char b) {
+    hash_ ^= b;
+    hash_ *= 0x100000001b3ull;
+  }
   void Bytes(const void* data, size_t n) {
     const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ull;
-    }
+    for (size_t i = 0; i < n; ++i) Byte(p[i]);
   }
   void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
   void Str(const std::string& s) {
@@ -46,6 +47,24 @@ class Digest {
   uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
+/// The size term of IndexDigest: an index of `entries` entries adds this to
+/// the sum of its entry terms.
+inline uint64_t SizeTerm(size_t entries) { return entries * 0x9e3779b97f4a7c15ull; }
+
+/// One entry's term of IndexDigest. `holder` has folded the entry's holder
+/// already; the term goes on with the item id, the key -- its length, then one
+/// '0'/'1' byte per bit, the bytes Str(key.ToString()) would fold, without
+/// building the string -- and the version, and ends with Mix64.
+inline uint64_t EntryTerm(Digest holder, const IndexEntry& e) {
+  holder.U64(e.item_id);
+  holder.U64(e.key.length());
+  for (size_t i = 0; i < e.key.length(); ++i) {
+    holder.Byte(static_cast<unsigned char>('0' + e.key.bit(i)));
+  }
+  holder.U64(e.version);
+  return Mix64(holder.value());
+}
+
 /// Order-independent digest of one entry set: the sum of per-entry digests
 /// (LeafIndex iteration order is unspecified, so the fold must commute). Two
 /// replicas hold the same entries at the same versions iff their digests match;
@@ -62,16 +81,17 @@ class Digest {
 /// `fold_holder(Digest&, PeerId)` folds an entry's holder. The simulator folds
 /// the PeerId itself; a networked node folds the holder's transport address,
 /// so its digests compare equal across nodes whose id tables differ.
+///
+/// The digest is SizeTerm(n) plus one EntryTerm per entry, so whoever changes
+/// an index can keep its digest as a running sum instead: add a term on
+/// insert, subtract it on removal, both on a refresh (PGridNode does).
 template <typename FoldHolder>
 uint64_t IndexDigest(const LeafIndex& index, FoldHolder&& fold_holder) {
-  uint64_t sum = index.size() * 0x9e3779b97f4a7c15ull;
+  uint64_t sum = SizeTerm(index.size());
   index.ForEach([&](const IndexEntry& e) {
     Digest d;
     fold_holder(d, e.holder);
-    d.U64(e.item_id);
-    d.Str(e.key.ToString());
-    d.U64(e.version);
-    sum += Mix64(d.value());
+    sum += EntryTerm(d, e);
   });
   return sum;
 }

@@ -69,10 +69,11 @@ void LeafIndex::ReserveForInsert() {
   }
 }
 
-bool LeafIndex::InsertOrRefresh(const IndexEntry& entry) {
+bool LeafIndex::InsertOrRefresh(const IndexEntry& entry, IndexEntry* replaced) {
   PGRID_CHECK_LT(entry.holder, kTombstoneSlot);
   if (IndexEntry* slot = FindSlot(entry.holder, entry.item_id)) {
     if (entry.version > slot->version) {
+      if (replaced != nullptr) *replaced = *slot;
       slot->version = entry.version;
       slot->key = entry.key;
       return true;

@@ -41,9 +41,10 @@ struct IndexEntry {
 class LeafIndex {
  public:
   /// Inserts the entry, or refreshes key/version if (holder, item_id) is present
-  /// with an older version. Returns true if anything changed. The holder must be
+  /// with an older version. Returns true if anything changed. A refresh copies
+  /// the entry as it was to `*replaced` if that is non-null. The holder must be
   /// a real peer id (the two topmost ids are reserved as slot sentinels).
-  bool InsertOrRefresh(const IndexEntry& entry);
+  bool InsertOrRefresh(const IndexEntry& entry, IndexEntry* replaced = nullptr);
 
   /// Returns the entry for (holder, item_id), or nullptr.
   const IndexEntry* Find(PeerId holder, ItemId item_id) const;

@@ -42,6 +42,18 @@ TEST(LeafIndexTest, RefreshBumpsVersion) {
   EXPECT_EQ(index.Find(1, 10)->version, 3u);
 }
 
+TEST(LeafIndexTest, RefreshReportsTheEntryItReplaced) {
+  LeafIndex index;
+  IndexEntry replaced = Entry(9, 9, "1");
+  EXPECT_TRUE(index.InsertOrRefresh(Entry(1, 10, "01", 1), &replaced));
+  EXPECT_EQ(replaced, Entry(9, 9, "1"));  // an insert replaces nothing
+  EXPECT_FALSE(index.InsertOrRefresh(Entry(1, 10, "0111", 1), &replaced));
+  EXPECT_EQ(replaced, Entry(9, 9, "1"));  // neither does a no-op
+  EXPECT_TRUE(index.InsertOrRefresh(Entry(1, 10, "0111", 4), &replaced));
+  EXPECT_EQ(replaced, Entry(1, 10, "01", 1));
+  EXPECT_EQ(*index.Find(1, 10), Entry(1, 10, "0111", 4));
+}
+
 TEST(LeafIndexTest, SameItemDifferentHoldersAreDistinct) {
   LeafIndex index;
   index.InsertOrRefresh(Entry(1, 10, "01"));

@@ -12,6 +12,11 @@
 // references per level in order, buddies in order, sorted index entries,
 // foreign entries in order, and the items the node published. Compaction
 // every 3 commits runs the node's compaction path too.
+//
+// The same checks hold the node's running index digest to the index: after
+// every operation each serving node's probe digest must equal sim::IndexDigest
+// recomputed from its entries, with storage on (where Start() re-seeds the sum
+// from a recovered index) and off.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +32,7 @@
 
 #include "net/inproc_transport.h"
 #include "net/node.h"
+#include "sim/digest.h"
 #include "storage/persist.h"
 #include "util/rng.h"
 
@@ -133,8 +139,9 @@ Result<View> StoredView(const std::string& root, size_t i) {
 
 class Community {
  public:
+  /// Nodes keep their stores under `root`; an empty root turns storage off.
   Community(std::string root, size_t nodes) : root_(std::move(root)) {
-    fs::remove_all(root_);
+    if (!root_.empty()) fs::remove_all(root_);
     config_.maxl = kMaxl;
     config_.refmax = 2;
     config_.recmax = 2;
@@ -142,6 +149,7 @@ class Community {
     config_.storage.dir = root_;
     config_.storage.compact_every = 3;
     published_.resize(nodes);
+    stopped_.resize(nodes);
     for (size_t i = 0; i < nodes; ++i) Restart(i);
   }
 
@@ -150,7 +158,7 @@ class Community {
       if (node != nullptr) node->Stop();
     }
     nodes_.clear();
-    fs::remove_all(root_);
+    if (!root_.empty()) fs::remove_all(root_);
   }
 
   /// Replaces node `i` by a new object that recovers from its store.
@@ -162,7 +170,15 @@ class Community {
                                             DeriveStreamSeed(kSeed, 100 + i + 50 * restarts_++));
     const Status started = nodes_[i]->Start();
     ASSERT_TRUE(started.ok()) << started;
+    stopped_[i] = false;
   }
+
+  void Stop(size_t i) {
+    nodes_[i]->Stop();
+    stopped_[i] = true;
+  }
+
+  bool stopped(size_t i) const { return stopped_[i]; }
 
   PGridNode& node(size_t i) { return *nodes_[i]; }
 
@@ -171,7 +187,8 @@ class Community {
     (void)nodes_[origin]->Publish(item);
   }
 
-  /// Every node's recovered store equals its live state.
+  /// Every node's recovered store equals its live state, and every serving
+  /// node's digest its index.
   void ExpectStoresMatch(const std::string& after) {
     for (size_t i = 0; i < nodes_.size(); ++i) {
       Result<View> stored = StoredView(root_, i);
@@ -179,6 +196,38 @@ class Community {
       const std::string live = LiveView(*nodes_[i], published_[i]).ToString();
       ASSERT_EQ(stored->ToString(), live) << "after " << after << ", " << Address(i);
     }
+    ExpectDigestsMatch(after);
+  }
+
+  /// The digest each serving node answers a probe with equals sim::IndexDigest
+  /// of its entries, holders folded as addresses. The probe is sent straight
+  /// to the handler, so it feeds no node's failure detector.
+  void ExpectDigestsMatch(const std::string& after) {
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      if (stopped_[i]) continue;
+      Result<std::string> raw = transport_.Call(Address(i), "checker", EncodeProbeRequest());
+      ASSERT_TRUE(raw.ok()) << after << ": " << Address(i) << ": " << raw.status();
+      Result<ProbeResponse> probe = DecodeProbeResponse(*raw);
+      ASSERT_TRUE(probe.ok()) << after << ": " << Address(i) << ": " << probe.status();
+      std::vector<std::string> holders;
+      LeafIndex index;
+      for (const WireEntry& e : nodes_[i]->entries()) {
+        if (holders.empty() || holders.back() != e.holder) holders.push_back(e.holder);
+        index.InsertOrRefresh(IndexEntry{static_cast<PeerId>(holders.size() - 1), e.item_id,
+                                         e.key, e.version});
+      }
+      const uint64_t recomputed = sim::IndexDigest(
+          index, [&holders](sim::Digest& d, PeerId id) { d.Str(holders[id]); });
+      ASSERT_EQ(probe->index_digest, recomputed) << "after " << after << ", " << Address(i);
+      ASSERT_EQ(probe->entry_count, index.size()) << "after " << after << ", " << Address(i);
+    }
+  }
+
+  /// Sum of counter `name` over all nodes.
+  uint64_t Total(const std::string& name) {
+    uint64_t total = 0;
+    for (auto& node : nodes_) total += node->metrics().GetCounter(name)->value();
+    return total;
   }
 
  private:
@@ -187,6 +236,7 @@ class Community {
   InProcTransport transport_{0.0, /*seed=*/17};
   std::vector<std::unique_ptr<PGridNode>> nodes_;
   std::vector<std::map<ItemId, DataItem>> published_;
+  std::vector<bool> stopped_;
   uint64_t restarts_ = 0;
 };
 
@@ -203,10 +253,9 @@ TEST(NodeDeltaTest, EveryOperationLeavesARecoverableStore) {
   Community c(::testing::TempDir() + "/node_delta_store", kNodes);
   Rng rng(DeriveStreamSeed(kSeed, 1));
   std::vector<std::pair<size_t, DataItem>> items;  // (origin, latest version)
-  std::vector<bool> stopped(kNodes, false);
   const auto live_node = [&] {
     size_t i = rng.UniformIndex(kNodes);
-    while (stopped[i]) i = rng.UniformIndex(kNodes);
+    while (c.stopped(i)) i = rng.UniformIndex(kNodes);
     return i;
   };
   const auto meet = [&] {
@@ -225,7 +274,7 @@ TEST(NodeDeltaTest, EveryOperationLeavesARecoverableStore) {
   const auto republish = [&] {
     auto& [origin, item] = items[rng.UniformIndex(items.size())];
     ++item.version;
-    if (stopped[origin]) return std::string("skipped republish");
+    if (c.stopped(origin)) return std::string("skipped republish");
     c.Publish(origin, item);
     return "republish of item " + std::to_string(item.id);
   };
@@ -252,8 +301,7 @@ TEST(NodeDeltaTest, EveryOperationLeavesARecoverableStore) {
     }
   }
   ASSERT_LT(victim, kNodes) << "no replica pair formed";
-  c.node(victim).Stop();
-  stopped[victim] = true;
+  c.Stop(victim);
   const auto knows_victim = [&] {
     for (size_t i = 0; i < kNodes; ++i) {
       if (i == victim) continue;
@@ -264,7 +312,7 @@ TEST(NodeDeltaTest, EveryOperationLeavesARecoverableStore) {
   };
   for (int round = 0; round < 8 && knows_victim(); ++round) {
     for (size_t i = 0; i < kNodes; ++i) {
-      if (stopped[i]) continue;
+      if (c.stopped(i)) continue;
       c.node(i).MaintainReferences();
       ASSERT_NO_FATAL_FAILURE(
           c.ExpectStoresMatch("maintenance of " + Address(i) + " in round " +
@@ -281,7 +329,6 @@ TEST(NodeDeltaTest, EveryOperationLeavesARecoverableStore) {
   // The victim comes back from its store and rejoins.
   ASSERT_NO_FATAL_FAILURE(c.Restart(victim));
   EXPECT_TRUE(c.node(victim).recovered_from_disk());
-  stopped[victim] = false;
   ASSERT_NO_FATAL_FAILURE(c.ExpectStoresMatch("the restart"));
   for (int op = 0; op < 120; ++op) {
     const double pick = rng.UniformDouble();
@@ -295,6 +342,39 @@ TEST(NodeDeltaTest, EveryOperationLeavesARecoverableStore) {
     }
     ASSERT_NO_FATAL_FAILURE(c.ExpectStoresMatch(what));
   }
+}
+
+// The running digest with storage off, where Start() installs no recovered
+// state: meetings (replica meetings included), new publishes and republishes,
+// with each node's digest checked against its entries after every operation.
+TEST(NodeDeltaTest, RunningDigestMatchesTheIndexWithStorageOff) {
+  Community c("", kNodes);
+  Rng rng(DeriveStreamSeed(kSeed, 4));
+  std::vector<std::pair<size_t, DataItem>> items;  // (origin, latest version)
+  for (int op = 0; op < 400; ++op) {
+    const double pick = items.empty() ? 0.6 : rng.UniformDouble();
+    std::string what;
+    if (pick < 0.5) {
+      const size_t a = rng.UniformIndex(kNodes);
+      const size_t b = (a + 1 + rng.UniformIndex(kNodes - 1)) % kNodes;
+      (void)c.node(a).MeetWith(Address(b));
+      what = "meeting " + Address(a) + " -> " + Address(b);
+    } else if (pick < 0.75) {
+      const size_t origin = rng.UniformIndex(kNodes);
+      items.emplace_back(origin, MakeItem(items.size() + 1, &rng));
+      c.Publish(origin, items.back().second);
+      what = "publish of item " + std::to_string(items.size());
+    } else {
+      auto& [origin, item] = items[rng.UniformIndex(items.size())];
+      ++item.version;
+      c.Publish(origin, item);
+      what = "republish of item " + std::to_string(item.id);
+    }
+    ASSERT_NO_FATAL_FAILURE(c.ExpectDigestsMatch(what));
+  }
+  // Both sides of the gate ran.
+  EXPECT_GT(c.Total("node.replica_syncs_skipped"), 0u);
+  EXPECT_GT(c.Total("node.meet_entries_shipped"), 0u);
 }
 
 // Entries parked without a drain in the same commit. A node whose path is

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "net/inproc_transport.h"
@@ -97,6 +99,69 @@ TEST(NodeRobustnessTest, OversizedAppendDirectiveIsIgnored) {
   }
   EXPECT_LE(a.path().length(), 1u);
   EXPECT_LE(b.path().length(), 1u);
+}
+
+/// Passes calls through to `inner`; runs `before_exchange` once, just before
+/// the first exchange request it carries is delivered.
+class HookTransport : public RpcTransport {
+ public:
+  explicit HookTransport(RpcTransport* inner) : inner_(inner) {}
+
+  Status Serve(const std::string& address, Handler handler) override {
+    return inner_->Serve(address, std::move(handler));
+  }
+  void StopServing(const std::string& address) override { inner_->StopServing(address); }
+  Result<std::string> Call(const std::string& to, const std::string& from,
+                           const std::string& request) override {
+    if (before_exchange && PeekType(request).value() == MsgType::kExchangeReq) {
+      std::function<void()> hook = std::move(before_exchange);
+      before_exchange = nullptr;
+      hook();
+    }
+    return inner_->Call(to, from, request);
+  }
+
+  std::function<void()> before_exchange;
+
+ private:
+  RpcTransport* inner_;
+};
+
+// An initiator that discards a stale exchange response still takes the
+// entries in it: the responder has already drained them from its own index.
+// Here a ghost meeting moves the initiator's epoch while its request is in
+// flight; the responder splits and hands over the half of its 16 entries that
+// now belongs to the initiator's side.
+TEST(NodeRobustnessTest, DiscardedExchangeResponseKeepsItsEntries) {
+  InProcTransport bus;
+  HookTransport hooked(&bus);
+  NodeConfig config;
+  config.maxl = 4;
+  PGridNode initiator("node:i", &hooked, config, 11);
+  PGridNode responder("node:r", &bus, config, 12);
+  PGridNode ghost("node:g", &bus, config, 13);
+  ASSERT_TRUE(initiator.Start().ok() && responder.Start().ok() && ghost.Start().ok());
+  for (uint64_t id = 1; id <= 16; ++id) {
+    DataItem item;
+    item.id = id;
+    item.key = KeyPath::FromUint64(id - 1, 4);  // 8 keys on each half
+    item.version = 1;
+    ASSERT_TRUE(responder.Publish(item).ok());
+  }
+  ASSERT_EQ(responder.entries().size(), 16u);
+
+  hooked.before_exchange = [&ghost] { ASSERT_TRUE(ghost.MeetWith("node:i").ok()); };
+  ASSERT_TRUE(initiator.MeetWith("node:r").ok());
+  EXPECT_EQ(initiator.path().length(), 1u);  // the ghost's bit only
+  EXPECT_EQ(responder.path().length(), 1u);
+  EXPECT_EQ(responder.entries().size(), 8u);
+
+  std::set<uint64_t> alive;
+  for (const PGridNode* node : {&initiator, &responder, &ghost}) {
+    for (const WireEntry& e : node->entries()) alive.insert(e.item_id);
+    for (const WireEntry& e : node->foreign_entries()) alive.insert(e.item_id);
+  }
+  EXPECT_EQ(alive.size(), 16u);
 }
 
 TEST(NodeRobustnessTest, ConcurrentMeetingsOverTcpKeepStateConsistent) {

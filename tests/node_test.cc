@@ -173,6 +173,112 @@ TEST(NodeTest, RepeatedMeetingsCreateBuddiesAndSyncEntries) {
   EXPECT_GT(with_buddies, 0u);
 }
 
+/// Passes every call through to `inner` and records the request's type and
+/// the response.
+class RecordingTransport : public RpcTransport {
+ public:
+  struct Record {
+    MsgType type;
+    std::string response;
+  };
+
+  explicit RecordingTransport(RpcTransport* inner) : inner_(inner) {}
+
+  Status Serve(const std::string& address, Handler handler) override {
+    return inner_->Serve(address, std::move(handler));
+  }
+  void StopServing(const std::string& address) override { inner_->StopServing(address); }
+  Result<std::string> Call(const std::string& to, const std::string& from,
+                           const std::string& request) override {
+    Result<std::string> response = inner_->Call(to, from, request);
+    calls.push_back({PeekType(request).value(), response.ok() ? *response : ""});
+    return response;
+  }
+
+  std::vector<Record> calls;
+
+ private:
+  RpcTransport* inner_;
+};
+
+uint64_t CounterValue(PGridNode& node, const std::string& name) {
+  return node.metrics().GetCounter(name)->value();
+}
+
+// Replicas compare index digests before they sync: a replica meeting whose two
+// indexes agree ships nothing either way, and one that follows a divergence
+// ships the index as before.
+TEST(NodeTest, ReplicaMeetingsShipIndexesOnlyWhenTheyDiffer) {
+  InProcTransport bus;
+  RecordingTransport wire(&bus);
+  NodeConfig config;
+  config.maxl = 1;
+  PGridNode a("node:a", &wire, config, 1);
+  PGridNode b("node:b", &wire, config, 2);
+  PGridNode c("node:c", &wire, config, 3);
+  ASSERT_TRUE(a.Start().ok() && b.Start().ok() && c.Start().ok());
+  ASSERT_TRUE(a.MeetWith("node:b").ok());  // case 1: a and b split the space
+  ASSERT_TRUE(c.MeetWith("node:a").ok());  // case 2: c takes b's side
+  ASSERT_EQ(c.path(), b.path());
+  ASSERT_TRUE(b.buddies().empty());
+
+  // The same eight entries at both, installed without a buddy fan-out.
+  const auto install = [&bus](const std::string& at, uint64_t item, const KeyPath& key,
+                              uint64_t version) {
+    const WireEntry entry{"node:a", item, key, version};
+    Result<std::string> ack =
+        bus.Call(at, "node:a", EncodePublishRequest({entry, /*forward_to_buddies=*/0}));
+    ASSERT_TRUE(ack.ok());
+    ASSERT_EQ(DecodePublishAck(*ack).value().installed, 1);
+  };
+  const auto key_of = [&b](uint64_t item) {
+    return b.path().Concat(KeyPath::FromUint64(item, 4));
+  };
+  for (uint64_t item = 1; item <= 8; ++item) {
+    install("node:b", item, key_of(item), 1);
+    install("node:c", item, key_of(item), 1);
+  }
+  ASSERT_EQ(b.entries(), c.entries());
+
+  // A new buddy pair already in sync: nothing shipped, and no push back.
+  wire.calls.clear();
+  ASSERT_TRUE(c.MeetWith("node:b").ok());
+  EXPECT_EQ(b.buddies(), std::vector<std::string>{"node:c"});
+  EXPECT_EQ(c.buddies(), std::vector<std::string>{"node:b"});
+  ASSERT_EQ(wire.calls.size(), 1u);  // the exchange; no EntryPush, no commit
+  ASSERT_EQ(wire.calls[0].type, MsgType::kExchangeReq);
+  ExchangeResponse resp = DecodeExchangeResponse(wire.calls[0].response).value();
+  EXPECT_EQ(resp.buddy, 1);
+  EXPECT_EQ(resp.in_sync, 1);
+  EXPECT_TRUE(resp.entries.empty());
+  EXPECT_EQ(CounterValue(b, "node.replica_syncs_skipped"), 1u);
+
+  // A further meeting of the pair, the other way round: still in sync.
+  wire.calls.clear();
+  ASSERT_TRUE(b.MeetWith("node:c").ok());
+  ASSERT_EQ(wire.calls.size(), 1u);
+  resp = DecodeExchangeResponse(wire.calls[0].response).value();
+  EXPECT_EQ(resp.in_sync, 1);
+  EXPECT_TRUE(resp.entries.empty());
+  EXPECT_EQ(CounterValue(c, "node.replica_syncs_skipped"), 1u);
+  for (PGridNode* node : {&a, &b, &c}) {
+    EXPECT_EQ(CounterValue(*node, "node.meet_entries_shipped"), 0u) << node->address();
+  }
+
+  // A version bump at c only: the next meeting ships c's index to b.
+  install("node:c", 3, key_of(3), 2);
+  ASSERT_NE(b.entries(), c.entries());
+  wire.calls.clear();
+  ASSERT_TRUE(b.MeetWith("node:c").ok());
+  ASSERT_EQ(wire.calls.size(), 1u);
+  resp = DecodeExchangeResponse(wire.calls[0].response).value();
+  EXPECT_EQ(resp.in_sync, 0);
+  EXPECT_EQ(resp.entries.size(), 8u);
+  EXPECT_EQ(CounterValue(c, "node.meet_entries_shipped"), 8u);
+  EXPECT_EQ(CounterValue(c, "node.replica_syncs_skipped"), 1u);
+  EXPECT_EQ(b.entries(), c.entries());
+}
+
 TEST(NodeTest, BuddyPublishFanout) {
   NodeConfig config;
   config.maxl = 1;

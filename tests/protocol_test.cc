@@ -93,6 +93,7 @@ TEST(ProtocolTest, ExchangeRequestRoundTrip) {
   m.refs = {WireRefLevel{1, {"a:1"}}, WireRefLevel{2, {"b:2", "c:3"}},
             WireRefLevel{3, {}}, WireRefLevel{4, {"d:4"}}};
   m.depth = 2;
+  m.index_digest = 0xfedcba9876543210ull;
   auto back = DecodeExchangeRequest(EncodeExchangeRequest(m));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->initiator, "me:9");
@@ -100,6 +101,7 @@ TEST(ProtocolTest, ExchangeRequestRoundTrip) {
   EXPECT_EQ(back->path, m.path);
   EXPECT_EQ(back->refs, m.refs);
   EXPECT_EQ(back->depth, 2u);
+  EXPECT_EQ(back->index_digest, 0xfedcba9876543210ull);
 }
 
 TEST(ProtocolTest, ExchangeResponseRoundTrip) {
@@ -118,6 +120,15 @@ TEST(ProtocolTest, ExchangeResponseRoundTrip) {
   EXPECT_EQ(back->referrals, m.referrals);
   EXPECT_EQ(back->buddy, 1);
   EXPECT_EQ(back->entries, m.entries);
+  EXPECT_EQ(back->in_sync, 0);
+
+  // An in-sync replica answers with no entries.
+  m.entries.clear();
+  m.in_sync = 1;
+  back = DecodeExchangeResponse(EncodeExchangeResponse(m));
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->entries.empty());
+  EXPECT_EQ(back->in_sync, 1);
 }
 
 TEST(ProtocolTest, EntryPushRoundTrip) {
@@ -178,10 +189,19 @@ TEST(ProtocolTest, DecodingWrongTypeFails) {
 }
 
 TEST(ProtocolTest, DecodingTruncatedMessagesFails) {
-  std::string full = EncodeExchangeRequest(ExchangeRequest{
-      "a:1", 1, P("01"), {WireRefLevel{1, {"b:2"}}}, 0});
-  for (size_t cut = 1; cut + 1 < full.size(); cut += 3) {
-    EXPECT_FALSE(DecodeExchangeRequest(full.substr(0, cut)).ok())
+  // Every cut, the trailing index_digest and in_sync fields included.
+  const std::string request = EncodeExchangeRequest(ExchangeRequest{
+      "a:1", 1, P("01"), {WireRefLevel{1, {"b:2"}}}, 0, /*index_digest=*/7});
+  for (size_t cut = 1; cut < request.size(); ++cut) {
+    EXPECT_FALSE(DecodeExchangeRequest(request.substr(0, cut)).ok())
+        << "cut at " << cut;
+  }
+  ExchangeResponse resp;
+  resp.buddy = 1;
+  resp.entries = {Entry("h:5", 77, "0110011", 3)};
+  const std::string response = EncodeExchangeResponse(resp);
+  for (size_t cut = 1; cut < response.size(); ++cut) {
+    EXPECT_FALSE(DecodeExchangeResponse(response.substr(0, cut)).ok())
         << "cut at " << cut;
   }
 }

@@ -7,7 +7,11 @@
 #      pool hand-off establishing happens-before; TSan checks exactly those
 #      claims against the real thread pool (lock-free index claiming,
 #      deferred-recursion hand-off, lane-sharded ledgers, relaxed-atomic load
-#      counters).
+#      counters). Then the networked node's suites (node_test,
+#      node_robustness_test, node_delta_test) under the same sanitizer: their
+#      concurrent meetings over TCP and in process, concurrent durable commits,
+#      and the TCP transport's own serving threads exercise the node's state
+#      lock and its persistence lock.
 #   2. Fuzzer thread sweep -- `pgrid fuzz --thread-sweep` (also under TSan):
 #      50 generated scenarios, each routing its exchange steps through the
 #      parallel builder at a random thread count in {1,2,4,8}, each re-executed
@@ -27,6 +31,7 @@
 #
 #   tools/check_parallel_tsan.sh                  # all three legs
 #   tools/check_parallel_tsan.sh -L parallel -V   # extra args go to the TSan ctest
+#                                                 # (in place of both leg-1 runs)
 #
 # Env: BUILD_DIR (default build-tsan), RELEASE_BUILD_DIR (default build),
 #      SKIP_SCALING=1 to stop after the TSan legs.
@@ -46,12 +51,16 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 
 cmake --build "${build_dir}" -j "$(nproc)" --target \
   thread_pool_test wave_schedule_test parallel_builder_test \
-  parallel_workload_test parallel_scaling_test pgrid
+  parallel_workload_test parallel_scaling_test pgrid \
+  node_test node_robustness_test node_delta_test
 
 if [ "$#" -gt 0 ]; then
   ctest --test-dir "${build_dir}" --output-on-failure "$@"
 else
   ctest --test-dir "${build_dir}" --output-on-failure -L parallel
+  echo "== node suites under TSan =="
+  ctest --test-dir "${build_dir}" --output-on-failure \
+    -R '^(NodeTest|NodeTcpTest|NodeRobustnessTest|NodeDeltaTest)\.'
 fi
 
 # ---- leg 2: fuzzer thread sweep under TSan ---------------------------------
