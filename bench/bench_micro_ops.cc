@@ -6,7 +6,8 @@
 // Besides the google-benchmark section, two manual JSON reports are written:
 // BENCH_micro_ops.json (--json=FILE; key algebra + parallel build/query rows)
 // and BENCH_obs_overhead.json (--obs-json=FILE; the measured cost of the
-// disabled tracing hooks -- see WriteObsOverheadReport and tools/check_obs.sh).
+// disabled tracing hooks -- see WriteObsOverheadReport and `tools/check.sh
+// obs-overhead`).
 // --trace-json=FILE additionally dumps the tracing-on pass in chrome://tracing
 // format. --obs-peers / --obs-queries scale the overhead section.
 
@@ -29,7 +30,7 @@
 // Global allocation counter behind the replaceable operator new. The
 // allocation-count section below reads it around tight loops of key-algebra
 // operations to prove the inline-word KeyPath representation performs zero
-// heap allocations per op (tools/check_memory.sh gates on the reported rate).
+// heap allocations per op (`tools/check.sh memory` gates on the reported rate).
 // Counting is one relaxed atomic increment per allocation: negligible next to
 // malloc itself, and inert for every other section of this binary.
 static std::atomic<uint64_t> g_alloc_count{0};
@@ -265,7 +266,7 @@ void WriteJsonReport(const bench::Args& args) {
 /// the KeyPath's inline word, so the routing hot path (common-prefix, suffix,
 /// append, push/pop cycles at protocol depths) must run allocation-free; the
 /// 256-bit arm is the contrast case where the heap spill is expected.
-/// tools/check_memory.sh fails the build if the inline rates regress.
+/// `tools/check.sh memory` fails if the inline rates regress.
 void WriteAllocReport(const bench::Args& args) {
   bench::JsonReport report("alloc_counts");
   Rng rng(33);
@@ -325,7 +326,8 @@ void WriteAllocReport(const bench::Args& args) {
 /// volatile-null TraceSpan, sites_per_query from the recorded event count of a
 /// tracing-on pass, query_ns_off from the faster of two tracing-off passes
 /// (two passes so the run-to-run noise floor is visible next to the estimate).
-/// tools/check_obs.sh asserts est_off_overhead_pct < 2 on this file's output.
+/// `tools/check.sh obs-overhead` asserts est_off_overhead_pct < 2 on this
+/// file's output.
 void WriteObsOverheadReport(const bench::Args& args) {
   const size_t peers = static_cast<size_t>(args.GetInt("obs-peers", 4096));
   const uint64_t queries =

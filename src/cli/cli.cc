@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <iomanip>
+#include <map>
 
 #include "check/invariants.h"
 #include "core/exchange.h"
@@ -37,8 +38,8 @@ std::string UsageFor(const std::string& command) {
   if (command == "info") return "pgrid info --in=FILE";
   if (command == "verify") return "pgrid verify --in=FILE";
   if (command == "search") {
-    return "pgrid search --in=FILE --key=BITS [--start=ID] [--online=P] [--seed=1]"
-           " [--metrics-json=FILE]";
+    return "pgrid search --in=FILE (--key=BITS | --text=STR) [--start=ID]"
+           " [--online=P] [--seed=1] [--metrics-json=FILE]";
   }
   if (command == "prefix") {
     return "pgrid prefix --in=FILE (--key=BITS | --text=STR) [--fanout=8] [--seed=1]"
@@ -541,33 +542,23 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     out << UsageText();
     return args.empty() ? 1 : 0;
   }
+  using Command = Status (*)(const FlagSet&, std::ostream&);
+  static const std::map<std::string, Command> kCommands = {
+      {"build", CmdBuild},   {"info", CmdInfo},     {"verify", CmdVerify},
+      {"search", CmdSearch}, {"prefix", CmdPrefix}, {"range", CmdRange},
+      {"fuzz", CmdFuzz},     {"replay", CmdReplay}, {"trace", CmdTrace},
+      {"bench-search", CmdBenchSearch}};
   const std::string command = args[0];
-  FlagSet flags(std::vector<std::string>(args.begin() + 1, args.end()));
-  Status status;
-  if (command == "build") {
-    status = CmdBuild(flags, out);
-  } else if (command == "info") {
-    status = CmdInfo(flags, out);
-  } else if (command == "verify") {
-    status = CmdVerify(flags, out);
-  } else if (command == "search") {
-    status = CmdSearch(flags, out);
-  } else if (command == "prefix") {
-    status = CmdPrefix(flags, out);
-  } else if (command == "range") {
-    status = CmdRange(flags, out);
-  } else if (command == "bench-search") {
-    status = CmdBenchSearch(flags, out);
-  } else if (command == "fuzz") {
-    status = CmdFuzz(flags, out);
-  } else if (command == "replay") {
-    status = CmdReplay(flags, out);
-  } else if (command == "trace") {
-    status = CmdTrace(flags, out);
-  } else {
+  const auto it = kCommands.find(command);
+  if (it == kCommands.end()) {
     err << "unknown command '" << command << "'\n\n" << UsageText();
     return 1;
   }
+  FlagSet flags(std::vector<std::string>(args.begin() + 1, args.end()));
+  // A misspelled flag fails before any work instead of falling back to its
+  // default: every flag a command reads is named in its usage line.
+  Status status = flags.CheckKnown(UsageFor(command));
+  if (status.ok()) status = it->second(flags, out);
   if (!status.ok()) {
     err << "error: " << status.ToString() << "\n";
     if (status.IsInvalidArgument()) err << "usage: " << UsageFor(command) << "\n";

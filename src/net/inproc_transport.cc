@@ -39,12 +39,7 @@ uint64_t InProcTransport::Bus::delivered_calls() const {
   return delivered_;
 }
 
-InProcTransport::InProcTransport(double loss_probability, uint64_t seed)
-    : faults_(&bus_, seed) {
-  if (loss_probability > 0.0) {
-    faults_.DropWithProbability("*", loss_probability);
-  }
-}
+InProcTransport::InProcTransport(uint64_t seed) : faults_(&bus_, seed) {}
 
 Status InProcTransport::Serve(const std::string& address, Handler handler) {
   return faults_.Serve(address, std::move(handler));

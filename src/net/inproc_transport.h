@@ -3,9 +3,7 @@
 // Calls are executed synchronously on the caller's thread. Fault injection is
 // not implemented here: the bus is wrapped in a FaultInjectingTransport, so
 // every scenario the rule table can express (seeded loss, outages, partitions,
-// scripted schedules) is available on an in-process cluster via faults(). The
-// historical (loss_probability, seed) constructor remains as a shim that arms
-// one probabilistic drop rule.
+// scripted schedules) is available on an in-process cluster via faults().
 
 #pragma once
 
@@ -22,9 +20,8 @@ namespace net {
 /// In-process transport with rule-table fault injection.
 class InProcTransport : public RpcTransport {
  public:
-  /// `loss_probability` > 0 arms a drop-everything-with-probability-p rule on
-  /// the embedded fault layer (the legacy lossy-bus behaviour).
-  explicit InProcTransport(double loss_probability = 0.0, uint64_t seed = 0);
+  /// `seed` seeds the fault layer's random draws.
+  explicit InProcTransport(uint64_t seed = 0);
 
   Status Serve(const std::string& address, Handler handler) override;
   void StopServing(const std::string& address) override;

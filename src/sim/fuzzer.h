@@ -31,9 +31,10 @@ struct FuzzOptions {
   /// Append a deterministic heal-and-converge tail to every generated scenario:
   /// a full transport heal, a mixing-exchange window, repair ticks, and a
   /// *strict* barrier demanding repair convergence among the survivors. This is
-  /// the self-healing sweep (tools/check_repair.sh): whatever mess the random
-  /// steps made, the repair protocol must restore a routable, replica-agreeing
-  /// grid. Forces online_prob = 1 so "converged" is not masked by sampling.
+  /// the self-healing sweep of the repair legs of tools/check.sh: whatever mess
+  /// the random steps made, the repair protocol must restore a routable,
+  /// replica-agreeing grid. Forces online_prob = 1 so "converged" is not masked
+  /// by sampling.
   bool heal_tail = false;
   /// Draw a builder thread count (1, 2, 4, or 8) per scenario and route its
   /// exchange steps through ParallelGridBuilder::RunMeetings (see

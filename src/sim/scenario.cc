@@ -461,8 +461,8 @@ struct ScenarioRunner::Impl {
     ++macro_tick;
   }
 
-  /// Meetings with per-meeting group isolation (identical to the serial
-  /// exchange path; used by macro steps that interleave meetings with ticks).
+  /// Meetings with per-meeting group isolation: the serial exchange path, also
+  /// used by macro steps that interleave meetings with ticks.
   void RunGatedMeetings(uint64_t meetings) {
     for (uint64_t m = 0; m < meetings; ++m) {
       Meeting meeting = scheduler.Next(&engine_rng);
@@ -481,13 +481,7 @@ struct ScenarioRunner::Impl {
       // alike, so thread-sweep digest invariance holds): each meeting runs
       // under group isolation, which pins per meeting and cannot be done from
       // the parallel wave machinery.
-      for (uint64_t m = 0; m < meetings; ++m) {
-        Meeting meeting = scheduler.Next(&engine_rng);
-        if (churn.IsDead(meeting.a) || churn.IsDead(meeting.b)) continue;
-        if (!Reachable(meeting.a, meeting.b)) continue;
-        WithGroupIsolation(GroupOf(meeting.a),
-                           [&] { exchange.Exchange(meeting.a, meeting.b); });
-      }
+      RunGatedMeetings(meetings);
       return;
     }
     // Parallel path: gate meetings serially in the exact legacy draw order

@@ -2,10 +2,12 @@
 //
 // Syntax: --name=value or bare --name (boolean). Anything else is positional.
 // Typed getters fall back to defaults when the flag is absent and report
-// InvalidArgument for unparsable values.
+// InvalidArgument for unparsable values. Parsing accepts any flag name;
+// CheckKnown rejects the ones a command does not read.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -85,6 +87,26 @@ class FlagSet {
     std::vector<std::string> out;
     for (const auto& [k, v] : flags_) out.push_back(k);
     return out;
+  }
+
+  /// InvalidArgument naming every flag present that `usage` does not spell as
+  /// `--name`, so a command's usage line doubles as its list of known flags.
+  Status CheckKnown(const std::string& usage) const {
+    std::vector<std::string> known;
+    for (size_t at = usage.find("--"); at != std::string::npos;
+         at = usage.find("--", at + 2)) {
+      // A name ends where its value, alternative or bracket begins (npos
+      // at the end of `usage` makes substr take the rest).
+      known.push_back(usage.substr(at + 2, usage.find_first_of(" =|])", at) - at - 2));
+    }
+    std::string unknown;
+    for (const std::string& name : FlagNames()) {
+      if (std::find(known.begin(), known.end(), name) == known.end()) {
+        unknown += " --" + name;
+      }
+    }
+    if (unknown.empty()) return Status::OK();
+    return Status::InvalidArgument("unknown flag(s)" + unknown);
   }
 
  private:

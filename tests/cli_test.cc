@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -192,6 +193,50 @@ TEST(CliTest, FuzzCleanSweepSucceeds) {
   CliResult r = RunArgs({"fuzz", "--seeds=3", "--base-seed=1", "--max-steps=15"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   EXPECT_NE(r.out.find("3 seed(s) run, 0 failure(s)"), std::string::npos);
+  // The sweep modes tools/check.sh runs under the sanitizers.
+  for (const char* mode :
+       {"--crash-sweep", "--macro-sweep", "--heal-tail", "--thread-sweep"}) {
+    SCOPED_TRACE(mode);
+    r = RunArgs({"fuzz", "--seeds=2", "--max-steps=15", mode, "--keep-going"});
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_NE(r.out.find("2 seed(s) run, 0 failure(s)"), std::string::npos);
+  }
+}
+
+TEST(CliTest, FuzzRejectsMisspelledFlags) {
+  CliResult r = RunArgs({"fuzz", "--seeds=2", "--crash_sweep", "--keepgoing"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("unknown flag(s) --crash_sweep --keepgoing"), std::string::npos)
+      << r.err;
+  EXPECT_NE(r.err.find("usage: pgrid fuzz"), std::string::npos);
+  EXPECT_EQ(r.out.find("seed(s) run"), std::string::npos);
+}
+
+TEST(CliTest, BuildRejectsMisspelledThreshold) {
+  const std::string file = TempSnapshot("cli_treshold.pgrid");
+  std::remove(file.c_str());
+  CliResult r = RunArgs(
+      {"build", "--peers=50", "--maxl=4", "--treshold=0.5", "--out=" + file});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("unknown flag(s) --treshold"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("usage: pgrid build"), std::string::npos);
+  EXPECT_FALSE(std::ifstream(file).good());
+}
+
+TEST(CliTest, NodeDaemonRejectsMisspelledStorageDir) {
+  const std::string log = TempSnapshot("cli_node_flags.log");
+  const std::string command = std::string(PGRID_NODE_BIN) +
+                              " --listen=127.0.0.1:0 --rounds=1 --storage_dir=" +
+                              TempSnapshot("cli_node_store") + " >" + log + " 2>&1";
+  EXPECT_NE(std::system(command.c_str()), 0);
+  std::ifstream in(log);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("unknown flag(s) --storage_dir"), std::string::npos)
+      << buf.str();
+  EXPECT_NE(buf.str().find("usage: pgrid_node"), std::string::npos);
+  EXPECT_EQ(buf.str().find("serving"), std::string::npos);
+  std::remove(log.c_str());
 }
 
 TEST(CliTest, FuzzRejectsBadBounds) {

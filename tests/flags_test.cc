@@ -48,5 +48,16 @@ TEST(FlagSetTest, FlagNames) {
   EXPECT_EQ(flags.FlagNames(), (std::vector<std::string>{"a", "b"}));
 }
 
+TEST(FlagSetTest, CheckKnownNamesEveryFlagTheUsageDoesNotSpell) {
+  const std::string usage = "tool --seeds=50 [--crash-sweep] [--keep-going]";
+  EXPECT_TRUE(FlagSet({"--seeds=2", "--crash-sweep", "pos"}).CheckKnown(usage).ok());
+  // "--seed" is a prefix of "--seeds", not a match.
+  const Status s =
+      FlagSet({"--seed=2", "--crash_sweep", "--keep-going"}).CheckKnown(usage);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_NE(s.message().find("--seed --crash_sweep"), std::string::npos) << s.message();
+  EXPECT_EQ(s.message().find("--keep-going"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace pgrid

@@ -233,7 +233,7 @@ class Community {
  private:
   std::string root_;
   NodeConfig config_;
-  InProcTransport transport_{0.0, /*seed=*/17};
+  InProcTransport transport_{/*seed=*/17};
   std::vector<std::unique_ptr<PGridNode>> nodes_;
   std::vector<std::map<ItemId, DataItem>> published_;
   std::vector<bool> stopped_;

@@ -109,7 +109,7 @@ struct Community {
   }
 
   NodeConfig config;
-  InProcTransport transport{0.0, /*seed=*/99};
+  InProcTransport transport{/*seed=*/99};
   std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
   std::vector<std::unique_ptr<PGridNode>> nodes;
 };

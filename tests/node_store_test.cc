@@ -245,7 +245,7 @@ void WriteStore(net::InProcTransport* transport, const net::NodeConfig& config) 
 
 TEST(NodeStoreTest, StartRejectsAWalRecordNamingAnIdOutsideTheTable) {
   const std::string dir = FreshDir("node_store_bad_id");
-  net::InProcTransport transport(0.0, /*seed=*/99);
+  net::InProcTransport transport(/*seed=*/99);
   const net::NodeConfig config = StoreConfig(dir);
   WriteStore(&transport, config);
   {
@@ -281,7 +281,7 @@ TEST(NodeStoreTest, StartRejectsAWalRecordNamingAnIdOutsideTheTable) {
 
 TEST(NodeStoreTest, StartRejectsAStoreRecoveredUnderAnotherAddress) {
   const std::string dir = FreshDir("node_store_other_address");
-  net::InProcTransport transport(0.0, /*seed=*/99);
+  net::InProcTransport transport(/*seed=*/99);
   const net::NodeConfig config = StoreConfig(dir);
   WriteStore(&transport, config);
 
@@ -304,7 +304,7 @@ TEST(NodeStoreTest, StartRejectsAStoreRecoveredUnderAnotherAddress) {
 
 TEST(NodeStoreTest, StorageMetricsCountWhatTheCommitsWrote) {
   const std::string dir = FreshDir("node_store_metrics");
-  net::InProcTransport transport(0.0, /*seed=*/99);
+  net::InProcTransport transport(/*seed=*/99);
   net::NodeConfig config = StoreConfig(dir);
   config.storage.compact_every = 0;
   net::PGridNode node("node:1", &transport, config, 1);

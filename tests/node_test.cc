@@ -22,7 +22,8 @@ struct Cluster {
   Rng rng{12345};
 
   explicit Cluster(size_t n, NodeConfig config = {}, double loss = 0.0)
-      : transport(loss, /*seed=*/99) {
+      : transport(/*seed=*/99) {
+    if (loss > 0.0) transport.faults().DropWithProbability("*", loss);
     for (size_t i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<PGridNode>("node:" + std::to_string(i),
                                                   &transport, config, 1000 + i));

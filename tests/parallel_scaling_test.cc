@@ -11,8 +11,8 @@
 // collapse below 0.5x t=1 on smaller ones -- is a wall-clock ratio. One 200 ms
 // build cannot decide it: on a 4-core host the t=1 rate alone swung from 90k
 // to 147k meetings/s between runs, and the ratio from 0.86 to 1.51. So the test
-// only prints the ratio, and leg 3 of tools/check_parallel_tsan.sh asserts it
-// on the median of 5 runs of this test.
+// only prints the ratio, and the scaling leg of tools/check.sh asserts it on
+// the median of 5 runs of this test.
 
 #include <cstdio>
 #include <memory>
@@ -81,7 +81,7 @@ TEST(ParallelScalingTest, FourThreadsDoNotLoseToOneAndConflictsStayNearZero) {
   EXPECT_LT(t4.conflict_rate, 0.05);
   EXPECT_DOUBLE_EQ(t4.conflict_rate, 0.0);
 
-  // The speed half is asserted by tools/check_parallel_tsan.sh (leg 3), which
+  // The speed half is asserted by the scaling leg of tools/check.sh, which
   // reads this line.
   const double r1 = t1.MeetingsPerSecond();
   const double r4 = t4.MeetingsPerSecond();

@@ -57,7 +57,8 @@ TEST(InProcTransportTest, OutageInjection) {
 }
 
 TEST(InProcTransportTest, LossyTransportDropsSomeCalls) {
-  InProcTransport t(/*loss_probability=*/0.5, /*seed=*/7);
+  InProcTransport t(/*seed=*/7);
+  t.faults().DropWithProbability("*", 0.5);
   ASSERT_TRUE(t.Serve("a", Echo()).ok());
   int ok = 0;
   for (int i = 0; i < 400; ++i) {

@@ -62,6 +62,16 @@
 
 namespace {
 
+// Names every flag the daemon reads; any other flag is rejected at start-up.
+constexpr char kUsage[] =
+    "pgrid_node --listen=HOST:PORT [--join=HOST:PORT] [--maxl=8] [--refmax=4]"
+    " [--recmax=2] [--fanout=2] [--gossip_ms=500] [--rounds=0] [--seed=N]"
+    " [--publish=BITS:PAYLOAD] [--maintain_every=10] [--suspicion_threshold=3]"
+    " [--metrics-json=FILE] [--trace-json=FILE] [--storage-dir=DIR]"
+    " [--storage-sync=none|flush|fsync] [--compact-every=64]"
+    " [--retry_attempts=3] [--retry_backoff_ms=50] [--retry_multiplier=2]"
+    " [--retry_max_backoff_ms=2000] [--retry_jitter=0.2] [--retry_deadline_ms=0]";
+
 std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true); }
@@ -74,11 +84,9 @@ int main(int argc, char** argv) {
   pgrid::FlagSet flags(raw_args);
 
   const std::string listen = flags.GetString("listen", "");
-  if (listen.empty()) {
-    std::fprintf(stderr,
-                 "usage: pgrid_node --listen=HOST:PORT [--join=HOST:PORT] "
-                 "[--maxl=8] [--refmax=4] [--recmax=2] [--fanout=2] "
-                 "[--gossip_ms=500] [--rounds=0] [--seed=...]\n");
+  if (pgrid::Status s = flags.CheckKnown(kUsage); !s.ok() || listen.empty()) {
+    if (!s.ok()) std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    std::fprintf(stderr, "usage: %s\n", kUsage);
     return 1;
   }
 
