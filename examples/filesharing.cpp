@@ -110,9 +110,12 @@ int main() {
 
     QueryResult q = search.Query(start, key);
     pgrid_msgs += q.messages;
-    if (q.found && !grid.peer(q.responder).index().Matching(key).empty()) {
-      ++pgrid_found;
+    bool matched = false;
+    if (q.found) {
+      grid.peer(q.responder).index().ForEachOverlapping(
+          key, [&matched](const IndexEntry&) { matched = true; });
     }
+    if (matched) ++pgrid_found;
 
     FloodResult fr = gnutella.Search(start, key, nullptr, &rng);
     flood_msgs += fr.messages;

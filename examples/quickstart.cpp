@@ -5,12 +5,14 @@
 //   2. let them self-organize through random meetings (ExchangeEngine/GridBuilder),
 //   3. publish data items and their index entries,
 //   4. route queries through the grid (SearchEngine),
-//   5. inspect structure statistics (GridStats).
+//   5. inspect structure statistics (GridStats) and check the structure
+//      (check::GridInvariants).
 //
 // Run: ./quickstart [--peers=256] [--maxl=5] [--seed=1]
 
 #include <cstdio>
 
+#include "check/invariants.h"
 #include "core/exchange.h"
 #include "core/grid.h"
 #include "core/grid_builder.h"
@@ -66,8 +68,10 @@ int main() {
     QueryResult r = search.Query(start, item.key);
     if (!r.found) continue;
     // The responder's leaf index tells us which peers hold matching items.
-    auto matches = grid.peer(r.responder).index().Matching(item.key);
-    if (!matches.empty()) ++found;
+    bool matched = false;
+    grid.peer(r.responder).index().ForEachOverlapping(
+        item.key, [&matched](const IndexEntry&) { matched = true; });
+    if (matched) ++found;
     messages += r.messages;
   }
   std::printf("searched %zu items from random entry points: %zu resolved, %.2f "
@@ -79,7 +83,8 @@ int main() {
   std::printf("avg replication factor: %.1f, avg routing refs per peer: %.1f\n",
               GridStats::AverageReplicationFactor(grid),
               GridStats::AverageTotalRefs(grid));
-  Status invariants = GridStats::CheckInvariants(grid, config);
-  std::printf("structural invariants: %s\n", invariants.ToString().c_str());
+  const check::InvariantReport invariants = check::GridInvariants::Check(grid, config);
+  std::printf("structural invariants: %s\n",
+              invariants.ok() ? "OK" : invariants.ToString().c_str());
   return invariants.ok() && found == corpus.size() ? 0 : 1;
 }

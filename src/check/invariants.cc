@@ -74,7 +74,6 @@ void CheckStructure(const Grid& grid, const ExchangeConfig& config,
                  Fmt("%zu references at level %zu, refmax is %zu", refs.size(),
                      level, config.refmax));
       }
-      const int want = ComplementBit(a.PathBit(level));
       for (PeerId t : refs) {
         if (t == a.id()) {
           out->Add(Category::kSelfReference, a.id(), level,
@@ -92,12 +91,7 @@ void CheckStructure(const Grid& grid, const ExchangeConfig& config,
         // convergence check's business (kDeadReference), not a structure error.
         if (!LiveAt(options.dead, t)) continue;
         const PeerState& target = grid.peer(t);
-        // Reference property: agree on the first level-1 bits, complement at
-        // position `level`. A target too shallow to even have that bit cannot
-        // satisfy it either.
-        if (target.depth() < level ||
-            a.path().CommonPrefixLength(target.path()) < level - 1 ||
-            target.PathBit(level) != want) {
+        if (!CanReference(a.path(), level, target.path())) {
           out->Add(
               Category::kReference, a.id(), level,
               Fmt("level-%zu ref to peer %u: path %s does not complement %s",
@@ -172,7 +166,7 @@ void CheckPlacement(const Grid& grid, Collector* out) {
   for (const PeerState& p : grid) {
     if (out->full()) return;
     p.index().ForEach([&p, out](const IndexEntry& e) {
-      if (!PathCoversKey(p.path(), e.key)) {
+      if (!PathsOverlap(p.path(), e.key)) {
         out->Add(Category::kPlacement, p.id(), 0,
                  Fmt("entry (holder=%u item=%llu key=%s) outside path %s", e.holder,
                      static_cast<unsigned long long>(e.item_id),
@@ -227,13 +221,10 @@ void CheckRepairConvergence(const Grid& grid, const ExchangeConfig& config,
       }
       // The demand is capped by supply: a level can only be as full as the
       // number of live peers that satisfy its reference property at all.
-      const int want = ComplementBit(a.PathBit(level));
       size_t candidates = 0;
       for (const PeerState& t : grid) {
-        if (t.id() == a.id() || !LiveAt(dead, t.id())) continue;
-        if (t.depth() >= level &&
-            a.path().CommonPrefixLength(t.path()) >= level - 1 &&
-            t.PathBit(level) == want) {
+        if (t.id() != a.id() && LiveAt(dead, t.id()) &&
+            CanReference(a.path(), level, t.path())) {
           ++candidates;
         }
       }

@@ -4,10 +4,10 @@
 // maintain, not on point behaviors: references complement the right bit (Fig. 1),
 // the peer paths cover the whole key space via I(k), leaf-index entries live only
 // at co-responsible peers, and the simulation ledger agrees with the metrics
-// registry. GridStats::CheckInvariants (core/stats.h) reports only the first
-// violation as an opaque Status; this subsystem walks the whole grid, classifies
-// every violation into a category a test can assert on, and is the check the
-// deterministic simulation harness (sim/fuzzer.h) runs at epoch barriers.
+// registry. This is the one structure checker: it walks the whole grid,
+// classifies every violation into a category a test can assert on, and is the
+// check the deterministic simulation harness (sim/fuzzer.h) runs at epoch
+// barriers.
 
 #pragma once
 

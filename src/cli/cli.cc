@@ -240,7 +240,9 @@ Status CmdSearch(const FlagSet& flags, std::ostream& out) {
   const PeerState& responder = loaded.grid->peer(r.responder);
   out << "found: peer " << r.responder << " (path " << responder.path()
       << ") after " << r.messages << " messages, " << r.hops << " hops\n";
-  auto matches = responder.index().Matching(key);
+  std::vector<IndexEntry> matches;
+  responder.index().ForEachOverlapping(
+      key, [&matches](const IndexEntry& e) { matches.push_back(e); });
   out << matches.size() << " matching index entries\n";
   for (const IndexEntry& e : matches) {
     out << "  item " << e.item_id << " v" << e.version << " key " << e.key

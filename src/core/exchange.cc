@@ -1,33 +1,9 @@
 #include "core/exchange.h"
 
-#include <algorithm>
-
+#include "core/ref_lists.h"
 #include "util/macros.h"
 
 namespace pgrid {
-
-namespace {
-
-/// Returns a copy of `refs` without `exclude`.
-std::vector<PeerId> Without(Span<PeerId> refs, PeerId exclude) {
-  std::vector<PeerId> out;
-  out.reserve(refs.size());
-  for (PeerId r : refs) {
-    if (r != exclude) out.push_back(r);
-  }
-  return out;
-}
-
-/// Deduplicating union of two reference lists.
-std::vector<PeerId> Union(Span<PeerId> a, Span<PeerId> b) {
-  std::vector<PeerId> out = a.ToVector();
-  for (PeerId r : b) {
-    if (std::find(out.begin(), out.end(), r) == out.end()) out.push_back(r);
-  }
-  return out;
-}
-
-}  // namespace
 
 ExchangeEngine::ExchangeEngine(Grid* grid, const ExchangeConfig& config, Rng* rng,
                                const OnlineModel* online,

@@ -110,10 +110,4 @@ class PeerState {
   TightVec<IndexEntry> foreign_;
 };
 
-/// True iff a peer with responsibility `path` is (co-)responsible for `key`: their
-/// intervals overlap, i.e. one is a prefix of the other.
-inline bool PathCoversKey(const KeyPath& path, const KeyPath& key) {
-  return PathsOverlap(path, key);
-}
-
 }  // namespace pgrid

@@ -1,0 +1,36 @@
+// Order-keeping set algebra over reference lists: the simulator's exchange
+// applies it to PeerIds, the node's to address strings. Both sample the
+// results with random draws, so the element order is part of the contract.
+
+#pragma once
+
+#include <algorithm>
+#include <ranges>
+#include <vector>
+
+namespace pgrid {
+
+/// A copy of `list` without the elements equal to `exclude`.
+template <std::ranges::range List>
+std::vector<std::ranges::range_value_t<List>> Without(
+    const List& list, const std::ranges::range_value_t<List>& exclude) {
+  std::vector<std::ranges::range_value_t<List>> out;
+  out.reserve(std::ranges::size(list));
+  for (const auto& x : list) {
+    if (x != exclude) out.push_back(x);
+  }
+  return out;
+}
+
+/// `a` followed by the elements of `b` it does not hold yet.
+template <std::ranges::range A, std::ranges::range B>
+std::vector<std::ranges::range_value_t<A>> Union(const A& a, const B& b) {
+  std::vector<std::ranges::range_value_t<A>> out(std::ranges::begin(a),
+                                                 std::ranges::end(a));
+  for (const auto& x : b) {
+    if (std::find(out.begin(), out.end(), x) == out.end()) out.push_back(x);
+  }
+  return out;
+}
+
+}  // namespace pgrid

@@ -1,12 +1,29 @@
 #include "core/search.h"
 
 #include <map>
+#include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "key/range.h"
 #include "util/macros.h"
 
 namespace pgrid {
+
+namespace {
+
+using EntrySet = std::set<std::pair<PeerId, ItemId>>;
+
+/// Appends to `out` the entries whose (holder, item) pair `seen` lacks, and
+/// adds their pairs to it.
+void AppendUnseen(std::vector<IndexEntry> entries, EntrySet* seen,
+                  std::vector<IndexEntry>* out) {
+  for (IndexEntry& e : entries) {
+    if (seen->emplace(e.holder, e.item_id).second) out->push_back(std::move(e));
+  }
+}
+
+}  // namespace
 
 SearchEngine::SearchEngine(Grid* grid, const OnlineModel* online, Rng* rng)
     : grid_(grid), online_(online), rng_(rng), stats_(&grid->stats()) {
@@ -40,23 +57,14 @@ bool SearchEngine::QueryImpl(PeerId peer, const KeyPath& p, size_t consumed,
                              size_t hops, QueryResult* out, obs::TraceSpan* span) {
   const bool tracing = grid_->trace() != nullptr;
   const PeerState& a = grid_->peer(peer);
-  const KeyPath rempath = a.path().SuffixFrom(consumed);
-  const size_t lc = p.CommonPrefixLength(rempath);
-
-  if (lc == p.length() || lc == rempath.length()) {
-    // Either the query is exhausted (the peer's interval is inside the query's) or
-    // the peer's path is exhausted (the query's interval is inside the peer's):
-    // `a` is responsible.
+  const SearchStep step = StepSearch(a.path(), p, consumed);
+  if (step.responsible) {
     out->responder = peer;
     out->hops = hops;
     return true;
   }
 
-  // Divergence at position lc of the remainder, i.e. global level consumed + lc + 1.
-  // Paths only grow, so the guard from Fig. 2 always holds here; keep it as a check.
-  PGRID_DCHECK(a.depth() > consumed + lc);
-  const KeyPath querypath = p.SuffixFrom(lc);
-  std::vector<PeerId> refs = a.RefsAt(consumed + lc + 1);  // copy: we draw and remove
+  std::vector<PeerId> refs = a.RefsAt(step.level());  // copy: we draw and remove
   std::vector<PeerId> deferred;  // demoted (gray) refs: tried after the fast ones
   if (slow_fn_) {
     // Stable partition so that with no demotions the draw sequence over `refs`
@@ -99,11 +107,10 @@ bool SearchEngine::QueryImpl(PeerId peer, const KeyPath& p, size_t consumed,
     ++out->messages;
     if (tracing) {
       span->Event("search.hop",
-                  "peer=" + std::to_string(r) +
-                      " level=" + std::to_string(consumed + lc + 1),
+                  "peer=" + std::to_string(r) + " level=" + std::to_string(step.level()),
                   static_cast<uint32_t>(hops + 1));
     }
-    if (QueryImpl(r, querypath, consumed + lc, hops + 1, out, span)) return true;
+    if (QueryImpl(r, step.remaining, step.consumed, hops + 1, out, span)) return true;
     backtracks_->Increment();
     if (tracing) {
       span->Event("search.backtrack", "peer=" + std::to_string(r),
@@ -120,16 +127,9 @@ PrefixSearchResult SearchEngine::PrefixSearch(PeerId start, const KeyPath& prefi
   std::vector<uint8_t> visited(grid_->size(), 0);
   obs::TraceSpan span(grid_->trace(), "search.prefix");
   PrefixImpl(start, prefix, /*consumed=*/0, fanout, &visited, &out, &span);
-  // Deduplicate entries gathered from multiple replicas.
-  std::unordered_set<uint64_t> seen;
-  std::vector<IndexEntry> unique;
-  unique.reserve(out.entries.size());
-  for (IndexEntry& e : out.entries) {
-    const uint64_t key = (static_cast<uint64_t>(e.holder) << 32) ^
-                         (e.item_id * 0x9e3779b97f4a7c15ull);
-    if (seen.insert(key).second) unique.push_back(std::move(e));
-  }
-  out.entries = std::move(unique);
+  // Replicas answer with the same entries.
+  EntrySet seen;
+  AppendUnseen(std::exchange(out.entries, {}), &seen, &out.entries);
   return out;
 }
 
@@ -139,8 +139,7 @@ void SearchEngine::PrefixImpl(PeerId peer, const KeyPath& p, size_t consumed,
   if ((*visited)[peer]) return;
   (*visited)[peer] = 1;
   const PeerState& a = grid_->peer(peer);
-  const KeyPath rempath = a.path().SuffixFrom(consumed);
-  const size_t lc = p.CommonPrefixLength(rempath);
+  const SearchStep step = StepSearch(a.path(), p, consumed);
 
   auto fan = [&](Span<PeerId> refs, const KeyPath& next,
                  size_t consumed_next) {
@@ -165,28 +164,25 @@ void SearchEngine::PrefixImpl(PeerId peer, const KeyPath& p, size_t consumed,
     }
   };
 
-  if (lc == p.length() || lc == rempath.length()) {
+  if (step.responsible) {
     // The peer's interval intersects the prefix region: gather its matching
-    // entries. Reconstruct the full prefix from the routing invariant.
+    // entries.
     out->responders.push_back(peer);
-    const KeyPath full =
-        a.path().Prefix(std::min<size_t>(consumed, a.depth())).Concat(p);
-    a.index().ForEach([&full, out](const IndexEntry& e) {
-      if (PathsOverlap(e.key, full)) out->entries.push_back(e);
-    });
-    if (lc == p.length()) {
+    a.index().ForEachOverlapping(
+        FullQuery(a.path(), p, consumed),
+        [out](const IndexEntry& e) { out->entries.push_back(e); });
+    if (step.key_exhausted) {
       // Prefix exhausted but the peer's path continues: references at every
       // deeper level cover the sibling sub-intervals of the prefix region.
       // consumed = level ensures strictly deeper exploration (termination).
       const KeyPath empty;
-      for (size_t level = consumed + lc + 1; level <= a.depth(); ++level) {
+      for (size_t level = step.level(); level <= a.depth(); ++level) {
         fan(a.RefsAt(level), empty, level);
       }
     }
     return;
   }
-  // Divergence before either side is exhausted: ordinary routing step.
-  fan(a.RefsAt(consumed + lc + 1), p.SuffixFrom(lc), consumed + lc);
+  fan(a.RefsAt(step.level()), step.remaining, step.consumed);
 }
 
 Result<PrefixSearchResult> SearchEngine::RangeSearch(PeerId start, const KeyPath& lo,
@@ -194,7 +190,7 @@ Result<PrefixSearchResult> SearchEngine::RangeSearch(PeerId start, const KeyPath
                                                      size_t fanout) {
   PGRID_ASSIGN_OR_RETURN(std::vector<KeyPath> prefixes, DecomposeRange(lo, hi));
   PrefixSearchResult merged;
-  std::unordered_set<uint64_t> seen_entries;
+  EntrySet seen_entries;
   std::unordered_set<PeerId> seen_responders;
   for (const KeyPath& prefix : prefixes) {
     PrefixSearchResult part = PrefixSearch(start, prefix, fanout);
@@ -202,11 +198,7 @@ Result<PrefixSearchResult> SearchEngine::RangeSearch(PeerId start, const KeyPath
     for (PeerId p : part.responders) {
       if (seen_responders.insert(p).second) merged.responders.push_back(p);
     }
-    for (IndexEntry& e : part.entries) {
-      const uint64_t key = (static_cast<uint64_t>(e.holder) << 32) ^
-                           (e.item_id * 0x9e3779b97f4a7c15ull);
-      if (seen_entries.insert(key).second) merged.entries.push_back(std::move(e));
-    }
+    AppendUnseen(std::move(part.entries), &seen_entries, &merged.entries);
   }
   return merged;
 }

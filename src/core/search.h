@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -27,6 +28,47 @@
 #include "util/rng.h"
 
 namespace pgrid {
+
+/// What a peer does with a query: one local step of query(a, p, l), the one
+/// match of a query against a path. SearchEngine, UpdateEngine and the node's
+/// query handler all route with StepSearch.
+struct SearchStep {
+  /// The query is exhausted: the peer's interval lies inside the query's.
+  bool key_exhausted = false;
+
+  /// The peer is responsible: the query or the rest of its path is exhausted.
+  bool responsible = false;
+
+  /// Bits of the path matched after this step.
+  size_t consumed = 0;
+
+  /// The query handed to the references at level() (empty if responsible).
+  KeyPath remaining;
+
+  /// If not responsible, the 1-indexed level where the query leaves the path;
+  /// if the query is exhausted, the first level below it.
+  size_t level() const { return consumed + 1; }
+};
+
+/// The step at a peer with path `path` for the remaining query `key` after
+/// `consumed` bits. A `consumed` beyond the path (a request off the wire may
+/// carry one) leaves nothing to match, so the peer is responsible.
+inline SearchStep StepSearch(const KeyPath& path, const KeyPath& key, size_t consumed) {
+  const KeyPath rest = path.SuffixFrom(consumed);
+  const size_t lc = key.CommonPrefixLength(rest);
+  SearchStep step;
+  step.key_exhausted = lc == key.length();
+  step.responsible = step.key_exhausted || lc == rest.length();
+  step.consumed = consumed + lc;
+  if (!step.responsible) step.remaining = key.SuffixFrom(lc);
+  return step;
+}
+
+/// The whole query a responsible peer answers: the consumed bits of its own
+/// path (they agree with the query by the routing invariant) plus `key`.
+inline KeyPath FullQuery(const KeyPath& path, const KeyPath& key, size_t consumed) {
+  return path.Prefix(std::min(consumed, path.length())).Concat(key);
+}
 
 /// Outcome of one depth-first query.
 struct QueryResult {

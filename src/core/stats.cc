@@ -1,7 +1,6 @@
 #include "core/stats.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace pgrid {
 
@@ -71,60 +70,6 @@ GridStats::LoadProfile GridStats::QueryLoadProfile(const Grid& grid) {
   out.p99 = load[load.size() * 99 / 100];
   out.imbalance = out.mean > 0 ? static_cast<double>(out.max) / out.mean : 0.0;
   return out;
-}
-
-Status GridStats::CheckInvariants(const Grid& grid, const ExchangeConfig& config) {
-  for (const PeerState& a : grid) {
-    if (a.depth() > config.maxl) {
-      return Status::Internal("peer " + std::to_string(a.id()) + " exceeds maxl");
-    }
-    for (size_t level = 1; level <= a.depth(); ++level) {
-      const auto& refs = a.RefsAt(level);
-      if (refs.size() > config.refmax) {
-        std::ostringstream msg;
-        msg << "peer " << a.id() << " holds " << refs.size() << " refs at level "
-            << level << " (refmax " << config.refmax << ")";
-        return Status::Internal(msg.str());
-      }
-      for (PeerId r : refs) {
-        if (r == a.id()) {
-          return Status::Internal("peer " + std::to_string(a.id()) +
-                                  " references itself");
-        }
-        const PeerState& target = grid.peer(r);
-        // prefix(i, target) == prefix(i-1, a) + complement(p_i): the target's path
-        // must be at least `level` long, agree with a on the first level-1 bits, and
-        // differ at bit `level`.
-        if (target.depth() < level) {
-          std::ostringstream msg;
-          msg << "peer " << a.id() << " level " << level << " ref " << r
-              << " has too-short path " << target.path();
-          return Status::Internal(msg.str());
-        }
-        const size_t common = a.path().CommonPrefixLength(target.path());
-        if (common < level - 1 || target.PathBit(level) != ComplementBit(a.PathBit(level))) {
-          std::ostringstream msg;
-          msg << "reference property violated: peer " << a.id() << " (path "
-              << a.path() << ") level " << level << " ref " << r << " (path "
-              << target.path() << ")";
-          return Status::Internal(msg.str());
-        }
-      }
-    }
-    for (PeerId b : a.buddies()) {
-      if (b == a.id()) {
-        return Status::Internal("peer " + std::to_string(a.id()) +
-                                " is its own buddy");
-      }
-      if (!(grid.peer(b).path() == a.path())) {
-        std::ostringstream msg;
-        msg << "buddy property violated: peer " << a.id() << " (path " << a.path()
-            << ") lists buddy " << b << " (path " << grid.peer(b).path() << ")";
-        return Status::Internal(msg.str());
-      }
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace pgrid

@@ -1,4 +1,4 @@
-// Structural statistics and invariant checks over a built grid (Sec. 5 metrics).
+// Structural statistics over a built grid (Sec. 5 metrics).
 
 #pragma once
 
@@ -7,10 +7,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/config.h"
 #include "core/grid.h"
 #include "key/key_path.h"
-#include "util/status.h"
 
 namespace pgrid {
 
@@ -55,17 +53,6 @@ class GridStats {
   /// Computes the load profile of the messages served so far. The paper claims
   /// communication cost scales "equally for all peers"; this quantifies it.
   static LoadProfile QueryLoadProfile(const Grid& grid);
-
-  /// Verifies structural invariants of the access structure:
-  ///  - every peer's reference list count equals its path length;
-  ///  - no level holds more than config.refmax references;
-  ///  - no path exceeds config.maxl;
-  ///  - the reference property of Sec. 2: r in refs(i, a) implies
-  ///    prefix(i, peer(r)) == prefix(i-1, a) + complement(p_i);
-  ///  - no reference points to the peer itself;
-  ///  - buddy lists only contain peers with the identical path.
-  /// Returns the first violation found, or OK.
-  static Status CheckInvariants(const Grid& grid, const ExchangeConfig& config);
 };
 
 }  // namespace pgrid

@@ -108,36 +108,24 @@ void UpdateEngine::BfsPass(PeerId peer, const KeyPath& p, size_t consumed,
                            size_t recbreadth, std::unordered_set<PeerId>* reached,
                            uint64_t* messages) {
   const PeerState& a = grid_->peer(peer);
-  const KeyPath rempath = a.path().SuffixFrom(consumed);
-  const size_t lc = p.CommonPrefixLength(rempath);
-
-  if (lc == rempath.length() && lc == p.length()) {
-    // Exact coverage: `a` is a replica; nothing further to route.
+  const SearchStep step = StepSearch(a.path(), p, consumed);
+  if (step.responsible) {
     reached->insert(peer);
-    return;
-  }
-  if (lc == p.length()) {
-    // Query exhausted but the peer's path continues: `a` is a replica, and so is
-    // every peer referenced at deeper levels (their intervals partition the rest of
-    // the query's interval). Fan out into all deeper levels.
-    reached->insert(peer);
-    const KeyPath empty;
-    for (size_t level = consumed + lc + 1; level <= a.depth(); ++level) {
-      // consumed = level: targets only explore levels strictly below `level`, which
-      // guarantees termination (consumed grows monotonically toward maxl).
-      BfsFanOut(a.RefsAt(level), empty, level, recbreadth, reached, messages);
+    if (step.key_exhausted) {
+      // Query exhausted: every peer referenced at a deeper level is a replica
+      // too (their intervals partition the rest of the query's interval).
+      const KeyPath empty;
+      for (size_t level = step.level(); level <= a.depth(); ++level) {
+        // consumed = level: targets only explore levels strictly below `level`,
+        // which guarantees termination (consumed grows monotonically toward maxl).
+        BfsFanOut(a.RefsAt(level), empty, level, recbreadth, reached, messages);
+      }
     }
-    return;
-  }
-  if (lc == rempath.length()) {
-    // Peer's path exhausted: `a` is a replica (the query refines its interval).
-    reached->insert(peer);
     return;
   }
   // Divergence: forward to up to recbreadth references at the divergence level --
   // breadth-first, no early exit.
-  const KeyPath querypath = p.SuffixFrom(lc);
-  BfsFanOut(a.RefsAt(consumed + lc + 1), querypath, consumed + lc, recbreadth, reached,
+  BfsFanOut(a.RefsAt(step.level()), step.remaining, step.consumed, recbreadth, reached,
             messages);
 }
 

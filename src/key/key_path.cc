@@ -112,6 +112,12 @@ KeyPath KeyPath::Random(Rng* rng, size_t length) {
   return out;
 }
 
+KeyPath ComplementaryKey(const KeyPath& path, size_t level, size_t length, Rng* rng) {
+  KeyPath key = path.Prefix(level - 1).Append(ComplementBit(path.bit(level - 1)));
+  while (key.length() < length) key.PushBack(rng->Bit());
+  return key;
+}
+
 int KeyPath::bit(size_t i) const {
   PGRID_CHECK_LT(i, length_);
   return static_cast<int>((words()[i / kBitsPerWord] >> (i % kBitsPerWord)) & 1u);

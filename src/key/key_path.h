@@ -178,6 +178,19 @@ inline bool PathsOverlap(const KeyPath& a, const KeyPath& b) {
   return a.length() <= b.length() ? a.IsPrefixOf(b) : b.IsPrefixOf(a);
 }
 
+/// The reference property of Sec. 2: a peer with path `path` may keep a peer
+/// with path `target` among its references at 1-indexed `level` iff both paths
+/// reach that level, agree on the bits above it and differ at it.
+inline bool CanReference(const KeyPath& path, size_t level, const KeyPath& target) {
+  return path.length() >= level && target.length() >= level &&
+         path.CommonPrefixLength(target) + 1 == level;
+}
+
+/// A lookup key into the subtree `path` references at 1-indexed `level`: the
+/// bits of `path` above that level, the complement of its bit there, then
+/// random bits up to `length`. Requires 1 <= level <= path.length().
+KeyPath ComplementaryKey(const KeyPath& path, size_t level, size_t length, Rng* rng);
+
 /// Hash functor for unordered containers keyed by KeyPath.
 struct KeyPathHash {
   size_t operator()(const KeyPath& k) const { return k.Hash(); }

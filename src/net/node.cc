@@ -5,6 +5,7 @@
 #include <chrono>
 #include <tuple>
 
+#include "core/ref_lists.h"
 #include "obs/export.h"
 #include "sim/digest.h"
 #include "storage/persist.h"
@@ -19,18 +20,8 @@ namespace {
 /// The node's own id in its address book and PeerState.
 constexpr PeerId kSelf = 0;
 
-/// Deduplicating union of address lists.
-std::vector<std::string> UnionAddrs(std::vector<std::string> a,
-                                    const std::vector<std::string>& b) {
-  for (const std::string& s : b) {
-    if (std::find(a.begin(), a.end(), s) == a.end()) a.push_back(s);
-  }
-  return a;
-}
-
-void RemoveAddr(std::vector<std::string>* v, const std::string& addr) {
-  v->erase(std::remove(v->begin(), v->end(), addr), v->end());
-}
+/// Bound on remote hops one Search may spend before giving up.
+constexpr size_t kMaxRouteAttempts = 128;
 
 /// The node's store directory name: its address with every character outside
 /// [A-Za-z0-9.-] mapped to '_'.
@@ -420,32 +411,17 @@ std::vector<IndexEntry> PGridNode::DrainNonMatchingLocked() {
 PGridNode::LocalMatch PGridNode::MatchLocked(const KeyPath& key, uint32_t consumed) {
   LocalMatch out;
   const KeyPath& path = state_.path();
-  const KeyPath rempath = path.SuffixFrom(consumed);
-  const size_t lc = key.CommonPrefixLength(rempath);
-  if (lc == key.length() || lc == rempath.length()) {
-    out.found = true;
-    // Reconstruct the full query: the consumed prefix of our own path plus the
-    // remaining suffix (they agree by the routing invariant).
-    const KeyPath full =
-        path.Prefix(std::min<size_t>(consumed, path.length())).Concat(key);
-    state_.index().ForEach([&](const IndexEntry& e) {
-      if (PathsOverlap(e.key, full)) out.matching.push_back(ToWireLocked(e));
-    });
+  out.step = StepSearch(path, key, consumed);
+  if (out.step.responsible) {
+    state_.index().ForEachOverlapping(
+        FullQuery(path, key, consumed),
+        [&](const IndexEntry& e) { out.matching.push_back(ToWireLocked(e)); });
     return out;
   }
-  out.consumed = consumed + static_cast<uint32_t>(lc);
-  out.remaining = key.SuffixFrom(lc);
-  const size_t level = consumed + lc + 1;  // 1-indexed divergence level
-  if (level <= state_.depth()) out.candidates = NamesLocked(state_.RefsAt(level));
+  // Not responsible: the path goes on past the divergence, so the level is in
+  // range whatever consumed count the request carried.
+  out.candidates = NamesLocked(state_.RefsAt(out.step.level()));
   return out;
-}
-
-std::vector<std::string> PGridNode::SampleRefsLocked(std::vector<std::string> a,
-                                                     const std::vector<std::string>& b,
-                                                     const std::string& exclude) {
-  std::vector<std::string> u = UnionAddrs(std::move(a), b);
-  RemoveAddr(&u, exclude);
-  return rng_.SampleWithoutReplacement(std::move(u), config_.refmax);
 }
 
 // ---- handler side ----
@@ -551,7 +527,7 @@ std::string PGridNode::HandleQuery(const std::string& request) {
   c_queries_served_->Increment();
   std::lock_guard<std::mutex> lock(mu_);
   LocalMatch m = MatchLocked(req->key, req->consumed);
-  if (m.found) {
+  if (m.step.responsible) {
     QueryResponseFound resp;
     resp.responder = address_;
     resp.entries = std::move(m.matching);
@@ -559,8 +535,8 @@ std::string PGridNode::HandleQuery(const std::string& request) {
   }
   if (m.candidates.empty()) return EncodeQueryResponseMiss();
   QueryResponseForward resp;
-  resp.consumed = m.consumed;
-  resp.remaining = m.remaining;
+  resp.consumed = static_cast<uint32_t>(m.step.consumed);
+  resp.remaining = std::move(m.step.remaining);
   resp.candidates = std::move(m.candidates);
   return EncodeQueryResponseForward(resp);
 }
@@ -669,11 +645,13 @@ std::string PGridNode::HandleExchange(const std::string& from,
     // the sample this node keeps is interned.
     if (lc > 0) {
       // Cross-pollinate level-lc references (both sides have them).
-      std::vector<std::string> mine = NamesLocked(state_.RefsAt(lc));
-      std::vector<std::string> theirs = refs1_at(lc);
-      SetRefsLocked(lc, SampleRefsLocked(mine, theirs, address_));
+      const std::vector<std::string> common =
+          Union(NamesLocked(state_.RefsAt(lc)), refs1_at(lc));
+      SetRefsLocked(lc, rng_.SampleWithoutReplacement(Without(common, address_),
+                                                      config_.refmax));
       resp.ref_updates.push_back({static_cast<uint32_t>(lc),
-                                  SampleRefsLocked(std::move(mine), theirs, req.initiator)});
+                                  rng_.SampleWithoutReplacement(
+                                      Without(common, req.initiator), config_.refmax)});
     }
 
     if (l1 == 0 && l2 == 0 && lc < config_.maxl) {
@@ -701,19 +679,18 @@ std::string PGridNode::HandleExchange(const std::string& from,
       ++epoch_;
       resp.ref_updates.push_back(
           {static_cast<uint32_t>(lc + 1),
-           SampleRefsLocked({address_}, refs1_at(lc + 1), req.initiator)});
+           rng_.SampleWithoutReplacement(
+               Without(Union(Span<std::string>(&address_, 1), refs1_at(lc + 1)),
+                       req.initiator),
+               config_.refmax)});
     } else if (l1 > 0 && l2 > 0 && depth < config_.recmax) {
       // Case 4: diverging paths -- refer the initiator to our references on its
       // side, and (after releasing the lock) exchange with its references on ours.
-      std::vector<std::string> referrals = NamesLocked(state_.RefsAt(lc + 1));
-      RemoveAddr(&referrals, req.initiator);
       resp.referrals = rng_.SampleWithoutReplacement(
-          std::move(referrals),
+          Without(NamesLocked(state_.RefsAt(lc + 1)), req.initiator),
           config_.recursion_fanout > 0 ? config_.recursion_fanout : config_.refmax);
-      std::vector<std::string> mine = refs1_at(lc + 1);
-      RemoveAddr(&mine, address_);
       my_recursion_targets = rng_.SampleWithoutReplacement(
-          std::move(mine),
+          Without(refs1_at(lc + 1), address_),
           config_.recursion_fanout > 0 ? config_.recursion_fanout : config_.refmax);
     } else if (l1 == 0 && l2 == 0) {
       // Replica case: identical complete paths at maxl -- become buddies and give
@@ -816,8 +793,7 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
       }
       for (const WireRefLevel& rl : resp.ref_updates) {
         if (rl.level >= 1 && rl.level <= state_.depth()) {
-          std::vector<std::string> addrs = rl.addresses;
-          RemoveAddr(&addrs, address_);
+          std::vector<std::string> addrs = Without(rl.addresses, address_);
           if (addrs.size() > config_.refmax) addrs.resize(config_.refmax);
           SetRefsLocked(rl.level, addrs);
         }
@@ -929,19 +905,19 @@ Result<PGridNode::RouteResult> PGridNode::Route(const KeyPath& key,
   {
     std::lock_guard<std::mutex> lock(mu_);
     LocalMatch m = MatchLocked(key, 0);
-    if (m.found) {
+    if (m.step.responsible) {
       h_route_attempts_->Record(0);
       return RouteResult{address_, std::move(m.matching)};
     }
     std::vector<std::string> candidates = m.candidates;
     rng_.Shuffle(&candidates);
     for (const std::string& c : candidates) {
-      stack.push_back(Frame{c, m.remaining, m.consumed});
+      stack.push_back(Frame{c, m.step.remaining, static_cast<uint32_t>(m.step.consumed)});
     }
   }
 
   size_t attempts = 0;
-  while (!stack.empty() && attempts < config_.max_route_attempts) {
+  while (!stack.empty() && attempts < kMaxRouteAttempts) {
     Frame frame = std::move(stack.back());
     stack.pop_back();
     ++attempts;
@@ -1045,10 +1021,10 @@ size_t PGridNode::MaintainReferences() {
   }
   size_t recruited = 0;
   for (size_t level : underfull) {
-    KeyPath key = my_path.Prefix(level - 1).Append(ComplementBit(my_path.bit(level - 1)));
+    KeyPath key;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      while (key.length() < config_.maxl) key.PushBack(rng_.Bit());
+      key = ComplementaryKey(my_path, level, config_.maxl, &rng_);
     }
     Result<RouteResult> routed = Route(key, ctx);
     if (!routed.ok() || routed->responder == address_) continue;
@@ -1059,13 +1035,7 @@ size_t PGridNode::MaintainReferences() {
     Result<ProbeResponse> info = Probe(responder, ctx);
     if (!info.ok()) continue;
     std::lock_guard<std::mutex> lock(mu_);
-    const KeyPath& path = state_.path();
-    if (level > path.length()) continue;
-    if (info->path.length() < level ||
-        path.CommonPrefixLength(info->path) < level - 1 ||
-        info->path.bit(level - 1) != ComplementBit(path.bit(level - 1))) {
-      continue;
-    }
+    if (!CanReference(state_.path(), level, info->path)) continue;
     if (state_.RefsAt(level).size() < config_.refmax &&
         state_.AddRefAt(level, book_.Intern(responder))) {
       delta_.MarkRefs(level);

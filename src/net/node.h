@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "core/peer_state.h"
+#include "core/search.h"
 #include "key/key_path.h"
 #include "net/address_book.h"
 #include "net/protocol.h"
@@ -69,8 +70,6 @@ struct NodeConfig {
   size_t refmax = 4;
   size_t recmax = 2;
   size_t recursion_fanout = 2;
-  /// Bound on remote hops one Search may spend before giving up.
-  size_t max_route_attempts = 128;
 
   /// Consecutive outbound-call failures to one address before it is evicted
   /// from every reference level (failure detection with hysteresis, see
@@ -111,9 +110,6 @@ struct NodeConfig {
   Status Validate() const {
     if (maxl == 0) return Status::InvalidArgument("maxl must be >= 1");
     if (refmax == 0) return Status::InvalidArgument("refmax must be >= 1");
-    if (max_route_attempts == 0) {
-      return Status::InvalidArgument("max_route_attempts must be >= 1");
-    }
     return retry.Validate();
   }
 };
@@ -313,20 +309,13 @@ class PGridNode {
   /// since the last drain.
   std::vector<IndexEntry> DrainNonMatchingLocked();
 
-  /// One routing step against local state (the Fig. 2 match).
+  /// One routing step against local state: the Fig. 2 step and the answer.
   struct LocalMatch {
-    bool found = false;
-    std::vector<WireEntry> matching;       // if found
-    uint32_t consumed = 0;                 // if forwarding
-    KeyPath remaining;                     // if forwarding
-    std::vector<std::string> candidates;   // if forwarding
+    SearchStep step;
+    std::vector<WireEntry> matching;       // if step.responsible
+    std::vector<std::string> candidates;   // otherwise
   };
   LocalMatch MatchLocked(const KeyPath& key, uint32_t consumed);
-
-  /// Random refmax-subset of the union of two address lists, excluding `exclude`.
-  std::vector<std::string> SampleRefsLocked(std::vector<std::string> a,
-                                            const std::vector<std::string>& b,
-                                            const std::string& exclude);
 
   /// Commits what delta_ marks to durable storage (no-op without it).
   /// persist_mu_ serializes committers and orders their WAL appends; mu_ is

@@ -13,6 +13,10 @@ namespace repair {
 
 namespace {
 
+/// Targeted lookups per under-full level per Tick, and random bootstrap
+/// vantages per recruiting peer.
+constexpr size_t kRecruitAttempts = 4;
+
 uint64_t PairKey(PeerId a, PeerId b) {
   const PeerId lo = std::min(a, b);
   const PeerId hi = std::max(a, b);
@@ -29,9 +33,7 @@ RepairEngine::RepairEngine(Grid* grid, const ExchangeConfig& exchange_config,
       config_(config),
       search_(search),
       online_(online),
-      rng_(rng) {
-  PGRID_CHECK(config.Validate().ok());
-}
+      rng_(rng) {}
 
 bool RepairEngine::Probe(PeerId from, PeerId to) {
   if (probe_fn_) return probe_fn_(from, to);
@@ -41,10 +43,7 @@ bool RepairEngine::Probe(PeerId from, PeerId to) {
 bool RepairEngine::SatisfiesRefProperty(const PeerState& a, size_t level,
                                         PeerId target) const {
   if (target == a.id() || target >= grid_->size()) return false;
-  const PeerState& t = grid_->peer(target);
-  return t.depth() >= level &&
-         a.path().CommonPrefixLength(t.path()) >= level - 1 &&
-         t.PathBit(level) == ComplementBit(a.PathBit(level));
+  return CanReference(a.path(), level, grid_->peer(target).path());
 }
 
 void RepairEngine::ProbeAndEvict(PeerState& peer, RepairTick* tick) {
@@ -138,7 +137,7 @@ void RepairEngine::RecruitReferences(PeerState& peer, RepairTick* tick) {
   // eviction cannot route its own lookups any more. Like any search client it
   // may enter the grid through an arbitrary online peer, so a few random live
   // vantages break the can't-route-because-empty deadlock.
-  for (size_t i = 0; i < config_.recruit_attempts; ++i) {
+  for (size_t i = 0; i < kRecruitAttempts; ++i) {
     const std::optional<PeerId> v = search_->RandomOnlinePeer();
     if (v.has_value() && IsLive(*v)) add_vantage(*v);
   }
@@ -154,13 +153,10 @@ void RepairEngine::RecruitReferences(PeerState& peer, RepairTick* tick) {
       ++tick->recruited;
       return true;
     };
-    for (size_t attempt = 0; attempt < config_.recruit_attempts; ++attempt) {
+    for (size_t attempt = 0; attempt < kRecruitAttempts; ++attempt) {
       if (peer.RefsAt(level).size() >= exchange_config_.refmax) break;
-      // Aim into the complementary subtree of this level: the shared prefix,
-      // the flipped level bit, then random padding to a full-depth key.
-      KeyPath key =
-          peer.path().Prefix(level - 1).Append(ComplementBit(peer.PathBit(level)));
-      while (key.length() < exchange_config_.maxl) key.PushBack(rng_->Bit());
+      const KeyPath key =
+          ComplementaryKey(peer.path(), level, exchange_config_.maxl, rng_);
       // Try the vantages in order until one can route the lookup: local ones
       // first, the random bootstrap entries when local routing is hollowed out.
       QueryResult r;

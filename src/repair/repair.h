@@ -46,7 +46,6 @@
 #include "repair/health.h"
 #include "sim/online_model.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace pgrid {
 namespace repair {
@@ -73,18 +72,9 @@ struct RepairConfig {
   /// disables the cooldown (the historical behaviour).
   uint32_t eviction_cooldown = 0;
 
-  /// Targeted lookups attempted per under-full level per Tick.
-  size_t recruit_attempts = 4;
-
   /// Master switches for the repair mechanisms (benches compare arms).
   bool recruit = true;
   bool anti_entropy = true;
-
-  Status Validate() const {
-    if (recruit_attempts == 0)
-      return Status::InvalidArgument("recruit_attempts must be >= 1");
-    return Status::OK();
-  }
 };
 
 /// What one maintenance round did (sums over all live peers).

@@ -60,19 +60,4 @@ class MessageStats {
   std::array<uint64_t, kNumMessageTypes> counts_{};
 };
 
-/// RAII helper that measures how many messages of one type an operation produced.
-class MessageDelta {
- public:
-  MessageDelta(const MessageStats& stats, MessageType type)
-      : stats_(stats), type_(type), start_(stats.count(type)) {}
-
-  /// Messages of the tracked type recorded since construction.
-  uint64_t Count() const { return stats_.count(type_) - start_; }
-
- private:
-  const MessageStats& stats_;
-  MessageType type_;
-  uint64_t start_;
-};
-
 }  // namespace pgrid

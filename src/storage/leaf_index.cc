@@ -104,12 +104,6 @@ bool LeafIndex::Erase(PeerId holder, ItemId item_id) {
   return true;
 }
 
-std::vector<IndexEntry> LeafIndex::Matching(const KeyPath& prefix) const {
-  std::vector<IndexEntry> out;
-  ForEachMatching(prefix, [&out](const IndexEntry& e) { out.push_back(e); });
-  return out;
-}
-
 uint64_t LeafIndex::LatestVersionOf(ItemId item_id) const {
   uint64_t latest = 0;
   for (const IndexEntry& e : slots_) {

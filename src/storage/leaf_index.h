@@ -53,17 +53,15 @@ class LeafIndex {
   /// The durable layer replays index-delete WAL records through this.
   bool Erase(PeerId holder, ItemId item_id);
 
-  /// All entries whose key has `prefix` as a prefix.
-  std::vector<IndexEntry> Matching(const KeyPath& prefix) const;
-
-  /// Visits every entry whose key has `prefix` as a prefix, without copying.
-  /// `fn` receives a const IndexEntry&. The index must not be mutated during
-  /// the visit.
+  /// Visits, in slot order, every entry whose key overlaps `key` (one is a
+  /// prefix of the other): what a peer responsible for `key` answers. `fn`
+  /// receives a const IndexEntry&. The index must not be mutated during the
+  /// visit.
   template <typename Fn>
-  void ForEachMatching(const KeyPath& prefix, Fn&& fn) const {
-    for (const IndexEntry& e : slots_) {
-      if (IsLive(e) && prefix.IsPrefixOf(e.key)) fn(e);
-    }
+  void ForEachOverlapping(const KeyPath& key, Fn&& fn) const {
+    ForEach([&key, &fn](const IndexEntry& e) {
+      if (PathsOverlap(e.key, key)) fn(e);
+    });
   }
 
   /// Visits every entry in slot order, without copying. `fn` receives a const

@@ -62,13 +62,6 @@ class Rng {
     return out;
   }
 
-  /// Returns one uniformly chosen element of `v` (without removal). Requires non-empty.
-  template <typename T>
-  const T& Pick(const std::vector<T>& v) {
-    PGRID_CHECK(!v.empty());
-    return v[UniformIndex(v.size())];
-  }
-
   /// Returns min(k, v.size()) distinct elements sampled uniformly without replacement.
   /// This matches the paper's random_select(k, refs) set sampler.
   template <typename T>

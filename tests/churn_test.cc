@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/invariants.h"
 #include "core/search.h"
 #include "core/stats.h"
 #include "tests/test_util.h"
@@ -68,8 +69,8 @@ TEST(ChurnTest, JoinsGrowGridAndIntegrate) {
     joiner_depth += static_cast<double>(f.grid.peer(p).depth());
   }
   EXPECT_GT(joiner_depth / 32.0, 2.0);
-  Status s = GridStats::CheckInvariants(f.grid, f.config);
-  EXPECT_TRUE(s.ok()) << s;
+  check::InvariantReport report = check::GridInvariants::Check(f.grid, f.config);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(ChurnTest, GracefulLeaveHandsOverEntries) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/invariants.h"
 #include "core/stats.h"
 #include "tests/test_util.h"
 
@@ -85,8 +86,8 @@ class GridBuilderSeedTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(GridBuilderSeedTest, ConvergesAndKeepsInvariants) {
   auto built = testing_util::Build(150, 4, 2, 2, GetParam());
   EXPECT_TRUE(built.report.converged);
-  Status s = GridStats::CheckInvariants(*built.grid, built.config);
-  EXPECT_TRUE(s.ok()) << "seed " << GetParam() << ": " << s;
+  check::InvariantReport report = check::GridInvariants::Check(*built.grid, built.config);
+  EXPECT_TRUE(report.ok()) << "seed " << GetParam() << ": " << report.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridBuilderSeedTest,

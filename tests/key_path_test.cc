@@ -121,6 +121,38 @@ TEST(KeyPathTest, PathsOverlap) {
   EXPECT_FALSE(PathsOverlap(P("0110"), P("0111")));
 }
 
+TEST(KeyPathTest, CanReferenceFollowsTheReferenceProperty) {
+  struct Case {
+    const char* name;
+    const char* path;
+    size_t level;
+    const char* target;
+    bool want;
+  };
+  const Case cases[] = {
+      {"valid", "0110", 3, "0100", true},
+      {"valid, target ends at the level", "0110", 3, "010", true},
+      {"valid at level 1", "0110", 1, "1", true},
+      {"wrong bit", "0110", 3, "0111", false},
+      {"prefixes disagree", "0110", 3, "1100", false},
+      {"target too short", "0110", 3, "01", false},
+      {"level beyond the path", "01", 3, "0100", false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(CanReference(P(c.path), c.level, P(c.target)), c.want) << c.name;
+  }
+}
+
+TEST(KeyPathTest, ComplementaryKeyLandsInTheReferencedSubtree) {
+  Rng rng(7);
+  const KeyPath path = P("01101");
+  for (size_t level = 1; level <= path.length(); ++level) {
+    const KeyPath key = ComplementaryKey(path, level, 8, &rng);
+    EXPECT_EQ(key.length(), 8u);
+    EXPECT_TRUE(CanReference(path, level, key)) << "level " << level << ": " << key;
+  }
+}
+
 TEST(KeyPathTest, ValueMatchesPaperFormula) {
   // val(k) = sum 2^-i p_i
   EXPECT_DOUBLE_EQ(P("1").Value(), 0.5);

@@ -17,6 +17,15 @@ IndexEntry Entry(PeerId holder, ItemId item, const std::string& key,
   return e;
 }
 
+/// The items ForEachOverlapping visits for `key`, sorted.
+std::vector<ItemId> OverlappingItems(const LeafIndex& index, const std::string& key) {
+  std::vector<ItemId> items;
+  index.ForEachOverlapping(KeyPath::FromString(key).value(),
+                           [&items](const IndexEntry& e) { items.push_back(e.item_id); });
+  std::sort(items.begin(), items.end());
+  return items;
+}
+
 TEST(LeafIndexTest, InsertAndFind) {
   LeafIndex index;
   EXPECT_TRUE(index.InsertOrRefresh(Entry(1, 10, "0101")));
@@ -66,9 +75,10 @@ TEST(LeafIndexTest, MatchingFiltersByPrefix) {
   index.InsertOrRefresh(Entry(1, 1, "0001"));
   index.InsertOrRefresh(Entry(1, 2, "0010"));
   index.InsertOrRefresh(Entry(1, 3, "1000"));
-  EXPECT_EQ(index.Matching(KeyPath::FromString("00").value()).size(), 2u);
-  EXPECT_EQ(index.Matching(KeyPath::FromString("1").value()).size(), 1u);
-  EXPECT_EQ(index.Matching(KeyPath()).size(), 3u);
+  EXPECT_EQ(OverlappingItems(index, "00"), (std::vector<ItemId>{1, 2}));
+  EXPECT_EQ(OverlappingItems(index, "1"), (std::vector<ItemId>{3}));
+  EXPECT_EQ(OverlappingItems(index, ""), (std::vector<ItemId>{1, 2, 3}));
+  EXPECT_TRUE(OverlappingItems(index, "01").empty());
 }
 
 TEST(LeafIndexTest, LatestVersionOfScansHolders) {
@@ -146,19 +156,28 @@ TEST(LeafIndexTest, ForEachVisitsEveryLiveEntry) {
   EXPECT_EQ(item_sum, 6u);
 }
 
-TEST(LeafIndexTest, ForEachMatchingAgreesWithMatching) {
+TEST(LeafIndexTest, ForEachOverlappingVisitsShorterAndLongerKeys) {
+  // A stored key overlaps the query if either is a prefix of the other: the
+  // query's proper prefixes, the query itself and its extensions all answer.
   LeafIndex index;
-  index.InsertOrRefresh(Entry(1, 1, "0001"));
-  index.InsertOrRefresh(Entry(1, 2, "0010"));
-  index.InsertOrRefresh(Entry(1, 3, "1000"));
-  const KeyPath prefix = KeyPath::FromString("00").value();
+  index.InsertOrRefresh(Entry(1, 1, ""));
+  index.InsertOrRefresh(Entry(1, 2, "0"));
+  index.InsertOrRefresh(Entry(1, 3, "01"));
+  index.InsertOrRefresh(Entry(1, 4, "011"));
+  index.InsertOrRefresh(Entry(1, 5, "0110"));
+  index.InsertOrRefresh(Entry(1, 6, "010"));
+  index.InsertOrRefresh(Entry(1, 7, "00"));
+  index.InsertOrRefresh(Entry(1, 8, "1"));
+  EXPECT_EQ(OverlappingItems(index, "011"), (std::vector<ItemId>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(OverlappingItems(index, "0110"), (std::vector<ItemId>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(OverlappingItems(index, "0111"), (std::vector<ItemId>{1, 2, 3, 4}));
+  // Visits come in slot order, the order ForEach uses.
+  std::vector<ItemId> all;
+  index.ForEach([&all](const IndexEntry& e) { all.push_back(e.item_id); });
   std::vector<ItemId> visited;
-  index.ForEachMatching(prefix, [&](const IndexEntry& e) {
-    visited.push_back(e.item_id);
-  });
-  std::sort(visited.begin(), visited.end());
-  EXPECT_EQ(visited, (std::vector<ItemId>{1, 2}));
-  EXPECT_EQ(index.Matching(prefix).size(), visited.size());
+  index.ForEachOverlapping(
+      KeyPath(), [&visited](const IndexEntry& e) { visited.push_back(e.item_id); });
+  EXPECT_EQ(visited, all);
 }
 
 TEST(LeafIndexTest, GrowthAndTombstoneChurnKeepsLookupsCorrect) {
@@ -182,7 +201,7 @@ TEST(LeafIndexTest, GrowthAndTombstoneChurnKeepsLookupsCorrect) {
   }
   EXPECT_EQ(index.size(), 20u * 25u);
   size_t matching_one = 0;
-  index.ForEachMatching(one, [&](const IndexEntry&) { ++matching_one; });
+  index.ForEachOverlapping(one, [&](const IndexEntry&) { ++matching_one; });
   EXPECT_EQ(matching_one, 0u);
 }
 

@@ -6,10 +6,10 @@
 
 #include <cstdio>
 
+#include "check/invariants.h"
 #include "core/churn.h"
 #include "core/insert.h"
 #include "core/search.h"
-#include "core/stats.h"
 #include "core/update.h"
 #include "snapshot/snapshot.h"
 #include "tests/test_util.h"
@@ -34,7 +34,7 @@ TEST(LifecycleTest, FullSystemJourney) {
   GridBuilder builder(&grid, &exchange, &scheduler, &rng);
   BuildReport report = builder.BuildToFractionOfMaxDepth(0.99, 50'000'000);
   ASSERT_TRUE(report.converged);
-  ASSERT_TRUE(GridStats::CheckInvariants(grid, config).ok());
+  ASSERT_TRUE(check::GridInvariants::Check(grid, config).ok());
 
   // --- Stage 2: routed inserts --------------------------------------------------
   InsertEngine insert(&grid, &online, &rng);
@@ -81,7 +81,7 @@ TEST(LifecycleTest, FullSystemJourney) {
   ASSERT_TRUE(SaveGrid(grid, config, file).ok());
   auto reloaded = LoadGrid(file);
   ASSERT_TRUE(reloaded.ok());
-  ASSERT_TRUE(GridStats::CheckInvariants(*reloaded->grid, reloaded->config).ok());
+  ASSERT_TRUE(check::GridInvariants::Check(*reloaded->grid, reloaded->config).ok());
   {
     Rng rng2(99);
     SearchEngine search2(reloaded->grid.get(), nullptr, &rng2);
@@ -100,8 +100,9 @@ TEST(LifecycleTest, FullSystemJourney) {
   churn.meetings_per_round = 8000;
   for (int round = 0; round < 4; ++round) {
     driver.Round(churn);
-    ASSERT_TRUE(GridStats::CheckInvariants(grid, config).ok())
-        << "after churn round " << round;
+    check::InvariantReport report = check::GridInvariants::Check(grid, config);
+    ASSERT_TRUE(report.ok()) << "after churn round " << round << ": "
+                             << report.ToString();
   }
   // The structure remains navigable for the survivors.
   size_t ok = 0;

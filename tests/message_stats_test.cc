@@ -30,16 +30,6 @@ TEST(MessageStatsTest, ResetZeroesEverything) {
   EXPECT_EQ(stats.total(), 0u);
 }
 
-TEST(MessageStatsTest, DeltaMeasuresWindow) {
-  MessageStats stats;
-  stats.Record(MessageType::kQuery, 10);
-  MessageDelta delta(stats, MessageType::kQuery);
-  EXPECT_EQ(delta.Count(), 0u);
-  stats.Record(MessageType::kQuery, 3);
-  stats.Record(MessageType::kUpdate, 5);  // other types don't leak in
-  EXPECT_EQ(delta.Count(), 3u);
-}
-
 TEST(MessageStatsTest, MergeFromAddsEveryType) {
   MessageStats total;
   total.Record(MessageType::kExchange, 5);

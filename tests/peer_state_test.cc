@@ -62,14 +62,6 @@ TEST(PeerStateTest, RemoveBuddyKeepsTheOthersInOrder) {
   EXPECT_EQ(p.buddies(), (std::vector<PeerId>{8, 3}));
 }
 
-TEST(PeerStateTest, PathCoversKeySemantics) {
-  KeyPath path = KeyPath::FromString("01").value();
-  EXPECT_TRUE(PathCoversKey(path, KeyPath::FromString("0110").value()));
-  EXPECT_TRUE(PathCoversKey(path, KeyPath::FromString("0").value()));
-  EXPECT_FALSE(PathCoversKey(path, KeyPath::FromString("00").value()));
-  EXPECT_TRUE(PathCoversKey(KeyPath(), KeyPath::FromString("101").value()));
-}
-
 TEST(PeerStateDeathTest, OutOfRangeLevelAborts) {
   PeerState p(1);
   p.AppendPathBit(1);

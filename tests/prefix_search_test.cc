@@ -29,6 +29,24 @@ IndexEntry Entry(ItemId id, const KeyPath& key) {
   return e;
 }
 
+TEST(PrefixSearchTest, DistinctEntriesWithCollidingMixesAreBothReturned) {
+  // (holder << 32) ^ (item * 0x9e3779b97f4a7c15) is equal for these two pairs;
+  // deduplication must compare the pairs themselves.
+  Grid grid(1);
+  IndexEntry a = Entry(7, Key("01"));
+  a.holder = 0;
+  IndexEntry b = Entry(0x9937733d00000007ull, Key("01"));
+  b.holder = 1;
+  grid.peer(0).index().InsertOrRefresh(a);
+  grid.peer(0).index().InsertOrRefresh(b);
+  Rng rng(1);
+  SearchEngine search(&grid, nullptr, &rng);
+  EXPECT_EQ(search.PrefixSearch(0, Key("0"), 1).entries.size(), 2u);
+  Result<PrefixSearchResult> range = search.RangeSearch(0, Key("00"), Key("01"), 1);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range->entries.size(), 2u);
+}
+
 TEST(PrefixSearchTest, FindsAllItemsUnderPrefixFullyOnline) {
   auto built = testing_util::Build(256, 5, 3, 2, 1);
   Rng rng(2);

@@ -13,6 +13,43 @@ namespace {
 
 using testing_util::Key;
 
+TEST(SearchStepTest, CoversEveryCaseOfTheFig2Step) {
+  struct Case {
+    const char* name;
+    const char* path;
+    size_t consumed;
+    const char* key;
+    bool responsible;
+    bool key_exhausted;
+    size_t next_consumed;
+    const char* remaining;
+  };
+  const Case cases[] = {
+      {"key exhausted", "0110", 1, "1", true, true, 2, ""},
+      {"path exhausted", "01", 0, "0110", true, false, 2, ""},
+      {"both exhausted", "01", 0, "01", true, true, 2, ""},
+      {"empty key", "01", 1, "", true, true, 1, ""},
+      {"divergence after consumed bits", "01101", 1, "1100", false, false, 4, "0"},
+      {"divergence at the first bit", "0110", 2, "01", false, false, 2, "01"},
+      // A QueryRequest off the wire may claim more bits than the path has.
+      {"consumed beyond the path", "01", 5, "1", true, false, 5, ""},
+  };
+  for (const Case& c : cases) {
+    const SearchStep step = StepSearch(Key(c.path), Key(c.key), c.consumed);
+    EXPECT_EQ(step.responsible, c.responsible) << c.name;
+    EXPECT_EQ(step.key_exhausted, c.key_exhausted) << c.name;
+    EXPECT_EQ(step.consumed, c.next_consumed) << c.name;
+    EXPECT_EQ(step.level(), c.next_consumed + 1) << c.name;
+    EXPECT_EQ(step.remaining, Key(c.remaining)) << c.name;
+  }
+}
+
+TEST(SearchStepTest, FullQueryPrependsTheConsumedBitsOfThePath) {
+  EXPECT_EQ(FullQuery(Key("0110"), Key("01"), 2), Key("0101"));
+  EXPECT_EQ(FullQuery(Key("0110"), Key("0110"), 0), Key("0110"));
+  EXPECT_EQ(FullQuery(Key("01"), Key("1"), 5), Key("011"));
+}
+
 TEST(SearchTest, EmptyQueryAnswersAtStartPeer) {
   auto built = testing_util::Build(64, 3, 1, 2, 1);
   Rng rng(2);

@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "check/invariants.h"
 #include "core/search.h"
-#include "core/stats.h"
 #include "tests/test_util.h"
 #include "workload/corpus.h"
 #include "workload/key_generator.h"
@@ -53,8 +53,9 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
     }
     EXPECT_EQ(a.foreign_entries().size(), b.foreign_entries().size());
   }
-  Status inv = GridStats::CheckInvariants(*loaded->grid, loaded->config);
-  EXPECT_TRUE(inv.ok()) << inv;
+  check::InvariantReport inv =
+      check::GridInvariants::Check(*loaded->grid, loaded->config);
+  EXPECT_TRUE(inv.ok()) << inv.ToString();
   std::remove(path.c_str());
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/stats.h"
+#include "check/invariants.h"
 #include "tests/test_util.h"
 #include "workload/corpus.h"
 #include "workload/key_generator.h"
@@ -93,8 +93,8 @@ TEST(SplitPolicyTest, AdaptiveGridFollowsDataDensity) {
   EXPECT_GT(dense_depth, sparse_depth + 0.5)
       << "dense " << dense_depth << " sparse " << sparse_depth;
   // Structure stays sound under the policy.
-  Status s = GridStats::CheckInvariants(grid, config);
-  EXPECT_TRUE(s.ok()) << s;
+  check::InvariantReport report = check::GridInvariants::Check(grid, config);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(SplitPolicyTest, PreferCloneTracksObservedImbalance) {
@@ -140,8 +140,8 @@ TEST(SplitPolicyTest, CloningKeepsStructuralInvariants) {
     Meeting meeting = scheduler.Next(&rng);
     exchange.Exchange(meeting.a, meeting.b);
   }
-  Status s = GridStats::CheckInvariants(grid, config);
-  EXPECT_TRUE(s.ok()) << s;
+  check::InvariantReport report = check::GridInvariants::Check(grid, config);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(SplitPolicyTest, NullPolicyReproducesPaperBehaviour) {

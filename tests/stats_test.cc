@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <numeric>
 
+#include "check/invariants.h"
 #include "core/search.h"
 #include "tests/test_util.h"
 
 namespace pgrid {
 namespace {
 
+using check::Category;
+using check::GridInvariants;
 using testing_util::Key;
 
 TEST(StatsTest, HistogramsCoverAllPeers) {
@@ -120,10 +123,13 @@ TEST(StatsTest, SearchLoadIsSpreadAcrossPeers) {
   EXPECT_LT(p.idle_peers, 256u / 4);
 }
 
+// The structure checker is GridInvariants; these pin it on the smallest
+// grid that breaks each rule.
+
 TEST(StatsTest, CheckInvariantsAcceptsFreshGrid) {
   Grid grid(10);
   ExchangeConfig cfg;
-  EXPECT_TRUE(GridStats::CheckInvariants(grid, cfg).ok());
+  EXPECT_TRUE(GridInvariants::Check(grid, cfg).ok());
 }
 
 TEST(StatsTest, CheckInvariantsDetectsSelfReference) {
@@ -131,9 +137,7 @@ TEST(StatsTest, CheckInvariantsDetectsSelfReference) {
   grid.peer(0).AppendPathBit(0);
   grid.peer(0).AddRefAt(1, 0);  // self-reference
   ExchangeConfig cfg;
-  Status s = GridStats::CheckInvariants(grid, cfg);
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("references itself"), std::string::npos);
+  EXPECT_EQ(GridInvariants::Check(grid, cfg).CountOf(Category::kSelfReference), 1u);
 }
 
 TEST(StatsTest, CheckInvariantsDetectsWrongComplementBit) {
@@ -142,9 +146,7 @@ TEST(StatsTest, CheckInvariantsDetectsWrongComplementBit) {
   grid.peer(1).AppendPathBit(0);  // same bit: not a valid level-1 reference
   grid.peer(0).AddRefAt(1, 1);
   ExchangeConfig cfg;
-  Status s = GridStats::CheckInvariants(grid, cfg);
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("reference property"), std::string::npos);
+  EXPECT_EQ(GridInvariants::Check(grid, cfg).CountOf(Category::kReference), 1u);
 }
 
 TEST(StatsTest, CheckInvariantsDetectsTooShortReferencePath) {
@@ -154,9 +156,7 @@ TEST(StatsTest, CheckInvariantsDetectsTooShortReferencePath) {
   grid.peer(1).AppendPathBit(1);
   grid.peer(0).AddRefAt(2, 1);  // target has depth 1 < level 2
   ExchangeConfig cfg;
-  Status s = GridStats::CheckInvariants(grid, cfg);
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("too-short"), std::string::npos);
+  EXPECT_EQ(GridInvariants::Check(grid, cfg).CountOf(Category::kReference), 1u);
 }
 
 TEST(StatsTest, CheckInvariantsDetectsRefmaxViolation) {
@@ -168,9 +168,7 @@ TEST(StatsTest, CheckInvariantsDetectsRefmaxViolation) {
   }
   ExchangeConfig cfg;
   cfg.refmax = 2;
-  Status s = GridStats::CheckInvariants(grid, cfg);
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("refmax"), std::string::npos);
+  EXPECT_EQ(GridInvariants::Check(grid, cfg).CountOf(Category::kRefmax), 1u);
 }
 
 TEST(StatsTest, CheckInvariantsDetectsMaxlViolation) {
@@ -179,7 +177,7 @@ TEST(StatsTest, CheckInvariantsDetectsMaxlViolation) {
   grid.peer(0).AppendPathBit(1);
   ExchangeConfig cfg;
   cfg.maxl = 1;
-  EXPECT_FALSE(GridStats::CheckInvariants(grid, cfg).ok());
+  EXPECT_EQ(GridInvariants::Check(grid, cfg).CountOf(Category::kMaxl), 1u);
 }
 
 TEST(StatsTest, CheckInvariantsDetectsBadBuddy) {
@@ -188,9 +186,7 @@ TEST(StatsTest, CheckInvariantsDetectsBadBuddy) {
   grid.peer(1).AppendPathBit(1);
   grid.peer(0).AddBuddy(1);  // different path: invalid buddy
   ExchangeConfig cfg;
-  Status s = GridStats::CheckInvariants(grid, cfg);
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("buddy property"), std::string::npos);
+  EXPECT_EQ(GridInvariants::Check(grid, cfg).CountOf(Category::kBuddy), 1u);
 }
 
 }  // namespace
