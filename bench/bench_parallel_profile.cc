@@ -1,24 +1,20 @@
 // PP: where does the parallel build spend its time -- and where does t=4 lose?
 //
-// Builds the same grid (same seed, same batch size, byte-identical result) at
-// t in {1, 2, 4, 8} with the per-wave profiler on, then prints the Amdahl
-// accounting per thread count: serial fraction (schedule + wave partition +
-// barrier merge), parallel-region utilization, barrier-wait percentiles, and
-// the claim-conflict rate -- identically 0 since the edge-colored wave
-// schedule (core/wave_schedule.h) precomputes conflict-free waves; the column
-// stays so a scheduler regression is visible here immediately. Because the
-// wave structure is schedule-determined, the waves/width/conflicts columns are
-// identical across rows -- only the time columns move, which is exactly what
-// makes any scaling loss attributable.
+// Builds the same grid (same seed, same batch size, identical digest, which
+// the bench checks) at t in {1, 2, 4, 8} with the per-wave profile on, then
+// prints the Amdahl accounting per thread count: serial fraction (schedule +
+// wave coloring + barrier merge), parallel-region utilization and
+// barrier-wait percentiles. Because the wave structure is schedule-determined
+// (core/wave_schedule.h), the waves column is identical across rows -- only
+// the time columns move, which is exactly what makes any scaling loss
+// attributable.
 //
-// Also runs the read-only parallel query workload at the same thread counts
-// with per-lane busy accounting (chunk-granular), the second half of the
-// "why is t=4 slower" picture.
+// Also runs the read-only parallel query workload at the same thread counts,
+// whose report carries per-lane busy time (chunk-granular): the second half
+// of the "why is t=4 slower" picture.
 //
-// Emits BENCH_parallel_profile.json plus a collapsed-stack flamegraph sidecar
-// per thread count (BENCH_parallel_profile_t<N>.folded), and honors
-// --profile-json=FILE to dump the full per-wave BuildProfile of the largest
-// thread count.
+// Emits BENCH_parallel_profile.json and honors --profile-json=FILE to dump the
+// full per-wave BuildProfile of the largest thread count.
 //
 // Flags: --peers, --maxl, --refmax, --batch, --meetings, --queries, --seed,
 //        --threads (comma list, default 1,2,4,8), --json, --profile-json.
@@ -32,7 +28,7 @@
 #include "core/build_profile.h"
 #include "core/parallel_builder.h"
 #include "core/parallel_workload.h"
-#include "obs/profiler.h"
+#include "sim/digest.h"
 #include "sim/meeting_scheduler.h"
 
 namespace pgrid {
@@ -84,12 +80,13 @@ void Run(const bench::Args& args) {
   std::printf("%zu peers, maxl %zu, batch %zu, up to %llu meetings, seed %llu\n\n",
               peers, maxl, batch, static_cast<unsigned long long>(meetings),
               static_cast<unsigned long long>(seed));
-  std::printf("%7s %7s %9s %8s %8s %10s %26s %12s\n", "threads", "waves",
-              "meet/s", "serial", "util", "conflicts", "barrier wait p50/p95/p99",
+  std::printf("%7s %7s %9s %8s %8s %26s %12s\n", "threads", "waves",
+              "meet/s", "serial", "util", "barrier wait p50/p95/p99",
               "queries/s");
 
   bench::JsonReport report("parallel_profile");
   std::string structure;    // wave structure of the first run, for the x-check
+  uint64_t first_digest = 0;  // grid digest of the first run, likewise
   std::string last_profile; // full profile JSON of the largest thread count
   for (const size_t threads : thread_counts) {
     bench::GridSetup s;
@@ -111,13 +108,17 @@ void Run(const bench::Args& args) {
         builder.BuildToFractionOfMaxDepth(0.99, meetings);
     const BuildProfile& profile = *builder.profile();
 
-    // The schedule-determined wave structure must not depend on the thread
-    // count; a mismatch here means determinism is broken, so fail loud.
+    // Neither the schedule-determined wave structure nor the built grid may
+    // depend on the thread count; a mismatch means determinism is broken, so
+    // fail loud.
+    const uint64_t digest = sim::GridStateDigest(*s.grid);
     if (structure.empty()) {
       structure = profile.StructureJson();
-    } else if (structure != profile.StructureJson()) {
-      std::fprintf(stderr,
-                   "FATAL: wave structure differs between thread counts\n");
+      first_digest = digest;
+    } else if (structure != profile.StructureJson() || digest != first_digest) {
+      std::fprintf(stderr, "FATAL: t=%zu built a different %s than t=%zu\n",
+                   threads, digest != first_digest ? "grid" : "wave structure",
+                   thread_counts.front());
       std::exit(1);
     }
 
@@ -127,13 +128,11 @@ void Run(const bench::Args& args) {
     const uint64_t p95 = Pct(waits, 95.0);
     const uint64_t p99 = Pct(waits, 99.0);
 
-    obs::PhaseProfiler qprof(threads);
     ParallelQueryOptions qopts;
     qopts.threads = threads;
     qopts.num_queries = queries;
     qopts.key_length = maxl;
     qopts.seed = seed + 1;
-    qopts.profiler = &qprof;
     const ParallelQueryReport query =
         RunParallelQueries(s.grid.get(), nullptr, qopts);
 
@@ -145,11 +144,9 @@ void Run(const bench::Args& args) {
                   static_cast<unsigned long long>(p50 / 1000),
                   static_cast<unsigned long long>(p95 / 1000),
                   static_cast<unsigned long long>(p99 / 1000));
-    std::printf("%7zu %7zu %9.0f %7.1f%% %7.1f%% %9.2f%% %26s %12.0f\n",
-                threads, profile.waves.size(), meet_rate,
-                100.0 * profile.SerialFraction(), 100.0 * profile.Utilization(),
-                100.0 * profile.ClaimConflictRate(), waitbuf,
-                query.queries_per_second);
+    std::printf("%7zu %7zu %9.0f %7.1f%% %7.1f%% %26s %12.0f\n", threads,
+                profile.waves.size(), meet_rate, 100.0 * profile.SerialFraction(),
+                100.0 * profile.Utilization(), waitbuf, query.queries_per_second);
 
     report.AddRow()
         .Int("threads", threads)
@@ -161,22 +158,17 @@ void Run(const bench::Args& args) {
         .Num("meetings_per_sec", meet_rate)
         .Num("serial_fraction", profile.SerialFraction())
         .Num("utilization", profile.Utilization())
-        .Num("claim_conflict_rate", profile.ClaimConflictRate())
         .Int("barrier_wait_p50_ns", p50)
         .Int("barrier_wait_p95_ns", p95)
         .Int("barrier_wait_p99_ns", p99)
-        .Int("profiler_dropped", profile.profiler_dropped)
         .Num("queries_per_sec", query.queries_per_second)
         .Num("query_utilization", query.utilization);
 
-    bench::DumpToFile("BENCH_parallel_profile_t" + std::to_string(threads) +
-                          ".folded",
-                      "collapsed stacks", profile.ToCollapsedStacks());
     last_profile = profile.ToJson();
   }
   report.WriteTo(args.GetString("json", "BENCH_parallel_profile.json"));
   bench::MaybeDumpFile(args, "profile-json", "build profile", last_profile);
-  std::printf("\n(serial = schedule + wave partition + barrier merge; "
+  std::printf("\n(serial = schedule + wave coloring + barrier merge; "
               "utilization = lane busy time / (threads x parallel wall); "
               "wave structure is byte-identical across the rows above)\n");
 }

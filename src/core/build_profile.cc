@@ -37,8 +37,6 @@ void AppendWaveStructure(std::string* out, const WaveProfile& w) {
   AppendU64(out, w.scheduled);
   out->append(", \"width\": ");
   AppendU64(out, w.width);
-  out->append(", \"conflicts\": ");
-  AppendU64(out, w.conflicts);
 }
 
 }  // namespace
@@ -73,17 +71,6 @@ double BuildProfile::Utilization() const {
   if (run == 0 || threads == 0) return 0.0;
   return static_cast<double>(BusyNs()) /
          (static_cast<double>(threads) * static_cast<double>(run));
-}
-
-double BuildProfile::ClaimConflictRate() const {
-  uint64_t scheduled = 0;
-  uint64_t conflicts = 0;
-  for (const WaveProfile& w : waves) {
-    scheduled += w.scheduled;
-    conflicts += w.conflicts;
-  }
-  if (scheduled == 0) return 0.0;
-  return static_cast<double>(conflicts) / static_cast<double>(scheduled);
 }
 
 std::vector<uint64_t> BuildProfile::BarrierWaitSamplesNs() const {
@@ -121,8 +108,6 @@ std::string BuildProfile::ToJson() const {
   AppendDouble(&out, SerialFraction());
   out.append(", \"utilization\": ");
   AppendDouble(&out, Utilization());
-  out.append(", \"claim_conflict_rate\": ");
-  AppendDouble(&out, ClaimConflictRate());
   out.append(", \"barrier_wait_ns\": {\"samples\": ");
   AppendU64(&out, waits.size());
   out.append(", \"p50\": ");
@@ -131,9 +116,7 @@ std::string BuildProfile::ToJson() const {
   AppendU64(&out, PercentileNs(waits, 95.0));
   out.append(", \"p99\": ");
   AppendU64(&out, PercentileNs(waits, 99.0));
-  out.append("}, \"profiler_dropped\": ");
-  AppendU64(&out, profiler_dropped);
-  out.append(", \"waves_detail\": [");
+  out.append("}, \"waves_detail\": [");
   for (size_t i = 0; i < waves.size(); ++i) {
     const WaveProfile& w = waves[i];
     if (i > 0) out.append(", ");
@@ -163,43 +146,6 @@ std::string BuildProfile::StructureJson() const {
     out.append("}");
   }
   out.append("]}");
-  return out;
-}
-
-std::string BuildProfile::ToCollapsedStacks() const {
-  // Fold the same accounting as ToJson into flamegraph stacks. Per-lane busy
-  // and barrier-wait are summed over waves so lane imbalance shows up as
-  // differing frame widths.
-  uint64_t color = 0;
-  uint64_t gather = 0;
-  for (const WaveProfile& w : waves) {
-    color += w.color_ns;
-    gather += w.merge_ns;
-  }
-  std::vector<uint64_t> busy(threads, 0);
-  std::vector<uint64_t> wait(threads, 0);
-  for (const WaveProfile& w : waves) {
-    for (size_t l = 0; l < w.lane_busy_ns.size() && l < threads; ++l) {
-      busy[l] += w.lane_busy_ns[l];
-      wait[l] += w.run_ns > w.lane_busy_ns[l] ? w.run_ns - w.lane_busy_ns[l] : 0;
-    }
-  }
-  std::string out;
-  auto line = [&out](const std::string& stack, uint64_t v) {
-    out.append(stack);
-    out.push_back(' ');
-    AppendU64(&out, v);
-    out.push_back('\n');
-  };
-  line("build;serial;schedule", schedule_ns);
-  line("build;serial;wave_color", color);
-  line("build;serial;wave_merge", gather);
-  line("build;serial;batch_merge", merge_ns);
-  for (size_t l = 0; l < threads; ++l) {
-    const std::string lane = "lane" + std::to_string(l);
-    line("build;wave_run;" + lane + ";busy", busy[l]);
-    line("build;wave_run;" + lane + ";barrier_wait", wait[l]);
-  }
   return out;
 }
 

@@ -4,14 +4,13 @@
 // The parallel builder (core/parallel_builder.h) alternates serial phases
 // (schedule drawing, wave coloring, barrier merges) with parallel waves. When
 // profiling is on it fills one WaveProfile per wave: the wave's structure
-// (batch/wave ordinals, items scheduled, wave width, conflicts -- 0 ever since
-// the edge-colored schedule replaced greedy claiming) plus its timings
-// (color/run/merge wall time and per-lane busy time inside the wave).
-// Structure is a function of (seed, batch_size) only -- the coloring runs
-// serially -- so StructureJson() is byte-identical across thread counts and
-// runs, which tests/parallel_builder_test.cc pins. Timings obviously vary; the
-// derived quantities (serial fraction, utilization, barrier-wait distribution,
-// claim-conflict rate) are what the scaling analysis consumes.
+// (batch/wave ordinals, items scheduled, wave width) plus its timings
+// (color/run/merge wall time, and the busy-nanosecond sum each lane kept
+// while the wave ran). Structure is a function of (seed, batch_size) only --
+// the coloring runs serially -- so StructureJson() is byte-identical across
+// thread counts and runs, which tests/parallel_builder_test.cc pins. Timings
+// vary; the derived quantities (serial fraction, utilization, barrier-wait
+// distribution) are what the scaling analysis consumes.
 //
 // Amdahl bookkeeping:
 //   serial_ns    = schedule_ns + merge_ns + sum(color_ns) + sum(wave merge_ns)
@@ -19,8 +18,7 @@
 //   busy_ns      = sum over waves and lanes of exchange execution time
 //   barrier wait = run_ns(wave) - lane_busy_ns(wave, lane), per lane per wave
 //
-// ToJson() is the full report (schema in docs/observability.md);
-// ToCollapsedStacks() renders the same accounting as flamegraph input.
+// ToJson() is the full report (schema in docs/observability.md).
 
 #pragma once
 
@@ -37,21 +35,20 @@ struct WaveProfile {
   uint64_t wave = 0;       ///< wave ordinal within the build (0-based, global)
   uint64_t scheduled = 0;  ///< work items pending when the round was colored
   uint64_t width = 0;      ///< items that ran in this wave
-  uint64_t conflicts = 0;  ///< claim retries; 0 under the edge-colored schedule
   uint64_t color_ns = 0;   ///< serial: edge coloring (first wave of each round)
   uint64_t run_ns = 0;     ///< wall time of the wave's ParallelFor
   uint64_t merge_ns = 0;   ///< serial: slot-order deferred gather at the barrier
-  /// Exchange execution time per lane inside run_ns (size = thread count).
+  /// Exchange execution time per lane inside run_ns (size = thread count): the
+  /// lane's busy-nanosecond sum, read and reset at the wave barrier.
   std::vector<uint64_t> lane_busy_ns;
 };
 
 /// Whole-build profile: per-wave records plus the serial phases around them.
 struct BuildProfile {
   size_t threads = 1;
-  uint64_t schedule_ns = 0;       ///< serial NextBatch time, all batches
-  uint64_t merge_ns = 0;          ///< serial: per-batch lane-shard ledger folds
-  uint64_t total_ns = 0;          ///< wall time of the whole build call
-  uint64_t profiler_dropped = 0;  ///< lane-buffer overflow events (0 = exact)
+  uint64_t schedule_ns = 0;  ///< serial NextBatch time, all batches
+  uint64_t merge_ns = 0;     ///< serial: per-batch lane-shard ledger folds
+  uint64_t total_ns = 0;     ///< wall time of the whole build call
   std::vector<WaveProfile> waves;
 
   uint64_t SerialNs() const;  ///< schedule + color + wave/batch merges
@@ -65,10 +62,6 @@ struct BuildProfile {
   /// useful work (0 when RunNs == 0).
   double Utilization() const;
 
-  /// Fraction of scheduled items that hit a claim retry. Identically 0 with the
-  /// precomputed wave schedule; kept so the scaling guard can pin it there.
-  double ClaimConflictRate() const;
-
   /// Barrier wait per (wave, lane): wave run wall time minus the lane's busy
   /// time, clamped at 0. One sample per lane per wave, wave-major order.
   std::vector<uint64_t> BarrierWaitSamplesNs() const;
@@ -77,14 +70,10 @@ struct BuildProfile {
   /// per-wave array. Deterministic modulo timings.
   std::string ToJson() const;
 
-  /// Structure only (batch/wave/scheduled/width/conflicts per wave; no timings,
+  /// Structure only (batch/wave/scheduled/width per wave; no timings,
   /// no thread count): byte-identical across thread counts for a fixed
   /// (seed, batch_size).
   std::string StructureJson() const;
-
-  /// Flamegraph input ("build;wave;run;lane0;busy 1234" lines) of the same
-  /// accounting. Sorted by stack, so deterministic given deterministic timings.
-  std::string ToCollapsedStacks() const;
 };
 
 }  // namespace pgrid

@@ -99,8 +99,8 @@ void ChurnDriver::Revive(PeerId peer) {
 PeerId ChurnDriver::Join(size_t count, double online_prob) {
   const PeerId first = static_cast<PeerId>(grid_->size());
   if (count == 0) return first;
-  // One batched grow for the whole wave (see Round): per-peer AddPeer() would
-  // rebuild the grid's atomic load vector per joiner.
+  // One batched grow for the whole wave: AddPeer() per joiner rebuilds the
+  // grid's atomic load vector each time, turning mass joins quadratic.
   grid_->AddPeers(count);
   for (size_t i = 0; i < count; ++i) {
     online_->AddPeer(online_prob, rng_);
@@ -130,18 +130,8 @@ ChurnRound ChurnDriver::Round(const ChurnConfig& config) {
     round.handover_entries += Retire(RandomLivePeer(), /*graceful=*/true);
     ++round.left_gracefully;
   }
-  if (joins > 0) {
-    // One batched grow for the whole wave: AddPeer() per joiner rebuilds the
-    // grid's atomic load vector each time, turning mass joins quadratic.
-    grid_->AddPeers(joins);
-    for (size_t i = 0; i < joins; ++i) {
-      online_->AddPeer(config.join_online_prob, rng_);
-      dead_.push_back(0);
-      ++live_count_;
-      ++round.joined;
-    }
-  }
-  scheduler_->SetNumPeers(grid_->size());
+  Join(joins, config.join_online_prob);
+  round.joined = joins;
 
   for (size_t m = 0; m < config.meetings_per_round; ++m) {
     Meeting meeting = scheduler_->Next(rng_);

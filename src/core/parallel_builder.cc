@@ -27,8 +27,6 @@ ParallelGridBuilder::ParallelGridBuilder(Grid* grid, ExchangeEngine* exchange,
   if (options_.profile) {
     profile_ = std::make_unique<BuildProfile>();
     profile_->threads = pool_.threads();
-    profiler_ = std::make_unique<obs::PhaseProfiler>(pool_.threads());
-    phase_exchange_ = profiler_->RegisterPhase("exchange");
   }
 }
 
@@ -46,11 +44,9 @@ BuildReport ParallelGridBuilder::BuildToAverageDepth(double target_avg_depth,
     // batches were executed.
     std::vector<Meeting> meetings;
     meetings.reserve(batch);
-    const uint64_t t_schedule = profile_ != nullptr ? profiler_->NowNs() : 0;
+    const uint64_t t_schedule = profile_ != nullptr ? MonotonicNs() : 0;
     scheduler_->NextBatch(master_, batch, &meetings);
-    if (profile_ != nullptr) {
-      profile_->schedule_ns += profiler_->NowNs() - t_schedule;
-    }
+    if (profile_ != nullptr) profile_->schedule_ns += MonotonicNs() - t_schedule;
     std::vector<WorkItem> items;
     items.reserve(batch);
     for (const Meeting& m : meetings) items.push_back({m.a, m.b, /*depth=*/0});
@@ -64,7 +60,6 @@ BuildReport ParallelGridBuilder::BuildToAverageDepth(double target_avg_depth,
   report.seconds = watch.ElapsedSeconds();
   if (profile_ != nullptr) {
     profile_->total_ns += static_cast<uint64_t>(report.seconds * 1e9);
-    profile_->profiler_dropped = profiler_->dropped();
   }
   return report;
 }
@@ -102,12 +97,12 @@ void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
   while (!items.empty()) {
     // Color the round: every item lands in exactly one conflict-free wave, as a
     // pure function of the item list (core/wave_schedule.h).
-    const uint64_t t_color = prof ? profiler_->NowNs() : 0;
+    const uint64_t t_color = prof ? MonotonicNs() : 0;
     edges.clear();
     edges.reserve(items.size());
     for (const WorkItem& it : items) edges.push_back({it.a, it.b});
     schedule_.Color(edges);
-    const uint64_t color_ns = prof ? profiler_->NowNs() - t_color : 0;
+    const uint64_t color_ns = prof ? MonotonicNs() - t_color : 0;
 
     next.clear();
     for (size_t w = 0; w < schedule_.num_waves(); ++w) {
@@ -122,13 +117,12 @@ void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
         wp->wave = wave_ordinal_++;
         wp->scheduled = items.size();
         wp->width = wave.size();
-        wp->conflicts = 0;  // by construction of the coloring
         if (w == 0) wp->color_ns = color_ns;
       }
 
-      const uint64_t t_run = prof ? profiler_->NowNs() : 0;
+      const uint64_t t_run = prof ? MonotonicNs() : 0;
       pool_.ParallelFor(wave.size(), [&](size_t i, size_t lane) {
-        const uint64_t t_item = prof ? profiler_->NowNs() : 0;
+        const uint64_t t_item = prof ? MonotonicNs() : 0;
         Slot& slot = *slots_[i];
         Lane& sink = lanes_[lane];
         ExchangeShard shard;
@@ -138,24 +132,19 @@ void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
         const WorkItem& it = items[wave[i]];
         exchange_->ExchangeSharded(it.a, it.b, it.depth, &shard);
         sink.path_bits += shard.path_bits;
-        if (prof) {
-          profiler_->Record(lane, phase_exchange_, t_item,
-                            profiler_->NowNs() - t_item, wp->wave);
-        }
+        if (prof) sink.busy_ns += MonotonicNs() - t_item;
       });
 
       uint64_t t_gather = 0;
       if (prof) {
-        const uint64_t now = profiler_->NowNs();
-        wp->run_ns = now - t_run;
+        wp->run_ns = MonotonicNs() - t_run;
         // The pool join above is the happens-before edge; lanes are quiescent.
-        wp->lane_busy_ns.assign(pool_.threads(), 0);
-        for (size_t lane = 0; lane < pool_.threads(); ++lane) {
-          for (const obs::PhaseProfiler::Event& e : profiler_->DrainLane(lane)) {
-            wp->lane_busy_ns[lane] += e.dur_ns;
-          }
+        wp->lane_busy_ns.resize(lanes_.size());
+        for (size_t lane = 0; lane < lanes_.size(); ++lane) {
+          wp->lane_busy_ns[lane] = lanes_[lane].busy_ns;
+          lanes_[lane].busy_ns = 0;
         }
-        t_gather = profiler_->NowNs();
+        t_gather = MonotonicNs();
       }
 
       // Wave barrier: only the recursion captures need ordering here. The
@@ -168,7 +157,7 @@ void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
         }
         slot.deferred.clear();
       }
-      if (prof) wp->merge_ns = profiler_->NowNs() - t_gather;
+      if (prof) wp->merge_ns = MonotonicNs() - t_gather;
     }
     std::swap(items, next);
   }
@@ -177,7 +166,7 @@ void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
   // order. The sums are commutative, so which lane ran which item (the only
   // timing-dependent quantity left) cannot affect the result. O(threads) serial
   // work per batch, where the old slot-order fold was O(slots) per wave.
-  const uint64_t t_merge = prof ? profiler_->NowNs() : 0;
+  const uint64_t t_merge = prof ? MonotonicNs() : 0;
   uint64_t path_bits = 0;
   for (Lane& lane : lanes_) {
     grid_->stats().MergeFrom(lane.stats);
@@ -186,7 +175,7 @@ void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
     lane.path_bits = 0;
   }
   if (path_bits > 0) grid_->NotePathGrowth(path_bits);
-  if (prof) profile_->merge_ns += profiler_->NowNs() - t_merge;
+  if (prof) profile_->merge_ns += MonotonicNs() - t_merge;
 }
 
 }  // namespace pgrid

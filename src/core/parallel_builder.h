@@ -10,12 +10,11 @@
 //      master RNG, serially, before any execution. The schedule never depends on
 //      how the previous batch was executed, only on how many meetings it held.
 //   2. Conflict-free waves by edge coloring. The batch's meetings are the edges
-//      of a multigraph over peers; a serial Misra-Gries edge coloring
-//      (core/wave_schedule.h) partitions them into color classes in which no
-//      peer appears twice. Each class is a wave the pool executes with zero
-//      claim traffic -- the conflict handling that used to run as a greedy
-//      claim scan inside every wave (at a measured ~68% conflict rate) is now
-//      precomputed, once per round, as a pure function of the item list.
+//      of a multigraph over peers; a serial first-fit edge coloring
+//      (core/wave_schedule.h) puts each meeting, in input order, into the
+//      lowest wave that holds neither of its peers. Each wave is executed by
+//      the pool with zero claim traffic: the conflict handling is computed
+//      once per round, as a pure function of the item list.
 //   3. Per-slot streams. Wave slot i owns a persistent Rng seeded as stream i of a
 //      value drawn once from the master (util/rng.h DeriveStreamSeed). The wave
 //      partition -- and therefore the item -> slot assignment -- is computed
@@ -52,7 +51,6 @@
 #include "core/grid.h"
 #include "core/grid_builder.h"
 #include "core/wave_schedule.h"
-#include "obs/profiler.h"
 #include "sim/meeting_scheduler.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -70,7 +68,7 @@ struct ParallelBuildOptions {
 
   /// Collect a per-wave BuildProfile (core/build_profile.h). Off by default:
   /// the profiled run times every wave and every exchange, which is cheap
-  /// (lane-local buffers, no atomics) but not free. Never affects the result.
+  /// (a lane-local sum, no atomics) but not free. Never affects the result.
   bool profile = false;
 };
 
@@ -126,10 +124,12 @@ class ParallelGridBuilder {
 
   /// Additive ledger shard of one execution lane. Which lane runs which item is
   /// timing-dependent, but these sums are commutative, so the once-per-batch
-  /// lane-order fold into the grid is deterministic regardless.
+  /// lane-order fold into the grid is deterministic regardless. `busy_ns` (kept
+  /// only when profiling) is the lane's exchange time in the current wave.
   struct Lane {
     MessageStats stats;
     uint64_t path_bits = 0;
+    uint64_t busy_ns = 0;
   };
 
   /// Ensures slots_ covers indices [0, n).
@@ -154,12 +154,8 @@ class ParallelGridBuilder {
   /// The per-round conflict-free partition (scratch reused across rounds).
   WaveSchedule schedule_;
 
-  // Profiling state; all null / unused when options.profile is false. The
-  // profiler's lane buffers collect per-exchange timings inside a wave and are
-  // drained at the wave barrier into the current WaveProfile.
+  // Profiling state; null / unused when options.profile is false.
   std::unique_ptr<BuildProfile> profile_;
-  std::unique_ptr<obs::PhaseProfiler> profiler_;
-  int phase_exchange_ = 0;
   uint64_t batch_ordinal_ = 0;
   uint64_t wave_ordinal_ = 0;
 };

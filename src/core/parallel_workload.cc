@@ -41,13 +41,11 @@ ParallelQueryReport RunParallelQueries(Grid* grid, const OnlineModel* online,
         std::min<uint64_t>(options.chunk_size, options.num_queries - chunks[c].first);
   }
 
-  obs::PhaseProfiler* prof = options.profiler;
-  if (prof != nullptr) PGRID_CHECK(prof->lanes() >= options.threads);
-  const int phase_chunk = prof != nullptr ? prof->RegisterPhase("query.chunk") : 0;
-
+  // One busy sum per lane; a lane is the only writer of its own slot.
+  report.lane_busy_ns.assign(options.threads, 0);
   ThreadPool pool(options.threads);
   pool.ParallelFor(chunks.size(), [&](size_t ci, size_t lane) {
-    const uint64_t t_chunk = prof != nullptr ? prof->NowNs() : 0;
+    const uint64_t t_chunk = MonotonicNs();
     Chunk& chunk = chunks[ci];
     // One engine per chunk: its Rng is reseeded per query with the query's own
     // counter-derived stream, and its kQuery accounting lands in the chunk shard.
@@ -63,9 +61,7 @@ ParallelQueryReport RunParallelQueries(Grid* grid, const OnlineModel* online,
       if (result.found) ++chunk.found;
       chunk.messages += result.messages;
     }
-    if (prof != nullptr) {
-      prof->Record(lane, phase_chunk, t_chunk, prof->NowNs() - t_chunk, ci);
-    }
+    report.lane_busy_ns[lane] += MonotonicNs() - t_chunk;
   });
 
   // Ordered barrier merge: the grid ledger sees chunk shards in chunk order.
@@ -79,22 +75,14 @@ ParallelQueryReport RunParallelQueries(Grid* grid, const OnlineModel* online,
       report.seconds > 0.0
           ? static_cast<double>(report.queries) / report.seconds
           : 0.0;
-  if (prof != nullptr) {
-    // The pool join gives the happens-before edge; lanes are quiescent here.
-    report.lane_busy_ns.assign(options.threads, 0);
-    uint64_t busy = 0;
-    for (size_t lane = 0; lane < options.threads; ++lane) {
-      for (const obs::PhaseProfiler::Event& e : prof->DrainLane(lane)) {
-        report.lane_busy_ns[lane] += e.dur_ns;
-      }
-      busy += report.lane_busy_ns[lane];
-    }
-    const double wall_ns = report.seconds * 1e9;
-    report.utilization =
-        wall_ns > 0.0 ? static_cast<double>(busy) /
-                            (static_cast<double>(options.threads) * wall_ns)
-                      : 0.0;
-  }
+  // The pool join gives the happens-before edge on the lane sums.
+  uint64_t busy = 0;
+  for (uint64_t lane_ns : report.lane_busy_ns) busy += lane_ns;
+  const double wall_ns = report.seconds * 1e9;
+  report.utilization =
+      wall_ns > 0.0 ? static_cast<double>(busy) /
+                          (static_cast<double>(options.threads) * wall_ns)
+                    : 0.0;
   return report;
 }
 

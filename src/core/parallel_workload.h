@@ -17,6 +17,10 @@
 // Per-peer load counters (Grid::NoteServed) are relaxed atomics recorded in place:
 // sums are exact and thread-count independent, which is all the load-balance
 // statistics consume.
+//
+// Every run also times its chunks: each lane sums the nanoseconds it spent in
+// chunks, and the report turns the sums into per-lane busy time and a
+// utilization. Timing never affects found/message counts.
 
 #pragma once
 
@@ -25,7 +29,6 @@
 #include <vector>
 
 #include "core/grid.h"
-#include "obs/profiler.h"
 #include "sim/online_model.h"
 
 namespace pgrid {
@@ -46,12 +49,6 @@ struct ParallelQueryOptions {
   /// Queries per accounting shard. Part of the deterministic layout; must never
   /// be derived from the thread count.
   size_t chunk_size = 64;
-
-  /// Optional phase profiler with at least `threads` lanes: each chunk records
-  /// its execution time on its lane, and the report's lane_busy_ns/utilization
-  /// are filled from the drained buffers. Null = profiling off (the default);
-  /// never affects found/message counts.
-  obs::PhaseProfiler* profiler = nullptr;
 };
 
 /// Aggregate outcome of one parallel query run.
@@ -62,9 +59,9 @@ struct ParallelQueryReport {
   double seconds = 0.0;
   double queries_per_second = 0.0;
 
-  /// Per-lane query execution time (size = threads); empty without a profiler.
+  /// Per-lane chunk execution time (size = threads; empty for zero queries).
   std::vector<uint64_t> lane_busy_ns;
-  /// sum(lane_busy_ns) / (threads * wall time); 0 without a profiler.
+  /// sum(lane_busy_ns) / (threads * wall time).
   double utilization = 0.0;
 };
 

@@ -1,6 +1,7 @@
 #include "core/wave_schedule.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/macros.h"
 
@@ -18,169 +19,10 @@ uint32_t WaveSchedule::DenseId(PeerId peer) {
   return dense_[peer];
 }
 
-uint32_t WaveSchedule::FreeColor(uint32_t v) const {
-  for (uint32_t c = 0; c < palette_; ++c) {
-    if (EdgeAt(v, c) == kNone) return c;
-  }
-  return kNone;
-}
-
-void WaveSchedule::Assign(uint32_t e, uint32_t to) {
-  const uint32_t from = color_[e];
-  if (from != kNone) {
-    SetEdgeAt(edge_u_[e], from, kNone);
-    SetEdgeAt(edge_v_[e], from, kNone);
-  }
-  color_[e] = to;
-  if (to != kNone) {
-    PGRID_DCHECK(EdgeAt(edge_u_[e], to) == kNone);
-    PGRID_DCHECK(EdgeAt(edge_v_[e], to) == kNone);
-    SetEdgeAt(edge_u_[e], to, e);
-    SetEdgeAt(edge_v_[e], to, e);
-  }
-}
-
-void WaveSchedule::GrowPalette(uint32_t colors) {
-  if (colors <= palette_cap_) {
-    palette_ = colors;
-    return;
-  }
-  const uint32_t cap = std::max(colors, palette_cap_ * 2);
-  std::vector<uint32_t> grown(static_cast<size_t>(num_vertices_) * cap, kNone);
-  for (uint32_t v = 0; v < num_vertices_; ++v) {
-    std::copy(at_.begin() + static_cast<size_t>(v) * palette_cap_,
-              at_.begin() + static_cast<size_t>(v) * palette_cap_ + palette_,
-              grown.begin() + static_cast<size_t>(v) * cap);
-  }
-  at_ = std::move(grown);
-  palette_cap_ = cap;
-  palette_ = colors;
-}
-
-void WaveSchedule::InvertPath(uint32_t u, uint32_t c, uint32_t d) {
-  // The maximal path from u alternating d, c, d, ... is simple: a proper
-  // coloring gives every vertex at most one edge of each color, and only the
-  // start vertex u lacks the "arrived on the other color" edge.
-  path_.clear();
-  uint32_t x = u;
-  uint32_t col = d;
-  for (;;) {
-    const uint32_t pe = EdgeAt(x, col);
-    if (pe == kNone) break;
-    path_.push_back(pe);
-    x = edge_u_[pe] == x ? edge_v_[pe] : edge_u_[pe];
-    col = col == d ? c : d;
-  }
-  // Uncolor everything first so the at_ tables never hold two edges per slot
-  // mid-swap; then re-add with c and d exchanged.
-  for (const uint32_t pe : path_) Assign(pe, kNone);
-  for (size_t i = 0; i < path_.size(); ++i) {
-    Assign(path_[i], i % 2 == 0 ? c : d);
-  }
-}
-
-void WaveSchedule::RotateAndColor(size_t j, uint32_t d) {
-  rotate_colors_.resize(j + 1);
-  for (size_t i = 0; i < j; ++i) rotate_colors_[i] = color_[fan_edge_[i + 1]];
-  rotate_colors_[j] = d;
-  // fan_edge_[0] is the edge being colored and is already uncolored.
-  for (size_t i = 1; i <= j; ++i) Assign(fan_edge_[i], kNone);
-  for (size_t i = 0; i <= j; ++i) Assign(fan_edge_[i], rotate_colors_[i]);
-}
-
-bool WaveSchedule::TryMisraGries(uint32_t e) {
-  const uint32_t u = edge_u_[e];
-  const uint32_t v = edge_v_[e];
-
-  // Maximal fan of u: fan_[0] = v; fan_[i] (i >= 1) joins through a colored
-  // edge (u, fan_[i]) whose color is free at fan_[i-1]; vertices are distinct.
-  // Candidate colors are scanned ascending, so the fan -- like everything else
-  // here -- is a deterministic function of the current coloring.
-  ++fan_round_;
-  if (fan_round_ == 0) {
-    std::fill(in_fan_stamp_.begin(), in_fan_stamp_.end(), 0);
-    fan_round_ = 1;
-  }
-  if (in_fan_stamp_.size() < num_vertices_) {
-    in_fan_stamp_.resize(num_vertices_, 0);
-  }
-  fan_.clear();
-  fan_edge_.clear();
-  fan_.push_back(v);
-  fan_edge_.push_back(e);
-  in_fan_stamp_[v] = fan_round_;
-  in_fan_stamp_[u] = fan_round_;
-  for (;;) {
-    const uint32_t tail = fan_.back();
-    bool extended = false;
-    for (uint32_t c = 0; c < palette_; ++c) {
-      if (EdgeAt(tail, c) != kNone) continue;  // c not free at the fan tail
-      const uint32_t cand = EdgeAt(u, c);
-      if (cand == kNone) continue;  // no colored edge at u to shift down
-      const uint32_t w = edge_u_[cand] == u ? edge_v_[cand] : edge_u_[cand];
-      if (in_fan_stamp_[w] == fan_round_) continue;
-      fan_.push_back(w);
-      fan_edge_.push_back(cand);
-      in_fan_stamp_[w] = fan_round_;
-      extended = true;
-      break;
-    }
-    if (!extended) break;
-  }
-
-  const uint32_t c = FreeColor(u);
-  const uint32_t d = FreeColor(fan_.back());
-  // Both exist unconditionally: any vertex touches at most max_degree_ colored
-  // edges and the palette holds at least max_degree_ + 1 colors.
-  PGRID_CHECK(c != kNone && d != kNone);
-
-  if (EdgeAt(u, d) == kNone) {  // covers c == d
-    RotateAndColor(fan_.size() - 1, d);
-    return true;
-  }
-
-  InvertPath(u, c, d);
-  // d is now free at u (its d-edge was the path head, recolored c). Take the
-  // first fan vertex with d free inside the longest prefix that is still a
-  // valid fan under the inverted coloring; Vizing/Misra-Gries guarantees one
-  // exists for simple graphs.
-  for (size_t j = 0; j < fan_.size(); ++j) {
-    if (j > 0) {
-      const uint32_t ce = color_[fan_edge_[j]];
-      if (ce == kNone || EdgeAt(fan_[j - 1], ce) != kNone) break;
-    }
-    if (EdgeAt(fan_[j], d) == kNone) {
-      RotateAndColor(j, d);
-      return true;
-    }
-  }
-  return false;
-}
-
-void WaveSchedule::ColorEdge(uint32_t e) {
-  if (TryMisraGries(e)) return;
-  // Parallel-edge fallback: the smallest color free at both endpoints, growing
-  // the palette beyond max_degree + 1 when the Vizing palette has none (the
-  // multigraph bound is max_degree + max_multiplicity).
-  const uint32_t u = edge_u_[e];
-  const uint32_t v = edge_v_[e];
-  for (uint32_t c = 0;; ++c) {
-    if (c >= palette_) {
-      GrowPalette(c + 1);
-      ++fallback_colors_;
-    }
-    if (EdgeAt(u, c) == kNone && EdgeAt(v, c) == kNone) {
-      Assign(e, c);
-      return;
-    }
-  }
-}
-
 void WaveSchedule::Color(const std::vector<WaveEdge>& edges) {
   waves_.clear();
   num_edges_ = edges.size();
   max_degree_ = 0;
-  fallback_colors_ = 0;
   if (edges.empty()) return;
 
   ++round_;
@@ -192,13 +34,11 @@ void WaveSchedule::Color(const std::vector<WaveEdge>& edges) {
   const uint32_t n = static_cast<uint32_t>(edges.size());
   edge_u_.resize(n);
   edge_v_.resize(n);
-  color_.assign(n, kNone);
   for (uint32_t e = 0; e < n; ++e) {
     PGRID_CHECK(edges[e].a != edges[e].b);
     edge_u_[e] = DenseId(edges[e].a);
     edge_v_[e] = DenseId(edges[e].b);
   }
-
   degree_.assign(num_vertices_, 0);
   for (uint32_t e = 0; e < n; ++e) {
     ++degree_[edge_u_[e]];
@@ -206,24 +46,23 @@ void WaveSchedule::Color(const std::vector<WaveEdge>& edges) {
   }
   max_degree_ = *std::max_element(degree_.begin(), degree_.end());
 
-  palette_ = static_cast<uint32_t>(max_degree_) + 1;
-  if (palette_ > palette_cap_) palette_cap_ = palette_;
-  at_.assign(static_cast<size_t>(num_vertices_) * palette_cap_, kNone);
-
-  for (uint32_t e = 0; e < n; ++e) ColorEdge(e);
-
-  // Waves are the nonempty color classes, ascending by color; items inside a
-  // wave keep their input order. Both orders are part of the deterministic
-  // contract (slot assignment follows wave position).
-  std::vector<uint32_t> wave_of(palette_, kNone);
-  for (uint32_t e = 0; e < n; ++e) wave_of[color_[e]] = 0;
-  for (uint32_t c = 0; c < palette_; ++c) {
-    if (wave_of[c] == kNone) continue;
-    wave_of[c] = static_cast<uint32_t>(waves_.size());
-    waves_.emplace_back();
-  }
+  // First fit never opens more than 2 * max_degree - 1 waves, so that many bits
+  // per vertex always hold a free one for the next edge.
+  const size_t words = (2 * max_degree_ - 1 + 63) / 64;
+  used_.assign(static_cast<size_t>(num_vertices_) * words, 0);
   for (uint32_t e = 0; e < n; ++e) {
-    waves_[wave_of[color_[e]]].push_back(e);
+    uint64_t* u = &used_[edge_u_[e] * words];
+    uint64_t* v = &used_[edge_v_[e] * words];
+    size_t word = 0;
+    while ((u[word] | v[word]) == ~uint64_t{0}) ++word;
+    PGRID_DCHECK(word < words);
+    const int bit = std::countr_one(u[word] | v[word]);
+    u[word] |= uint64_t{1} << bit;
+    v[word] |= uint64_t{1} << bit;
+    // Every lower wave holds an earlier edge, so a new wave is always the next.
+    const size_t w = word * 64 + static_cast<size_t>(bit);
+    if (w == waves_.size()) waves_.emplace_back();
+    waves_[w].push_back(e);
   }
 }
 

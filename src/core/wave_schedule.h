@@ -1,42 +1,30 @@
-// Conflict-free wave scheduling via deterministic edge coloring.
+// Conflict-free wave scheduling by first-fit edge coloring.
 //
 // The parallel builder (core/parallel_builder.h) executes a batch of meetings
 // concurrently, but two meetings that share a peer mutate the same PeerState
-// and therefore must not run in the same wave. PR 3 solved this with a greedy
-// per-wave claim loop: every wave re-scanned the remaining items and admitted
-// those whose endpoints were still unclaimed. That discovers a legal partition,
-// but badly: at realistic batch sizes ~68% of scan visits hit an already
-// claimed endpoint (the profiler's claim-conflict rate), the tail waves shrink
-// to a handful of items (pure barrier overhead), and the scan itself is serial
-// work repeated once per wave.
-//
-// This module replaces discovery with computation. A batch of meetings is a
+// and therefore must not run in the same wave. A batch of meetings is a
 // multigraph over peers -- meetings are edges, peers are vertices -- and a
-// partition into conflict-free waves is exactly a proper *edge coloring*: no
-// two edges of one color share a vertex, so each color class is a wave the
-// thread pool can execute with zero claim traffic. The coloring runs serially,
-// once per round, and is a pure function of the item list (no RNG, no
-// dependence on thread count or timing), so the wave structure -- and with it
-// the item -> slot assignment that drives the deterministic per-slot RNG
-// streams -- is part of the schedule, never of the execution.
+// partition into conflict-free waves is a proper edge coloring: no two edges
+// of one color share a vertex, so each color class is a wave the thread pool
+// can execute with no claim traffic. The coloring runs serially, once per
+// round, and is a pure function of the item list (no RNG, no dependence on
+// thread count or timing), so the wave structure -- and with it the item ->
+// slot assignment that drives the deterministic per-slot RNG streams -- is
+// part of the schedule, never of the execution.
 //
-// Algorithm: Misra & Gries (1992), the constructive form of Vizing's theorem.
-// Edges are processed in input order; each uncolored edge (u, v) builds a
-// maximal fan of u, inverts one cd-alternating path, rotates the fan, and
-// colors the edge -- all with colors from a palette of max_degree() + 1. For
-// *simple* batches (no repeated pair) this yields the Vizing bound:
+// Algorithm: first fit in input order. Each edge takes the lowest wave that
+// holds neither of its peers. An edge meets at most 2 * (max_degree() - 1)
+// other edges, so
 //
-//     waves() <= max_degree() + 1
+//     waves() <= 2 * max_degree() - 1
 //
-// which is within one of the trivial lower bound max_degree(). Batches may
-// contain parallel edges (the same pair drawn twice); Vizing's bound for
-// multigraphs is max_degree + max_multiplicity, and the fan argument can fail
-// on such edges, in which case the edge falls back to the smallest color free
-// at both endpoints, growing the palette when none exists (counted in
-// fallback_colors()). tests/wave_schedule_test.cc pins the simple-batch bound,
-// the multigraph behavior, validity, completeness, and determinism.
+// for simple batches and multigraphs alike, against the lower bound
+// max_degree(). On builder-shaped batches (a few hundred meetings over a far
+// larger community) first fit lands within one of max_degree() in practice;
+// tests/wave_schedule_test.cc pins the first-fit rule, both bounds, validity,
+// completeness and determinism.
 //
-// Scratch state (per-peer stamps, palettes) is retained across Color() calls
+// Scratch state (per-peer stamps, wave masks) is retained across Color() calls
 // so a builder can reschedule every round without reallocating; none of it
 // leaks into the result.
 
@@ -66,13 +54,13 @@ class WaveSchedule {
   WaveSchedule(const WaveSchedule&) = delete;
   WaveSchedule& operator=(const WaveSchedule&) = delete;
 
-  /// Edge-colors `edges` and replaces the previous schedule. Deterministic: the
-  /// waves are a pure function of the edge list (order included). Self-loops
-  /// (a == b) are rejected by PGRID_CHECK; the exchange algorithm never
-  /// produces them.
+  /// Colors `edges` first fit and replaces the previous schedule.
+  /// Deterministic: the waves are a pure function of the edge list (order
+  /// included). Self-loops (a == b) are rejected by PGRID_CHECK; the exchange
+  /// algorithm never produces them.
   void Color(const std::vector<WaveEdge>& edges);
 
-  /// Number of waves (color classes with at least one edge).
+  /// Number of waves (every wave holds at least one edge).
   size_t num_waves() const { return waves_.size(); }
 
   /// Item indices of wave `w`, ascending (== input order within the wave).
@@ -82,76 +70,26 @@ class WaveSchedule {
   size_t num_edges() const { return num_edges_; }
 
   /// Maximum vertex degree of the batch multigraph, counting multiplicity.
-  /// For simple batches num_waves() <= max_degree() + 1 (Vizing).
+  /// num_waves() <= 2 * max_degree() - 1 for a nonempty batch.
   size_t max_degree() const { return max_degree_; }
 
-  /// Colors introduced beyond the max_degree() + 1 palette because a parallel
-  /// edge defeated the fan argument. 0 for every simple batch.
-  size_t fallback_colors() const { return fallback_colors_; }
-
  private:
-  static constexpr uint32_t kNone = 0xffffffffu;
-
   /// Dense vertex id of `peer`, assigning one on first sight this round.
   uint32_t DenseId(PeerId peer);
 
-  /// Smallest color in [0, palette_) with no edge at vertex `v`.
-  uint32_t FreeColor(uint32_t v) const;
-
-  /// Colors edge `e`: Misra-Gries first, greedy fallback for parallel edges.
-  void ColorEdge(uint32_t e);
-
-  /// The fan / cd-path procedure. Returns false when a parallel edge defeats
-  /// the fan argument (never for a simple batch); the edge stays uncolored.
-  bool TryMisraGries(uint32_t e);
-
-  /// Inverts the maximal path from `u` whose edges alternate colors d, c, ...
-  void InvertPath(uint32_t u, uint32_t c, uint32_t d);
-
-  /// Rotates the fan prefix [0, j]: edge (u, fan_[i]) takes the color of edge
-  /// (u, fan_[i+1]) for i < j, and edge (u, fan_[j]) takes `d`.
-  void RotateAndColor(size_t j, uint32_t d);
-
-  /// Edge colored `c` at vertex `v`, or kNone.
-  uint32_t EdgeAt(uint32_t v, uint32_t c) const {
-    return at_[static_cast<size_t>(v) * palette_cap_ + c];
-  }
-  void SetEdgeAt(uint32_t v, uint32_t c, uint32_t e) {
-    at_[static_cast<size_t>(v) * palette_cap_ + c] = e;
-  }
-
-  /// Recolors edge `e` (currently `from` or uncolored) to `to`, updating both
-  /// endpoint tables.
-  void Assign(uint32_t e, uint32_t to);
-
-  /// Grows the palette to `colors`, rebuilding the per-vertex tables.
-  void GrowPalette(uint32_t colors);
-
   // Round-scoped working state. Vertices are dense ids 0..num_vertices_-1.
-  std::vector<uint32_t> dense_;       // PeerId -> dense id (stamped)
-  std::vector<uint32_t> stamp_;       // PeerId -> round stamp
+  std::vector<uint32_t> dense_;  // PeerId -> dense id (stamped)
+  std::vector<uint32_t> stamp_;  // PeerId -> round stamp
   uint32_t round_ = 0;
   uint32_t num_vertices_ = 0;
 
   std::vector<uint32_t> edge_u_, edge_v_;  // dense endpoints per edge
-  std::vector<uint32_t> color_;            // edge -> color (kNone = uncolored)
-  std::vector<uint32_t> at_;               // vertex x color -> edge (strided)
-  uint32_t palette_ = 0;                   // colors currently permitted
-  uint32_t palette_cap_ = 0;               // stride of at_
-
-  // Fan/path scratch.
-  std::vector<uint32_t> degree_;        // dense vertex -> degree this round
-  std::vector<uint32_t> fan_;           // fan vertices (fan_[0] = v)
-  std::vector<uint32_t> fan_edge_;      // edge joining fan_[i] (fan_edge_[0] = e)
-  std::vector<uint32_t> path_;          // cd-path edges, in walk order
-  std::vector<uint32_t> rotate_colors_; // shifted colors during rotation
-  std::vector<uint32_t> in_fan_stamp_;
-  uint32_t fan_round_ = 0;
+  std::vector<uint32_t> degree_;           // dense vertex -> degree
+  std::vector<uint64_t> used_;             // vertex x word: bit w = wave w holds it
 
   std::vector<std::vector<uint32_t>> waves_;
   size_t num_edges_ = 0;
   size_t max_degree_ = 0;
-  size_t fallback_colors_ = 0;
 };
 
 }  // namespace pgrid

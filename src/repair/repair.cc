@@ -17,6 +17,11 @@ namespace {
 /// vantages per recruiting peer.
 constexpr size_t kRecruitAttempts = 4;
 
+/// Latency bound for a delivered probe, in the units of the latency callback
+/// (set_latency_fn). A delivered probe whose reported latency exceeds it
+/// counts as slow.
+constexpr uint64_t kProbeTimeout = 4;
+
 uint64_t PairKey(PeerId a, PeerId b) {
   const PeerId lo = std::min(a, b);
   const PeerId hi = std::max(a, b);
@@ -69,7 +74,7 @@ void RepairEngine::ProbeAndEvict(PeerState& peer, RepairTick* tick) {
         // Gray-failure detection: the probe arrived, but slowly. Slow evidence
         // only ever demotes (routing deprioritization) -- a slow replica still
         // holds valid data, so it must not be evicted as dead.
-        if (latency_fn_(peer.id(), t) > config_.probe_timeout) {
+        if (latency_fn_(peer.id(), t) > kProbeTimeout) {
           m.GetCounter("repair.slow_probes")->Increment();
           ++tick->slow_probes;
           if (suspicion.NoteSlow(t)) {
@@ -253,8 +258,7 @@ void RepairEngine::SyncBuddies(PeerState& peer,
 
 RepairTick RepairEngine::RejoinSync(PeerId peer) {
   while (suspicion_.size() < grid_->size()) {
-    suspicion_.emplace_back(config_.suspicion_threshold, config_.slow_threshold,
-                            config_.eviction_cooldown);
+    suspicion_.emplace_back(config_.suspicion_threshold, config_.slow_threshold);
   }
   RepairTick tick;
   if (!IsLive(peer)) return tick;
@@ -267,8 +271,7 @@ RepairTick RepairEngine::RejoinSync(PeerId peer) {
 RepairTick RepairEngine::Tick() {
   ++rounds_;
   while (suspicion_.size() < grid_->size()) {
-    suspicion_.emplace_back(config_.suspicion_threshold, config_.slow_threshold,
-                            config_.eviction_cooldown);
+    suspicion_.emplace_back(config_.suspicion_threshold, config_.slow_threshold);
   }
   RepairTick tick;
   std::unordered_set<uint64_t> synced;

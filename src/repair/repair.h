@@ -61,17 +61,6 @@ struct RepairConfig {
   /// demoted peer is never evicted for slowness -- it still holds valid data.
   uint32_t slow_threshold = 2;
 
-  /// Latency bound for a delivered probe, in the units of the latency callback
-  /// (set_latency_fn). A delivered probe whose reported latency exceeds this
-  /// counts as slow. Ignored while no latency callback is installed.
-  uint64_t probe_timeout = 4;
-
-  /// After an eviction, the next `eviction_cooldown` suspicion-threshold
-  /// crossings by the same observer reset the counter instead of evicting, so
-  /// slow-network scenarios cannot mass-evict a healthy reference set. 0
-  /// disables the cooldown (the historical behaviour).
-  uint32_t eviction_cooldown = 0;
-
   /// Master switches for the repair mechanisms (benches compare arms).
   bool recruit = true;
   bool anti_entropy = true;
@@ -127,7 +116,7 @@ class RepairEngine {
   /// Overrides the latency a delivered probe observed (default: none -- all
   /// probes count as fast). The scenario runner reports inflated latencies for
   /// gray peers (the `slownode` step); a delivered probe whose latency exceeds
-  /// RepairConfig::probe_timeout feeds the observer's consecutive-slow counter.
+  /// the probe timeout of 4 units feeds the observer's consecutive-slow counter.
   void set_latency_fn(std::function<uint64_t(PeerId from, PeerId to)> fn) {
     latency_fn_ = std::move(fn);
   }

@@ -4,14 +4,8 @@
 
 namespace pgrid {
 
-MeetingScheduler::MeetingScheduler(size_t num_peers, Pattern pattern, double bias,
-                                   size_t recency_window)
-    : num_peers_(num_peers),
-      pattern_(pattern),
-      bias_(bias),
-      recency_window_(recency_window) {
+MeetingScheduler::MeetingScheduler(size_t num_peers) : num_peers_(num_peers) {
   PGRID_CHECK_GE(num_peers, 2u);
-  PGRID_CHECK(bias >= 0.0 && bias <= 1.0);
 }
 
 void MeetingScheduler::SetNumPeers(size_t n) {
@@ -19,23 +13,11 @@ void MeetingScheduler::SetNumPeers(size_t n) {
   num_peers_ = n;
 }
 
-PeerId MeetingScheduler::DrawPeer(Rng* rng) {
-  if (pattern_ == Pattern::kRecencyBiased && !recent_.empty() && rng->Bernoulli(bias_)) {
-    return recent_[rng->UniformIndex(recent_.size())];
-  }
-  return static_cast<PeerId>(rng->UniformIndex(num_peers_));
-}
-
 Meeting MeetingScheduler::Next(Rng* rng) {
   PGRID_CHECK(rng != nullptr);
-  PeerId a = DrawPeer(rng);
-  PeerId b = DrawPeer(rng);
+  const PeerId a = static_cast<PeerId>(rng->UniformIndex(num_peers_));
+  PeerId b = static_cast<PeerId>(rng->UniformIndex(num_peers_));
   while (b == a) b = static_cast<PeerId>(rng->UniformIndex(num_peers_));
-  if (pattern_ == Pattern::kRecencyBiased) {
-    recent_.push_back(a);
-    recent_.push_back(b);
-    while (recent_.size() > recency_window_) recent_.pop_front();
-  }
   return Meeting{a, b};
 }
 

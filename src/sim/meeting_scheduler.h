@@ -1,15 +1,12 @@
 // Random pairwise meeting generation (Sec. 3: "whenever peers meet ...").
 //
-// The construction algorithm is driven by peers meeting randomly. The scheduler
-// abstracts *how* they meet so experiments can swap patterns: uniform random pairs
-// (the paper's model) or locality-biased pairs (an extension where peers preferentially
-// re-meet recent contacts, approximating meetings that arise from other operations).
+// The construction algorithm is driven by peers meeting randomly: both peers of
+// a meeting are drawn uniformly over the community (the paper's model).
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <utility>
+#include <cstddef>
 #include <vector>
 
 #include "sim/types.h"
@@ -26,14 +23,8 @@ struct Meeting {
 /// Generates the sequence of pairwise meetings that drives grid construction.
 class MeetingScheduler {
  public:
-  enum class Pattern {
-    kUniform,        ///< both peers uniform over the community (paper model)
-    kRecencyBiased,  ///< with probability `bias`, one side is drawn from recent peers
-  };
-
   /// Creates a scheduler over a community of `num_peers` (>= 2).
-  explicit MeetingScheduler(size_t num_peers, Pattern pattern = Pattern::kUniform,
-                            double bias = 0.5, size_t recency_window = 64);
+  explicit MeetingScheduler(size_t num_peers);
 
   /// Draws the next meeting.
   Meeting Next(Rng* rng);
@@ -51,13 +42,7 @@ class MeetingScheduler {
   void SetNumPeers(size_t n);
 
  private:
-  PeerId DrawPeer(Rng* rng);
-
   size_t num_peers_;
-  Pattern pattern_;
-  double bias_;
-  size_t recency_window_;
-  std::deque<PeerId> recent_;
 };
 
 }  // namespace pgrid

@@ -820,7 +820,7 @@ struct ScenarioRunner::Impl {
       slow_latency.clear();
       return;
     }
-    // 5 + b % 60 keeps every mark above the default probe_timeout of 4.
+    // 5 + b % 60 keeps every mark above the repair probe timeout of 4.
     const uint64_t latency = 5 + step.b % 60;
     std::vector<PeerId> live = churn.LivePeers();
     const size_t count = (live.size() * frac + 255) / 256;  // ceil

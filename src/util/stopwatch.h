@@ -3,8 +3,17 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace pgrid {
+
+/// Steady-clock nanoseconds; only differences between two readings mean
+/// anything. The parallel builder and query runner time their lanes with it.
+inline uint64_t MonotonicNs() {
+  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                   std::chrono::steady_clock::now().time_since_epoch())
+                                   .count());
+}
 
 /// Measures elapsed wall-clock time; starts on construction.
 class Stopwatch {

@@ -73,8 +73,8 @@ class ThreadPool {
 
   /// Lane-aware variant: fn(item, lane) where `lane` identifies the executing
   /// lane (0 = the calling thread, 1..threads()-1 = workers). Lanes are stable
-  /// within one ParallelFor, so per-lane accumulators (profiler ring buffers,
-  /// sharded stats) need no synchronization; the join gives the caller a
+  /// within one ParallelFor, so per-lane accumulators (busy-time sums, sharded
+  /// stats) need no synchronization; the join gives the caller a
   /// happens-before edge on everything the lanes wrote.
   void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn) {
     if (n == 0) return;

@@ -102,7 +102,7 @@ struct GrayFixture {
 
 TEST(GrayFailureTest, SlowPeersAreDemotedNotEvicted) {
   GrayFixture f;
-  // Every probe observes latency 10 > the default probe_timeout of 4: the
+  // Every probe observes latency 10 > the probe timeout of 4: the
   // whole grid is gray, yet nobody is dead.
   f.repair->set_latency_fn([](PeerId, PeerId) -> uint64_t { return 10; });
 
@@ -162,10 +162,10 @@ TEST(GrayFailureTest, ConfigurableThresholdsChangeTheEdge) {
   for (int round = 0; round < 3; ++round) demotions += f.repair->Tick().demotions;
   EXPECT_EQ(demotions, 0u) << "a higher slow_threshold must delay demotion";
 
-  repair::RepairConfig loose;
-  loose.probe_timeout = 20;  // latency 10 is now within budget
-  GrayFixture g(loose);
-  g.repair->set_latency_fn([](PeerId, PeerId) -> uint64_t { return 10; });
+  // The probe timeout is 4 latency units: a probe that takes exactly that
+  // long is still within budget.
+  GrayFixture g;
+  g.repair->set_latency_fn([](PeerId, PeerId) -> uint64_t { return 4; });
   uint64_t slow = 0;
   for (int round = 0; round < 3; ++round) slow += g.repair->Tick().slow_probes;
   EXPECT_EQ(slow, 0u) << "latency within the timeout is not slow";

@@ -44,28 +44,6 @@ TEST(MeetingSchedulerTest, UniformCoverageOverPeers) {
   }
 }
 
-TEST(MeetingSchedulerTest, RecencyBiasedRevisitsRecentPeers) {
-  Rng uniform_rng(4), biased_rng(4);
-  const size_t n = 1000;
-  MeetingScheduler uniform(n, MeetingScheduler::Pattern::kUniform);
-  MeetingScheduler biased(n, MeetingScheduler::Pattern::kRecencyBiased,
-                          /*bias=*/0.9, /*recency_window=*/16);
-  auto distinct_after = [](MeetingScheduler& s, Rng* rng) {
-    std::vector<uint8_t> seen(n, 0);
-    for (int i = 0; i < 500; ++i) {
-      Meeting m = s.Next(rng);
-      seen[m.a] = 1;
-      seen[m.b] = 1;
-    }
-    size_t distinct = 0;
-    for (uint8_t v : seen) distinct += v;
-    return distinct;
-  };
-  // Heavy recency bias touches far fewer distinct peers.
-  EXPECT_LT(distinct_after(biased, &biased_rng),
-            distinct_after(uniform, &uniform_rng) / 2);
-}
-
 TEST(MeetingSchedulerTest, SetNumPeersExtendsRange) {
   Rng rng(5);
   MeetingScheduler sched(4);
@@ -87,24 +65,20 @@ TEST(MeetingSchedulerDeathTest, SetNumPeersBelowTwoAborts) {
 
 TEST(MeetingSchedulerTest, NextBatchEqualsRepeatedNext) {
   // The parallel builder's contract: consuming the meeting stream through
-  // NextBatch must advance state and RNG exactly as repeated Next() calls do,
-  // for both meeting patterns.
-  for (auto pattern : {MeetingScheduler::Pattern::kUniform,
-                       MeetingScheduler::Pattern::kRecencyBiased}) {
-    MeetingScheduler serial(80, pattern);
-    MeetingScheduler batched(80, pattern);
-    Rng r1(11), r2(11);
-    std::vector<Meeting> expected;
-    for (int i = 0; i < 500; ++i) expected.push_back(serial.Next(&r1));
-    std::vector<Meeting> got;
-    for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, size_t{428}}) {
-      batched.NextBatch(&r2, chunk, &got);
-    }
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].a, expected[i].a) << "i=" << i;
-      EXPECT_EQ(got[i].b, expected[i].b) << "i=" << i;
-    }
+  // NextBatch must advance the RNG exactly as repeated Next() calls do.
+  MeetingScheduler serial(80);
+  MeetingScheduler batched(80);
+  Rng r1(11), r2(11);
+  std::vector<Meeting> expected;
+  for (int i = 0; i < 500; ++i) expected.push_back(serial.Next(&r1));
+  std::vector<Meeting> got;
+  for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, size_t{428}}) {
+    batched.NextBatch(&r2, chunk, &got);
+  }
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].a, expected[i].a) << "i=" << i;
+    EXPECT_EQ(got[i].b, expected[i].b) << "i=" << i;
   }
 }
 

@@ -38,8 +38,7 @@ struct ParallelBuilt {
 ParallelBuilt BuildParallel(size_t num_peers, size_t threads, uint64_t seed,
                             size_t maxl = 5, size_t recmax = 2,
                             bool manage_data = true, size_t batch_size = 128,
-                            bool profile = false, std::string* structure = nullptr,
-                            double* serial_fraction = nullptr) {
+                            BuildProfile* profile = nullptr) {
   ParallelBuilt out;
   out.config.maxl = maxl;
   out.config.refmax = 4;
@@ -53,16 +52,13 @@ ParallelBuilt BuildParallel(size_t num_peers, size_t threads, uint64_t seed,
   ParallelBuildOptions options;
   options.threads = threads;
   options.batch_size = batch_size;
-  options.profile = profile;
+  options.profile = profile != nullptr;
   ParallelGridBuilder builder(out.grid.get(), &exchange, &scheduler, &master,
                               options);
   out.report = builder.BuildToFractionOfMaxDepth(0.99, 5'000'000);
-  if (profile) {
+  if (profile != nullptr) {
     EXPECT_NE(builder.profile(), nullptr);
-    if (structure != nullptr) *structure = builder.profile()->StructureJson();
-    if (serial_fraction != nullptr) {
-      *serial_fraction = builder.profile()->SerialFraction();
-    }
+    if (builder.profile() != nullptr) *profile = *builder.profile();
   } else {
     EXPECT_EQ(builder.profile(), nullptr);
   }
@@ -179,11 +175,11 @@ TEST(ParallelBuilderTest, BuiltGridSatisfiesAllInvariantsAtEveryThreadCount) {
 }
 
 TEST(ParallelBuilderTest, ProfilingDoesNotChangeTheGrid) {
-  // The profiler only observes; turning it on must not perturb the schedule,
+  // Profiling only observes; turning it on must not perturb the schedule,
   // the exchanges, or the resulting structure in any way.
   ParallelBuilt plain = BuildParallel(300, /*threads=*/4, /*seed=*/13);
-  ParallelBuilt profiled = BuildParallel(300, 4, 13, 5, 2, true, 128,
-                                         /*profile=*/true);
+  BuildProfile profile;
+  ParallelBuilt profiled = BuildParallel(300, 4, 13, 5, 2, true, 128, &profile);
   EXPECT_EQ(SnapshotBytes(plain, "prof_off.pgrid"),
             SnapshotBytes(profiled, "prof_on.pgrid"));
   EXPECT_EQ(plain.report.meetings, profiled.report.meetings);
@@ -191,21 +187,27 @@ TEST(ParallelBuilderTest, ProfilingDoesNotChangeTheGrid) {
 }
 
 TEST(ParallelBuilderTest, ProfileWaveStructureIsThreadCountInvariant) {
-  // The per-wave structure report (batch/wave/scheduled/width/conflicts --
-  // everything except timings) is schedule-determined, so it must be byte
-  // identical at every thread count. This is what lets profiles from different
-  // thread counts be compared wave by wave (bench_parallel_profile).
-  std::string s1, s4;
-  double f1 = 0, f4 = 0;
-  BuildParallel(300, /*threads=*/1, /*seed=*/42, 5, 2, true, 128, true, &s1, &f1);
-  BuildParallel(300, /*threads=*/4, /*seed=*/42, 5, 2, true, 128, true, &s4, &f4);
-  ASSERT_FALSE(s1.empty());
-  EXPECT_EQ(s1, s4);
-  // The timing side is populated and sane: a serial fraction in (0, 1].
-  EXPECT_GT(f1, 0.0);
-  EXPECT_LE(f1, 1.0);
-  EXPECT_GT(f4, 0.0);
-  EXPECT_LE(f4, 1.0);
+  // The per-wave structure report (batch/wave/scheduled/width -- everything
+  // except timings) is schedule-determined, so it must be byte identical at
+  // every thread count. This is what lets profiles from different thread
+  // counts be compared wave by wave (bench_parallel_profile).
+  BuildProfile p1, p4;
+  BuildParallel(300, /*threads=*/1, /*seed=*/42, 5, 2, true, 128, &p1);
+  BuildParallel(300, /*threads=*/4, /*seed=*/42, 5, 2, true, 128, &p4);
+  ASSERT_FALSE(p1.waves.empty());
+  EXPECT_EQ(p1.StructureJson(), p4.StructureJson());
+  // The timing side is populated and sane: a serial fraction in (0, 1], and
+  // every wave carries one busy sum per lane.
+  for (const BuildProfile* p : {&p1, &p4}) {
+    EXPECT_GT(p->SerialFraction(), 0.0);
+    EXPECT_LE(p->SerialFraction(), 1.0);
+    for (const WaveProfile& w : p->waves) {
+      EXPECT_EQ(w.lane_busy_ns.size(), p->threads) << "wave " << w.wave;
+    }
+    EXPECT_GT(p->BusyNs(), 0u) << "threads=" << p->threads;
+  }
+  EXPECT_EQ(p1.threads, 1u);
+  EXPECT_EQ(p4.threads, 4u);
 }
 
 TEST(ParallelBuilderTest, DeterminismMatrixAcrossThreadsAndBatchSizes) {

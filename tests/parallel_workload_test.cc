@@ -42,6 +42,9 @@ TEST(ParallelWorkloadTest, RunsAllQueriesAndFindsMost) {
   EXPECT_GT(report.messages, 0u);
   // Fully online, converged grid: the overwhelming majority of lookups succeed.
   EXPECT_GT(report.found, report.queries * 9 / 10);
+  // Chunk timing needs no option: one busy sum per lane, and a utilization.
+  EXPECT_EQ(report.lane_busy_ns.size(), 2u);
+  EXPECT_GT(report.utilization, 0.0);
 }
 
 TEST(ParallelWorkloadTest, ThreadCountDoesNotChangeTheOutcome) {

@@ -3,11 +3,10 @@
 //   (1) validity      -- no two meetings in a wave share an endpoint,
 //   (2) completeness  -- every meeting is scheduled exactly once,
 //   (3) determinism   -- the waves are a pure function of the batch,
-//   (4) the bound     -- for simple batches, waves <= max_degree + 1 (Vizing).
-// Parallel edges (the same pair drawn twice in one batch) can legitimately
-// exceed the Vizing bound -- the multigraph bound is max_degree +
-// max_multiplicity -- which is pinned here too so the fallback path stays
-// covered.
+//   (4) first fit     -- each meeting sits in the lowest wave that holds no
+//                        earlier meeting at either of its peers, so
+//                        waves <= 2 * max_degree - 1.
+// Parallel edges (the same pair drawn twice in one batch) are covered too.
 
 #include "core/wave_schedule.h"
 
@@ -121,16 +120,15 @@ TEST(WaveScheduleTest, StarNeedsOneWavePerMeeting) {
 }
 
 TEST(WaveScheduleTest, OddCycleNeedsMaxDegreePlusOne) {
-  // A triangle has max degree 2 but chromatic index 3: the bound is tight.
+  // A triangle has max degree 2 but chromatic index 3.
   const std::vector<WaveEdge> edges = {{0, 1}, {1, 2}, {2, 0}};
   WaveSchedule s;
   s.Color(edges);
   EXPECT_EQ(CheckProper(s, edges), 3u);
   EXPECT_EQ(s.max_degree(), 2u);
-  EXPECT_EQ(s.fallback_colors(), 0u);
 }
 
-TEST(WaveScheduleTest, SimpleBatchesRespectTheVizingBound) {
+TEST(WaveScheduleTest, SimpleBatchesTakeTheFirstFreeWave) {
   Rng rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     const size_t peers = 4 + rng.UniformIndex(60);
@@ -142,17 +140,35 @@ TEST(WaveScheduleTest, SimpleBatchesRespectTheVizingBound) {
     s.Color(edges);
     const size_t waves = CheckProper(s, edges);
     EXPECT_EQ(s.max_degree(), MaxDegree(edges));
-    EXPECT_LE(waves, s.max_degree() + 1)
+    EXPECT_LE(waves, 2 * s.max_degree() - 1)
         << "trial " << trial << ": " << waves << " waves for max degree "
         << s.max_degree();
-    EXPECT_EQ(s.fallback_colors(), 0u) << "trial " << trial;
+
+    // Replay first fit in input order: every edge must sit in the lowest wave
+    // that holds no earlier edge at either of its peers.
+    std::vector<size_t> wave_of(edges.size());
+    for (size_t w = 0; w < s.num_waves(); ++w) {
+      for (uint32_t e : s.wave(w)) wave_of[e] = w;
+    }
+    std::set<std::pair<PeerId, size_t>> taken;  // (peer, wave) of earlier edges
+    for (size_t e = 0; e < edges.size(); ++e) {
+      size_t lowest = 0;
+      while (taken.count({edges[e].a, lowest}) > 0 ||
+             taken.count({edges[e].b, lowest}) > 0) {
+        ++lowest;
+      }
+      EXPECT_EQ(wave_of[e], lowest) << "trial " << trial << ", edge " << e;
+      taken.insert({edges[e].a, wave_of[e]});
+      taken.insert({edges[e].b, wave_of[e]});
+    }
   }
 }
 
 TEST(WaveScheduleTest, BuilderShapedBatchesRespectTheVizingBound) {
   // The shape the builder actually colors: batch_size meetings over a much
-  // larger community, where repeats are rare but possible. When the draw
-  // happens to be simple, the Vizing bound must hold.
+  // larger community, where repeats are rare but possible. First fit does not
+  // guarantee Vizing's max_degree + 1 in general, but on this shape it stays
+  // within it; a wave-count regression shows here first.
   Rng rng(21);
   for (int trial = 0; trial < 50; ++trial) {
     const std::vector<WaveEdge> edges =
@@ -161,7 +177,6 @@ TEST(WaveScheduleTest, BuilderShapedBatchesRespectTheVizingBound) {
     s.Color(edges);
     CheckProper(s, edges);
     EXPECT_LE(s.num_waves(), s.max_degree() + 1);
-    EXPECT_EQ(s.fallback_colors(), 0u);
   }
 }
 
@@ -187,9 +202,9 @@ TEST(WaveScheduleTest, RandomMultigraphBatchesAreProper) {
     WaveSchedule s;
     s.Color(edges);
     CheckProper(s, edges);
-    // Vizing for multigraphs; multiplicity <= max_degree, so 2 * degree is a
-    // safe ceiling that still catches a runaway palette.
-    EXPECT_LE(s.num_waves(), 2 * s.max_degree());
+    // First fit's bound holds for multigraphs too: an edge meets at most
+    // 2 * (max_degree - 1) others.
+    EXPECT_LE(s.num_waves(), 2 * s.max_degree() - 1);
   }
 }
 
