@@ -220,7 +220,6 @@ void Run(const bench::Args& args) {
         opt.check_coverage = false;
         opt.check_placement = false;
         opt.check_replica_agreement = false;
-        opt.check_ledger = false;
         opt.check_repair_convergence = true;
         opt.dead = &driver.dead_mask();
         opt.repair_min_live_refs = refmax;

@@ -91,7 +91,6 @@ struct Community {
     opt.check_coverage = false;
     opt.check_placement = false;
     opt.check_replica_agreement = false;
-    opt.check_ledger = false;
     opt.check_repair_convergence = true;
     opt.dead = &churn->dead_mask();
     opt.repair_min_live_refs = min_live_refs;

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "key/key_path.h"
-#include "sim/message_stats.h"
 
 namespace pgrid {
 namespace check {
@@ -351,56 +350,6 @@ void CheckHealConvergence(const Grid& grid, const InvariantOptions& options,
   }
 }
 
-// --- Ledger agreement (docs/observability.md metric-name mapping). ---
-
-uint64_t CounterOr0(const obs::RegistrySnapshot& snap, std::string_view name) {
-  for (const auto& [counter_name, value] : snap.counters) {
-    if (counter_name == name) return value;
-  }
-  return 0;
-}
-
-void CheckLedger(const Grid& grid, Collector* out) {
-  const obs::RegistrySnapshot snap = grid.metrics().Snapshot();
-  const MessageStats& stats = grid.stats();
-  struct Row {
-    MessageType type;
-    uint64_t metric_sum;
-    const char* expression;
-  };
-  const Row rows[] = {
-      {MessageType::kExchange, CounterOr0(snap, "exchange.count"),
-       "exchange.count"},
-      {MessageType::kQuery, CounterOr0(snap, "search.messages"),
-       "search.messages"},
-      {MessageType::kUpdate, CounterOr0(snap, "update.messages"),
-       "update.messages"},
-      {MessageType::kDataTransfer,
-       CounterOr0(snap, "exchange.entries_moved") +
-           CounterOr0(snap, "insert.entries_installed") +
-           CounterOr0(snap, "churn.entries_handed_over") +
-           CounterOr0(snap, "repair.entries_reconciled"),
-       "exchange.entries_moved + insert.entries_installed + "
-       "churn.entries_handed_over + repair.entries_reconciled"},
-      {MessageType::kControl,
-       CounterOr0(snap, "churn.handovers") + CounterOr0(snap, "repair.probes") +
-           CounterOr0(snap, "repair.sync_sessions") +
-           CounterOr0(snap, "repair.read_repairs"),
-       "churn.handovers + repair.probes + repair.sync_sessions + "
-       "repair.read_repairs"},
-  };
-  for (const Row& row : rows) {
-    const uint64_t ledger = stats.count(row.type);
-    if (ledger != row.metric_sum) {
-      out->Add(Category::kLedger, kInvalidPeer, 0,
-               Fmt("ledger %s=%llu but metrics %s=%llu",
-                   std::string(MessageTypeName(row.type)).c_str(),
-                   static_cast<unsigned long long>(ledger), row.expression,
-                   static_cast<unsigned long long>(row.metric_sum)));
-    }
-  }
-}
-
 }  // namespace
 
 std::string_view CategoryName(Category c) {
@@ -421,8 +370,6 @@ std::string_view CategoryName(Category c) {
       return "placement";
     case Category::kReplicaDesync:
       return "replica-desync";
-    case Category::kLedger:
-      return "ledger";
     case Category::kDeadReference:
       return "dead-reference";
     case Category::kRefUnderfull:
@@ -480,7 +427,6 @@ InvariantReport GridInvariants::Check(const Grid& grid,
       CheckHealConvergence(grid, options, &out);
     }
   }
-  if (options.check_ledger) CheckLedger(grid, &out);
   return report;
 }
 

@@ -3,11 +3,10 @@
 // The paper's correctness argument rests on structural properties the algorithms
 // maintain, not on point behaviors: references complement the right bit (Fig. 1),
 // the peer paths cover the whole key space via I(k), leaf-index entries live only
-// at co-responsible peers, and the simulation ledger agrees with the metrics
-// registry. This is the one structure checker: it walks the whole grid,
-// classifies every violation into a category a test can assert on, and is the
-// check the deterministic simulation harness (sim/fuzzer.h) runs at epoch
-// barriers.
+// at co-responsible peers, and replicas agree on every entry's key. This is the
+// one structure checker: it walks the whole grid, classifies every violation
+// into a category a test can assert on, and is the check the deterministic
+// simulation harness (sim/fuzzer.h) runs at epoch barriers.
 
 #pragma once
 
@@ -34,7 +33,6 @@ enum class Category : int {
   kCoverage = 5,      ///< a subtree of [0,1) no peer path covers
   kPlacement = 6,     ///< leaf-index entry whose key does not overlap the path
   kReplicaDesync = 7, ///< two peers disagree on an entry's key for (holder, item)
-  kLedger = 8,        ///< MessageStats ledger disagrees with the metrics registry
   kDeadReference = 9, ///< a live peer still references a dead one
   kRefUnderfull = 10, ///< a live peer's level has fewer live refs than required
   kReplicaStale = 11, ///< live buddies disagree on entry sets or versions
@@ -42,15 +40,13 @@ enum class Category : int {
   kHealDivergence = 13,  ///< post-heal: buddies still disagree on a partition-era item
 };
 
-inline constexpr int kNumCategories = 14;
-
 /// Stable display name ("reference", "refmax", ...).
 std::string_view CategoryName(Category c);
 
 /// One invariant violation, pinned to the state that breaks it.
 struct Violation {
   Category category;
-  /// Offending peer, or kInvalidPeer for grid-scope categories (coverage, ledger).
+  /// Offending peer, or kInvalidPeer for grid-scope categories (coverage).
   PeerId peer = kInvalidPeer;
   /// 1-indexed reference level when applicable (reference/refmax), else 0.
   size_t level = 0;
@@ -103,10 +99,6 @@ struct InvariantOptions {
   /// all peers. Versions may differ (pending updates propagate asynchronously);
   /// keys never legitimately do.
   bool check_replica_agreement = true;
-
-  /// The MessageStats ledger and the obs metrics counters agree exactly (the
-  /// mapping of docs/observability.md).
-  bool check_ledger = true;
 
   /// Repair convergence (the self-healing target state, docs/robustness.md):
   /// among *live* peers -- liveness given by `dead` -- no reference points at a

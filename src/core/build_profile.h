@@ -47,7 +47,7 @@ struct WaveProfile {
 struct BuildProfile {
   size_t threads = 1;
   uint64_t schedule_ns = 0;  ///< serial NextBatch time, all batches
-  uint64_t merge_ns = 0;     ///< serial: per-batch lane-shard ledger folds
+  uint64_t merge_ns = 0;     ///< serial: per-batch lane path-bit folds
   uint64_t total_ns = 0;     ///< wall time of the whole build call
   std::vector<WaveProfile> waves;
 

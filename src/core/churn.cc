@@ -75,9 +75,8 @@ uint64_t ChurnDriver::Retire(PeerId peer, bool graceful) {
           ++handed;
         }
         if (handed > 0) {
-          grid_->stats().Record(MessageType::kDataTransfer, handed);
-          grid_->stats().Record(MessageType::kControl);  // the handover session
           grid_->metrics().GetCounter("churn.entries_handed_over")->Increment(handed);
+          // One kControl message: the handover session.
           grid_->metrics().GetCounter("churn.handovers")->Increment();
         }
       }

@@ -34,26 +34,24 @@ bool ExchangeEngine::MaySplit(const PeerState& a, const PeerState& partner,
 }
 
 void ExchangeEngine::Exchange(PeerId a1, PeerId a2) {
-  // Sequential entry point: the engine's own Rng, the grid's ledger, inline
-  // recursion. Path growth accumulates in the shard and is applied before
-  // returning, so callers observe the same AveragePathLength as ever.
+  // Sequential entry point: the engine's own Rng, inline recursion. Path growth
+  // accumulates in the shard and is applied before returning, so callers observe
+  // the same AveragePathLength as ever.
   ExchangeShard shard;
   shard.rng = rng_;
-  shard.stats = &grid_->stats();
   ExchangeImpl(a1, a2, 0, &shard);
   if (shard.path_bits > 0) grid_->NotePathGrowth(shard.path_bits);
 }
 
 void ExchangeEngine::ExchangeSharded(PeerId a1, PeerId a2, uint32_t depth,
                                      ExchangeShard* shard) {
-  PGRID_CHECK(shard != nullptr && shard->rng != nullptr && shard->stats != nullptr);
+  PGRID_CHECK(shard != nullptr && shard->rng != nullptr);
   ExchangeImpl(a1, a2, depth, shard);
 }
 
 void ExchangeEngine::ExchangeImpl(PeerId id1, PeerId id2, size_t depth,
                                   ExchangeShard* shard) {
   if (id1 == id2) return;
-  shard->stats->Record(MessageType::kExchange);
   exchanges_->Increment();
   recursion_depth_->Record(depth);
   obs::TraceRecorder* trace = grid_->trace();
@@ -83,7 +81,7 @@ void ExchangeEngine::ExchangeImpl(PeerId id1, PeerId id2, size_t depth,
     splits_->Increment(2);
     a1.SetRefsAt(lc + 1, {id2});
     a2.SetRefsAt(lc + 1, {id1});
-    if (config_.manage_data) ReconcileData(&a1, &a2, shard);
+    if (config_.manage_data) ReconcileData(&a1, &a2);
   } else if (l1 == 0 && l2 > 0 && MaySplit(a1, a2, lc)) {
     // Case 2: a1's path is a proper prefix of a2's -- a1 specializes (or clones to
     // the data-dense side under replication balancing).
@@ -92,7 +90,7 @@ void ExchangeEngine::ExchangeImpl(PeerId id1, PeerId id2, size_t depth,
     } else {
       SplitShorter(&a1, &a2, lc, shard);
     }
-    if (config_.manage_data) ReconcileData(&a1, &a2, shard);
+    if (config_.manage_data) ReconcileData(&a1, &a2);
   } else if (l1 > 0 && l2 == 0 && MaySplit(a2, a1, lc)) {
     // Case 3: symmetric to case 2.
     if (split_policy_ != nullptr && split_policy_->PreferClone(a2, a1, lc)) {
@@ -100,7 +98,7 @@ void ExchangeEngine::ExchangeImpl(PeerId id1, PeerId id2, size_t depth,
     } else {
       SplitShorter(&a2, &a1, lc, shard);
     }
-    if (config_.manage_data) ReconcileData(&a1, &a2, shard);
+    if (config_.manage_data) ReconcileData(&a1, &a2);
   } else if (l1 > 0 && l2 > 0 && depth < config_.recmax) {
     // Case 4: paths diverge -- forward each peer to the other's references on the
     // matching side and recurse.
@@ -141,7 +139,7 @@ void ExchangeEngine::ExchangeImpl(PeerId id1, PeerId id2, size_t depth,
     // split policy). Merge leaf indexes either way; register buddies only at maxl,
     // where paths are final (a policy-refused pair may still specialize later once
     // it accumulates data, which would invalidate the buddy relation).
-    MergeReplicas(&a1, &a2, /*record_buddies=*/lc >= config_.maxl, shard);
+    MergeReplicas(&a1, &a2, /*record_buddies=*/lc >= config_.maxl);
   }
 }
 
@@ -189,8 +187,8 @@ void ExchangeEngine::CloneShorter(PeerState* shorter, PeerState* longer, size_t 
                                  longer->RefsAt(lc + 1).ToVector(), config_.refmax));
 }
 
-void ExchangeEngine::MergeReplicas(PeerState* a1, PeerState* a2, bool record_buddies,
-                                   ExchangeShard* shard) {
+void ExchangeEngine::MergeReplicas(PeerState* a1, PeerState* a2,
+                                   bool record_buddies) {
   if (record_buddies) {
     a1->AddBuddy(a2->id(), config_.buddymax);
     a2->AddBuddy(a1->id(), config_.buddymax);
@@ -203,13 +201,10 @@ void ExchangeEngine::MergeReplicas(PeerState* a1, PeerState* a2, bool record_bud
   }
   size_t moved = a1->index().MergeFrom(a2->index());
   moved += a2->index().MergeFrom(a1->index());
-  if (moved > 0) {
-    shard->stats->Record(MessageType::kDataTransfer, moved);
-    entries_moved_->Increment(moved);
-  }
+  if (moved > 0) entries_moved_->Increment(moved);
 }
 
-void ExchangeEngine::ReconcileData(PeerState* x, PeerState* y, ExchangeShard* shard) {
+void ExchangeEngine::ReconcileData(PeerState* x, PeerState* y) {
   for (int round = 0; round < 2; ++round) {
     PeerState* from = round == 0 ? x : y;
     PeerState* to = round == 0 ? y : x;
@@ -228,10 +223,7 @@ void ExchangeEngine::ReconcileData(PeerState* x, PeerState* y, ExchangeShard* sh
         from->foreign_entries().push_back(std::move(e));
       }
     }
-    if (moved > 0) {
-      shard->stats->Record(MessageType::kDataTransfer, moved);
-      entries_moved_->Increment(moved);
-    }
+    if (moved > 0) entries_moved_->Increment(moved);
   }
 }
 

@@ -20,7 +20,7 @@
 // temporarily match neither peer are parked in the owner's foreign buffer and offered
 // again at later meetings (never dropped).
 //
-// Every invocation (including recursive ones) is recorded as one kExchange message --
+// Every invocation (including recursive ones) counts as one kExchange message --
 // the cost metric `e` of Sec. 5.1.
 
 #pragma once
@@ -51,14 +51,12 @@ struct PendingExchange {
 /// isolates everything an exchange touches besides the two peers' own state, so
 /// conflict-free meetings can run concurrently:
 ///  - all random draws come from `rng` (a per-meeting counter-derived stream),
-///  - message accounting goes to the `stats` shard, merged at the batch barrier,
 ///  - path growth accumulates in `path_bits`, applied at the barrier,
 ///  - case-4 recursion is captured into `deferred` (when set) instead of executed
 ///    inline, because recursion targets are third peers another concurrent meeting
 ///    may own. A null `deferred` recurses inline (the sequential behavior).
 struct ExchangeShard {
   Rng* rng = nullptr;
-  MessageStats* stats = nullptr;
   uint64_t path_bits = 0;
   std::vector<PendingExchange>* deferred = nullptr;
 };
@@ -77,18 +75,16 @@ class ExchangeEngine {
   /// Runs one meeting between two distinct peers (the paper's exchange(a1, a2, 0)).
   void Exchange(PeerId a1, PeerId a2);
 
-  /// Runs one (possibly recursive, depth > 0) exchange recording into `shard`
-  /// instead of the engine's Rng and the grid's ledger. Mutates only the states of
-  /// `a1`, `a2` (and, with a null `shard->deferred`, of inline recursion targets);
-  /// grid-level accounting lands in the shard for a deterministic barrier merge.
-  /// Metrics-registry instruments are atomic and recorded directly. Thread-safe
-  /// for concurrent calls whose peer pairs are disjoint.
+  /// Runs one (possibly recursive, depth > 0) exchange drawing from `shard->rng`
+  /// instead of the engine's Rng. Mutates only the states of `a1`, `a2` (and,
+  /// with a null `shard->deferred`, of inline recursion targets); path growth
+  /// lands in the shard for the barrier. Metrics-registry instruments are atomic
+  /// and recorded directly. Thread-safe for concurrent calls whose peer pairs
+  /// are disjoint.
   void ExchangeSharded(PeerId a1, PeerId a2, uint32_t depth, ExchangeShard* shard);
 
   /// Total exchange executions recorded so far (the paper's `e`).
-  uint64_t num_exchanges() const {
-    return grid_->stats().count(MessageType::kExchange);
-  }
+  uint64_t num_exchanges() const { return exchanges_->value(); }
 
   const ExchangeConfig& config() const { return config_; }
 
@@ -113,12 +109,11 @@ class ExchangeEngine {
 
   /// Replica meeting: leaf index merge, plus mutual buddy registration when the
   /// paths are final (at maxl).
-  void MergeReplicas(PeerState* a1, PeerState* a2, bool record_buddies,
-                     ExchangeShard* shard);
+  void MergeReplicas(PeerState* a1, PeerState* a2, bool record_buddies);
 
   /// Moves leaf index entries between the two peers so that each retained entry
   /// overlaps its holder's (possibly just-extended) path.
-  void ReconcileData(PeerState* x, PeerState* y, ExchangeShard* shard);
+  void ReconcileData(PeerState* x, PeerState* y);
 
   bool IsOnline(PeerId p, Rng* rng) const;
 
@@ -134,9 +129,9 @@ class ExchangeEngine {
   const SplitPolicy* split_policy_;
 
   // Cached registry instruments (owned by the grid; see docs/observability.md).
-  obs::Counter* exchanges_;  // mirrors MessageStats kExchange exactly
+  obs::Counter* exchanges_;  // MessageStats kExchange
   obs::Counter* splits_;
-  obs::Counter* entries_moved_;  // mirrors MessageStats kDataTransfer (this engine)
+  obs::Counter* entries_moved_;  // MessageStats kDataTransfer (this engine's share)
   obs::Histogram* recursion_depth_;
 };
 

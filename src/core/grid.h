@@ -1,8 +1,9 @@
-// The peer community and its shared simulation ledger.
+// The peer community and its metrics registry.
 //
-// Grid owns all PeerState objects plus the MessageStats every protocol engine records
-// into. It also maintains the running sum of path lengths so convergence checks
-// (average path length vs threshold, Sec. 5.1) are O(1).
+// Grid owns all PeerState objects plus the metrics registry every protocol engine
+// counts its simulated messages in; stats() reads the paper's per-type message
+// counts from it. Grid also maintains the running sum of path lengths so
+// convergence checks (average path length vs threshold, Sec. 5.1) are O(1).
 
 #pragma once
 
@@ -66,16 +67,14 @@ class Grid {
     return peers_[id];
   }
 
-  /// The simulation's message ledger. Not internally synchronized: parallel
-  /// drivers record into per-item MessageStats shards and MergeFrom them here at
-  /// batch barriers (see core/parallel_builder.h, core/parallel_workload.h).
-  MessageStats& stats() { return stats_; }
-  const MessageStats& stats() const { return stats_; }
+  /// Simulated message counts by type so far, summed from the registry's
+  /// message counters (sim/message_stats.h; e.g. kQuery is the counter
+  /// "search.messages"). A fresh value per call: take one before and one after
+  /// an operation to count what it sent.
+  MessageStats stats() const { return MessageStats(metrics_); }
 
-  /// The unified metrics registry all engines record into. The protocol engines
-  /// keep it in agreement with the MessageStats ledger (e.g. the counter
-  /// "search.messages" equals stats().count(MessageType::kQuery)); see
-  /// docs/observability.md for the metric-name mapping.
+  /// The unified metrics registry all engines record into; see
+  /// docs/observability.md for the metric names.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -146,7 +145,6 @@ class Grid {
 
  private:
   std::vector<PeerState> peers_;
-  MessageStats stats_;
   obs::MetricsRegistry metrics_;
   obs::TraceRecorder* trace_ = nullptr;
   size_t total_path_bits_ = 0;

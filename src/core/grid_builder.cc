@@ -17,14 +17,14 @@ BuildReport GridBuilder::BuildToAverageDepth(double target_avg_depth,
                                              uint64_t max_meetings) {
   Stopwatch watch;
   BuildReport report;
-  const uint64_t exchanges_before = grid_->stats().count(MessageType::kExchange);
+  const uint64_t exchanges_before = exchange_->num_exchanges();
   while (grid_->AveragePathLength() < target_avg_depth &&
          report.meetings < max_meetings) {
     Meeting m = scheduler_->Next(rng_);
     exchange_->Exchange(m.a, m.b);
     ++report.meetings;
   }
-  report.exchanges = grid_->stats().count(MessageType::kExchange) - exchanges_before;
+  report.exchanges = exchange_->num_exchanges() - exchanges_before;
   report.avg_path_length = grid_->AveragePathLength();
   report.converged = report.avg_path_length >= target_avg_depth;
   report.seconds = watch.ElapsedSeconds();

@@ -28,10 +28,7 @@ Result<InsertOutcome> InsertEngine::Insert(const DataItem& item, PeerId holder,
   out.messages = reached.messages;
   obs::Counter* installed = grid_->metrics().GetCounter("insert.entries_installed");
   for (PeerId p : reached.reached) {
-    if (grid_->peer(p).index().InsertOrRefresh(entry)) {
-      grid_->stats().Record(MessageType::kDataTransfer);
-      installed->Increment();
-    }
+    if (grid_->peer(p).index().InsertOrRefresh(entry)) installed->Increment();
     ++out.replicas_reached;
   }
   // The holder itself may be co-responsible; index locally too (free).

@@ -34,7 +34,7 @@ BuildReport ParallelGridBuilder::BuildToAverageDepth(double target_avg_depth,
                                                      uint64_t max_meetings) {
   Stopwatch watch;
   BuildReport report;
-  const uint64_t exchanges_before = grid_->stats().count(MessageType::kExchange);
+  const uint64_t exchanges_before = exchange_->num_exchanges();
   while (grid_->AveragePathLength() < target_avg_depth &&
          report.meetings < max_meetings) {
     const size_t batch = static_cast<size_t>(
@@ -54,7 +54,7 @@ BuildReport ParallelGridBuilder::BuildToAverageDepth(double target_avg_depth,
     ++batch_ordinal_;
     report.meetings += batch;
   }
-  report.exchanges = grid_->stats().count(MessageType::kExchange) - exchanges_before;
+  report.exchanges = exchange_->num_exchanges() - exchanges_before;
   report.avg_path_length = grid_->AveragePathLength();
   report.converged = report.avg_path_length >= target_avg_depth;
   report.seconds = watch.ElapsedSeconds();
@@ -127,7 +127,6 @@ void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
         Lane& sink = lanes_[lane];
         ExchangeShard shard;
         shard.rng = &slot.rng;
-        shard.stats = &sink.stats;
         shard.deferred = &slot.deferred;
         const WorkItem& it = items[wave[i]];
         exchange_->ExchangeSharded(it.a, it.b, it.depth, &shard);
@@ -162,15 +161,12 @@ void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
     std::swap(items, next);
   }
 
-  // Batch barrier: fold the additive lane shards into the grid ledger, in lane
-  // order. The sums are commutative, so which lane ran which item (the only
-  // timing-dependent quantity left) cannot affect the result. O(threads) serial
-  // work per batch, where the old slot-order fold was O(slots) per wave.
+  // Batch barrier: fold the lane path-bit sums into the grid. The sum is
+  // commutative, so which lane ran which item (the only timing-dependent
+  // quantity left) cannot affect the result. O(threads) serial work per batch.
   const uint64_t t_merge = prof ? MonotonicNs() : 0;
   uint64_t path_bits = 0;
   for (Lane& lane : lanes_) {
-    grid_->stats().MergeFrom(lane.stats);
-    lane.stats.Reset();
     path_bits += lane.path_bits;
     lane.path_bits = 0;
   }

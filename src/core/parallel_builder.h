@@ -1,8 +1,8 @@
 // Multi-threaded grid construction with a deterministic result.
 //
-// The sequential GridBuilder interleaves meeting scheduling, exchange execution,
-// and ledger accounting on one RNG stream, so its result is a function of the seed
-// but inherently serial. This builder restructures the same workload so meetings
+// The sequential GridBuilder interleaves meeting scheduling and exchange execution
+// on one RNG stream, so its result is a function of the seed but inherently
+// serial. This builder restructures the same workload so meetings
 // run concurrently while the final grid stays a pure function of (seed,
 // batch_size) -- in particular, independent of the thread count:
 //
@@ -24,13 +24,13 @@
 //   4. Sharded execution. Slot i runs ExchangeEngine::ExchangeSharded against its
 //      own stream and a private deferred-recursion list (case-4 recursion
 //      targets third peers, so it is captured, not executed inline), while
-//      ledger accounting (message counts, path growth) lands in per-*lane*
-//      shards -- purely additive, so lane assignment cannot affect the sums.
+//      path growth lands in a per-*lane* sum -- purely additive, so lane
+//      assignment cannot affect it. Message counts go straight to the grid's
+//      atomic registry counters, whose sums are equally order-free.
 //   5. Deterministic merges. The wave barrier only gathers deferred children, in
 //      slot order (their order feeds the next round's coloring, so it must be
-//      schedule-determined). The commutative lane shards fold into the grid
-//      ledger once per batch, in lane order -- O(threads) barrier work per
-//      batch instead of O(slots) per wave.
+//      schedule-determined). The lane path-bit sums fold into the grid once per
+//      batch -- O(threads) barrier work per batch.
 //
 // Convergence (average path length vs threshold) is checked at batch boundaries,
 // after each batch has fully drained.
@@ -122,12 +122,11 @@ class ParallelGridBuilder {
     std::vector<PendingExchange> deferred;
   };
 
-  /// Additive ledger shard of one execution lane. Which lane runs which item is
-  /// timing-dependent, but these sums are commutative, so the once-per-batch
-  /// lane-order fold into the grid is deterministic regardless. `busy_ns` (kept
-  /// only when profiling) is the lane's exchange time in the current wave.
+  /// Additive sums of one execution lane. Which lane runs which item is
+  /// timing-dependent, but the path-bit sum is commutative, so the once-per-batch
+  /// fold into the grid is deterministic regardless. `busy_ns` (kept only when
+  /// profiling) is the lane's exchange time in the current wave.
   struct Lane {
-    MessageStats stats;
     uint64_t path_bits = 0;
     uint64_t busy_ns = 0;
   };
@@ -136,7 +135,7 @@ class ParallelGridBuilder {
   void EnsureSlots(size_t n);
 
   /// Executes `items` (one batch of top-level meetings) to completion, including
-  /// all deferred recursion, then folds the lane shards into the grid ledger.
+  /// all deferred recursion, then folds the lane path-bit sums into the grid.
   void RunBatch(std::vector<WorkItem> items);
 
   Grid* grid_;

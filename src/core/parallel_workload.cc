@@ -5,7 +5,6 @@
 
 #include "core/search.h"
 #include "key/key_path.h"
-#include "sim/message_stats.h"
 #include "util/macros.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -13,11 +12,17 @@
 
 namespace pgrid {
 
+namespace {
+
+/// Queries per pool work item: one SearchEngine each.
+constexpr uint64_t kChunkSize = 64;
+
+}  // namespace
+
 ParallelQueryReport RunParallelQueries(Grid* grid, const OnlineModel* online,
                                        const ParallelQueryOptions& options) {
   PGRID_CHECK(grid != nullptr);
   PGRID_CHECK_GT(options.threads, 0u);
-  PGRID_CHECK_GT(options.chunk_size, 0u);
   PGRID_CHECK_GT(options.key_length, 0u);
 
   Stopwatch watch;
@@ -28,17 +33,15 @@ ParallelQueryReport RunParallelQueries(Grid* grid, const OnlineModel* online,
   struct Chunk {
     uint64_t first = 0;  // global index of the chunk's first query
     uint64_t count = 0;
-    MessageStats stats;
     uint64_t found = 0;
     uint64_t messages = 0;
   };
-  const uint64_t num_chunks =
-      (options.num_queries + options.chunk_size - 1) / options.chunk_size;
+  const uint64_t num_chunks = (options.num_queries + kChunkSize - 1) / kChunkSize;
   std::vector<Chunk> chunks(num_chunks);
   for (uint64_t c = 0; c < num_chunks; ++c) {
-    chunks[c].first = c * options.chunk_size;
+    chunks[c].first = c * kChunkSize;
     chunks[c].count =
-        std::min<uint64_t>(options.chunk_size, options.num_queries - chunks[c].first);
+        std::min<uint64_t>(kChunkSize, options.num_queries - chunks[c].first);
   }
 
   // One busy sum per lane; a lane is the only writer of its own slot.
@@ -48,10 +51,9 @@ ParallelQueryReport RunParallelQueries(Grid* grid, const OnlineModel* online,
     const uint64_t t_chunk = MonotonicNs();
     Chunk& chunk = chunks[ci];
     // One engine per chunk: its Rng is reseeded per query with the query's own
-    // counter-derived stream, and its kQuery accounting lands in the chunk shard.
+    // counter-derived stream.
     Rng rng(0);
     SearchEngine engine(grid, online, &rng);
-    engine.set_stats_sink(&chunk.stats);
     for (uint64_t q = 0; q < chunk.count; ++q) {
       rng.Reseed(DeriveStreamSeed(options.seed, chunk.first + q));
       const KeyPath key = KeyPath::Random(&rng, options.key_length);
@@ -64,9 +66,7 @@ ParallelQueryReport RunParallelQueries(Grid* grid, const OnlineModel* online,
     report.lane_busy_ns[lane] += MonotonicNs() - t_chunk;
   });
 
-  // Ordered barrier merge: the grid ledger sees chunk shards in chunk order.
-  for (Chunk& chunk : chunks) {
-    grid->stats().MergeFrom(chunk.stats);
+  for (const Chunk& chunk : chunks) {
     report.found += chunk.found;
     report.messages += chunk.messages;
   }

@@ -1,22 +1,15 @@
-// Multi-threaded read-only query workloads with deterministic accounting.
+// Multi-threaded read-only query workloads with deterministic counts.
 //
 // Searches never mutate peer state, so a query workload parallelizes trivially --
-// the work is making the *accounting* deterministic. Three ingredients:
+// the work is making the *counts* deterministic. Query i always runs on
+// Rng(DeriveStreamSeed(seed, i)): its key, entry point, and routing decisions are
+// a function of (seed, i), independent of which thread runs it when. Queries run
+// in fixed chunks of 64, one SearchEngine per chunk.
 //
-//   1. Counter-derived streams. Query i always runs on
-//      Rng(DeriveStreamSeed(seed, i)): its key, entry point, and routing decisions
-//      are a function of (seed, i), independent of which thread runs it when.
-//   2. Fixed chunking. Queries are grouped into chunks of `chunk_size` (never
-//      derived from the thread count); each chunk runs on its own SearchEngine
-//      whose kQuery accounting is redirected to a private MessageStats shard
-//      (SearchEngine::set_stats_sink).
-//   3. Ordered merge. After the join, chunk shards fold into the grid ledger in
-//      chunk order, so `search.messages == stats().count(kQuery)` holds afterwards
-//      exactly as in a serial run.
-//
-// Per-peer load counters (Grid::NoteServed) are relaxed atomics recorded in place:
-// sums are exact and thread-count independent, which is all the load-balance
-// statistics consume.
+// Message counters (search.messages, hence stats().count(kQuery)) and per-peer
+// load counters (Grid::NoteServed) are relaxed atomics recorded in place: sums
+// are exact and thread-count independent, which is all the paper's message
+// counts and the load-balance statistics consume.
 //
 // Every run also times its chunks: each lane sums the nanoseconds it spent in
 // chunks, and the report turns the sums into per-lane busy time and a
@@ -45,17 +38,13 @@ struct ParallelQueryOptions {
 
   /// Master seed; query i draws from stream DeriveStreamSeed(seed, i).
   uint64_t seed = 1;
-
-  /// Queries per accounting shard. Part of the deterministic layout; must never
-  /// be derived from the thread count.
-  size_t chunk_size = 64;
 };
 
 /// Aggregate outcome of one parallel query run.
 struct ParallelQueryReport {
   uint64_t queries = 0;
   uint64_t found = 0;
-  uint64_t messages = 0;  ///< kQuery messages, also merged into the grid ledger
+  uint64_t messages = 0;  ///< kQuery messages (also counted in search.messages)
   double seconds = 0.0;
   double queries_per_second = 0.0;
 

@@ -26,7 +26,7 @@ void AppendUnseen(std::vector<IndexEntry> entries, EntrySet* seen,
 }  // namespace
 
 SearchEngine::SearchEngine(Grid* grid, const OnlineModel* online, Rng* rng)
-    : grid_(grid), online_(online), rng_(rng), stats_(&grid->stats()) {
+    : grid_(grid), online_(online), rng_(rng) {
   PGRID_CHECK(grid != nullptr && rng != nullptr);
   obs::MetricsRegistry& m = grid->metrics();
   queries_ = m.GetCounter("search.queries");
@@ -88,9 +88,8 @@ bool SearchEngine::QueryImpl(PeerId peer, const KeyPath& p, size_t consumed,
     }
     if (shed_fn_ && shed_fn_(r)) {
       // The request reached r but its serve queue is full: one kQuery spent on
-      // the wire (the ledger sees it like any hop), nothing served, no
-      // recursion. The query degrades to the remaining references.
-      stats_->Record(MessageType::kQuery);
+      // the wire (counted like any hop), nothing served, no recursion. The
+      // query degrades to the remaining references.
       messages_->Increment();
       ++out->messages;
       sheds_->Increment();
@@ -101,7 +100,6 @@ bool SearchEngine::QueryImpl(PeerId peer, const KeyPath& p, size_t consumed,
       }
       continue;
     }
-    stats_->Record(MessageType::kQuery);
     messages_->Increment();
     grid_->NoteServed(r);
     ++out->messages;
@@ -151,7 +149,6 @@ void SearchEngine::PrefixImpl(PeerId peer, const KeyPath& p, size_t consumed,
         offline_skips_->Increment();
         continue;
       }
-      stats_->Record(MessageType::kQuery);
       messages_->Increment();
       grid_->NoteServed(r);
       ++out->messages;

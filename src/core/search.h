@@ -156,14 +156,6 @@ class SearchEngine {
   /// if nobody is online (after sampling `tries` candidates).
   std::optional<PeerId> RandomOnlinePeer(size_t tries = 256);
 
-  /// Redirects kQuery message accounting to `stats` instead of the grid's shared
-  /// ledger. Parallel workloads point each per-thread engine at its own shard and
-  /// MergeFrom the shards at the barrier (see core/parallel_workload.h), keeping
-  /// the grid ledger single-writer. Null restores the grid's ledger.
-  void set_stats_sink(MessageStats* stats) {
-    stats_ = stats != nullptr ? stats : &grid_->stats();
-  }
-
   /// Routing preference for gray peers: references for which `fn(from, to)` is
   /// true (demoted as slow, see repair::RepairEngine::IsDemoted) are tried
   /// only after every fast reference at the level has been exhausted. While no
@@ -192,13 +184,12 @@ class SearchEngine {
   Grid* grid_;
   const OnlineModel* online_;
   Rng* rng_;
-  MessageStats* stats_;  // defaults to &grid_->stats(); see set_stats_sink
   std::function<bool(PeerId, PeerId)> slow_fn_;
   std::function<bool(PeerId)> shed_fn_;
 
   // Cached registry instruments (owned by the grid; see docs/observability.md).
   obs::Counter* queries_;
-  obs::Counter* messages_;  // mirrors MessageStats kQuery exactly
+  obs::Counter* messages_;  // MessageStats kQuery
   obs::Counter* backtracks_;
   obs::Counter* offline_skips_;
   obs::Counter* sheds_;

@@ -97,7 +97,6 @@ void UpdateEngine::DfsPass(const KeyPath& key, bool with_buddies,
   for (PeerId b : grid_->peer(q.responder).buddies()) {
     if (reached->contains(b)) continue;
     if (!IsOnline(b)) continue;
-    grid_->stats().Record(MessageType::kUpdate);
     messages_->Increment();
     ++*messages;
     reached->insert(b);
@@ -137,7 +136,6 @@ void UpdateEngine::BfsFanOut(Span<PeerId> refs, const KeyPath& querypath,
   while (!candidates.empty() && contacted < recbreadth) {
     PeerId r = rng_->TakeRandom(&candidates);
     if (!IsOnline(r)) continue;
-    grid_->stats().Record(MessageType::kUpdate);
     messages_->Increment();
     grid_->NoteServed(r);
     ++*messages;

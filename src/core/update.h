@@ -11,9 +11,11 @@
 //                         `recbreadth` (online) references instead of one, reaching
 //                         many replicas per run; restarted `repetition` times.
 //
-// Reached replicas apply the new version to their leaf index entries. Messages are
-// accounted as kUpdate: one per successful remote contact (routing hop, buddy
-// notification); offline contacts cost nothing, matching the search metric.
+// Reached replicas apply the new version to their leaf index entries. Every
+// successful remote contact costs one message; offline contacts cost nothing,
+// matching the search metric. Breadth-first hops and buddy notifications count as
+// kUpdate; the depth-first passes route through SearchEngine, so their hops count
+// as kQuery. UpdateOutcome::messages is the sum of both.
 
 #pragma once
 
@@ -92,7 +94,7 @@ class UpdateEngine {
 
   // Cached registry instruments (owned by the grid; see docs/observability.md).
   obs::Counter* updates_;   // runs of the propagation algorithm
-  obs::Counter* messages_;  // mirrors MessageStats kUpdate exactly
+  obs::Counter* messages_;  // MessageStats kUpdate
   obs::Histogram* fanout_;  // replicas reached per propagation
 };
 

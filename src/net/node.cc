@@ -302,16 +302,6 @@ std::vector<WireEntry> PGridNode::foreign_entries() const {
   return out;
 }
 
-NodeStats PGridNode::stats() const {
-  NodeStats out;
-  out.exchanges_initiated = c_exchanges_initiated_->value();
-  out.exchanges_served = c_exchanges_served_->value();
-  out.queries_served = c_queries_served_->value();
-  out.publishes_served = c_publishes_served_->value();
-  out.entries_adopted = c_entries_adopted_->value();
-  return out;
-}
-
 std::vector<std::string> PGridNode::KnownPeers() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<PeerId> ids;

@@ -114,17 +114,6 @@ struct NodeConfig {
   }
 };
 
-/// Point-in-time copy of a node's protocol counters. The live values are atomic
-/// counters in the node's metrics registry ("node.*" names); this struct is a
-/// convenience snapshot for callers that do not want to walk the registry.
-struct NodeStats {
-  uint64_t exchanges_initiated = 0;
-  uint64_t exchanges_served = 0;
-  uint64_t queries_served = 0;
-  uint64_t publishes_served = 0;
-  uint64_t entries_adopted = 0;
-};
-
 /// One networked P-Grid peer.
 class PGridNode {
  public:
@@ -173,10 +162,8 @@ class PGridNode {
   /// buddies, deduplicated). The gossip pool for autonomous meeting loops.
   std::vector<std::string> KnownPeers() const;
 
-  /// Snapshot of the protocol counters (reads the registry atomics; lock-free).
-  NodeStats stats() const;
-
-  /// The registry backing this node's counters (shared or owned, see ctor).
+  /// The registry backing this node's counters (shared or owned, see ctor), e.g.
+  /// "node.queries_served"; docs/observability.md lists the names.
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
 

@@ -67,21 +67,6 @@ uint64_t Histogram::Quantile(double q) const {
   return max();
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  PGRID_CHECK(bounds_ == other.bounds_);
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    const uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
-  }
-  const uint64_t n = other.count_.load(std::memory_order_relaxed);
-  if (n == 0) return;
-  count_.fetch_add(n, std::memory_order_relaxed);
-  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  AtomicMin(&min_, other.min_.load(std::memory_order_relaxed));
-  AtomicMax(&max_, other.max_.load(std::memory_order_relaxed));
-}
-
 std::vector<uint64_t> Histogram::bucket_counts() const {
   std::vector<uint64_t> out(buckets_.size());
   for (size_t i = 0; i < buckets_.size(); ++i) {
@@ -135,24 +120,10 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  PGRID_CHECK(this != &other);
-  std::lock_guard<std::mutex> other_lock(other.mu_);
-  for (const auto& [name, c] : other.counters_) {
-    Counter* mine = GetCounter(name);
-    PGRID_CHECK(mine != nullptr);
-    if (c->value() != 0) mine->Increment(c->value());
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    Gauge* mine = GetGauge(name);
-    PGRID_CHECK(mine != nullptr);
-    if (g->value() != 0) mine->Add(g->value());
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    Histogram* mine = GetHistogram(name, h->bounds());
-    PGRID_CHECK(mine != nullptr);
-    mine->MergeFrom(*h);
-  }
+const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = counters_.find(name);
+  return it != counters_.end() ? it->second.get() : nullptr;
 }
 
 RegistrySnapshot MetricsRegistry::Snapshot() const {

@@ -74,11 +74,6 @@ class Histogram {
   /// Per-bucket counts; the last element is the overflow bucket.
   std::vector<uint64_t> bucket_counts() const;
 
-  /// Adds every sample of `other` into this histogram (bucket-wise, plus
-  /// count/sum/min/max). Requires identical bounds. Sharded-accounting merge
-  /// hook; intended to run at a barrier, not concurrently with Record on `other`.
-  void MergeFrom(const Histogram& other);
-
  private:
   const std::vector<uint64_t> bounds_;
   std::vector<std::atomic<uint64_t>> buckets_;  // bounds_.size() + 1 (overflow last)
@@ -137,16 +132,12 @@ class MetricsRegistry {
   /// histogram regardless of the bounds passed.
   Histogram* GetHistogram(const std::string& name, std::vector<uint64_t> bounds);
 
-  RegistrySnapshot Snapshot() const;
+  /// The counter named `name`, or null if nothing has created it. Unlike
+  /// GetCounter this never creates an instrument, so readers leave the set of
+  /// exported instruments as the writers made it.
+  const Counter* FindCounter(const std::string& name) const;
 
-  /// Sharded-accounting merge hook: folds every instrument of `other` into this
-  /// registry, creating missing instruments as needed. Counters and gauges add;
-  /// histograms merge bucket-wise (their bounds must agree). Instruments are
-  /// visited in name order, so merging the same shards always produces the same
-  /// registry. A name that exists here as a different instrument kind is a
-  /// programming error (PGRID_CHECK). Intended for per-thread shard registries
-  /// folded at batch barriers; do not merge a registry into itself.
-  void MergeFrom(const MetricsRegistry& other);
+  RegistrySnapshot Snapshot() const;
 
  private:
   mutable std::mutex mu_;

@@ -66,7 +66,6 @@ void RepairEngine::ProbeAndEvict(PeerState& peer, RepairTick* tick) {
   obs::MetricsRegistry& m = grid_->metrics();
   for (PeerId t : targets) {
     if (Probe(peer.id(), t)) {
-      grid_->stats().Record(MessageType::kControl);
       m.GetCounter("repair.probes")->Increment();
       ++tick->probes;
       suspicion.NoteSuccess(t);
@@ -205,7 +204,6 @@ void RepairEngine::SyncBuddies(PeerState& peer,
     PeerState& buddy = grid_->peer(b_id);
 
     // One digest exchange per session: 2 x (8-byte digest) on the wire.
-    grid_->stats().Record(MessageType::kControl);
     m.GetCounter("repair.sync_sessions")->Increment();
     m.GetCounter("repair.sync_bytes")->Increment(16);
     ++tick->sync_sessions;
@@ -219,7 +217,6 @@ void RepairEngine::SyncBuddies(PeerState& peer,
       // union of their entry sets at the newest version of each.
       const uint64_t moved = peer.index().MergeFrom(buddy.index()) +
                              buddy.index().MergeFrom(peer.index());
-      grid_->stats().Record(MessageType::kDataTransfer, moved);
       m.GetCounter("repair.entries_reconciled")->Increment(moved);
       m.GetCounter("repair.sync_bytes")->Increment(32 * moved);
       tick->entries_reconciled += moved;
@@ -348,7 +345,6 @@ ReadRepairOutcome RepairEngine::ReadRepair(const KeyPath& key, ItemId item,
     const uint64_t patched =
         grid_->peer(responder).index().ApplyVersion(item, best);
     if (patched == 0) continue;
-    grid_->stats().Record(MessageType::kControl);
     m.GetCounter("repair.read_repairs")->Increment();
     out.repaired_entries += patched;
   }

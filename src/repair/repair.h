@@ -27,9 +27,9 @@
 //      into a convergence mechanism: replicas observed returning a minority
 //      version are patched to the majority one on the spot.
 //
-// Ledger discipline (docs/observability.md): every delivered probe, sync
-// session, and read-repair patch records one kControl message; reconciled
-// entries record kDataTransfer. Failed probes cost nothing on the simulated
+// Message accounting (docs/observability.md): every delivered probe, sync
+// session, and read-repair patch counts as one kControl message; reconciled
+// entries count as kDataTransfer. Failed probes cost nothing on the simulated
 // wire and are tracked only by the repair.probe_failures counter.
 
 #pragma once
@@ -95,8 +95,8 @@ struct ReadRepairOutcome {
 class RepairEngine {
  public:
   /// `online` may be null (everyone online). `search` issues the recruitment and
-  /// read-repair queries so their kQuery accounting flows through the normal
-  /// search ledger. All pointers must outlive the engine.
+  /// read-repair queries so their kQuery messages count like any search's. All
+  /// pointers must outlive the engine.
   RepairEngine(Grid* grid, const ExchangeConfig& exchange_config,
                const RepairConfig& config, SearchEngine* search,
                const OnlineModel* online, Rng* rng);
@@ -137,7 +137,7 @@ class RepairEngine {
   /// pulls only the delta it missed while down (digest compare + max-version
   /// merge), and its recovered references are pooled with the buddies' -- the
   /// cheap alternative to fresh recruitment that bench_recovery quantifies.
-  /// Reuses the Tick() sync machinery, so the ledger discipline (one kControl
+  /// Reuses the Tick() sync machinery, so the message accounting (one kControl
   /// per session, kDataTransfer per reconciled entry) is unchanged.
   RepairTick RejoinSync(PeerId peer);
 

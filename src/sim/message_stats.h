@@ -2,14 +2,19 @@
 //
 // All paper metrics are message counts: exchange invocations during construction,
 // successful remote query calls during search, messages spent propagating updates.
-// MessageStats is the single ledger those algorithms record into, so experiments can
-// report exactly the quantities the paper reports.
+// The protocol engines count every simulated message once, in a named counter of
+// the grid's metrics registry (obs/metrics.h). MessageStats is the paper's view
+// of those counters: a read-only value that sums them by message type through the
+// one mapping table in message_stats.cc (documented in docs/observability.md), so
+// experiments can report exactly the quantities the paper reports.
 
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string_view>
+
+#include "obs/metrics.h"
 
 namespace pgrid {
 
@@ -27,13 +32,12 @@ inline constexpr int kNumMessageTypes = 5;
 /// Returns a stable name for a message type.
 std::string_view MessageTypeName(MessageType t);
 
-/// Monotonic counters of simulated messages, by type.
+/// Simulated message counts by type, read from a metrics registry.
 class MessageStats {
  public:
-  /// Adds `n` messages of type `t`.
-  void Record(MessageType t, uint64_t n = 1) {
-    counts_[static_cast<int>(t)] += n;
-  }
+  /// Sums `metrics`' message counters by type. A counter no engine has created
+  /// counts as 0; reading creates no instrument.
+  explicit MessageStats(const obs::MetricsRegistry& metrics);
 
   /// Count for one type.
   uint64_t count(MessageType t) const { return counts_[static_cast<int>(t)]; }
@@ -44,17 +48,6 @@ class MessageStats {
     for (uint64_t c : counts_) sum += c;
     return sum;
   }
-
-  /// Adds another ledger's counts into this one. This is the merge step of sharded
-  /// accounting: parallel drivers give every concurrent work item its own shard and
-  /// fold the shards into the grid's ledger at batch barriers, in deterministic
-  /// (work-item) order, so totals are identical to a serial run over the same items.
-  void MergeFrom(const MessageStats& other) {
-    for (int i = 0; i < kNumMessageTypes; ++i) counts_[i] += other.counts_[i];
-  }
-
-  /// Zeroes all counters.
-  void Reset() { counts_.fill(0); }
 
  private:
   std::array<uint64_t, kNumMessageTypes> counts_{};

@@ -404,7 +404,7 @@ struct ScenarioRunner::Impl {
   /// One availability tick: `probes * multiplier` client queries measuring
   /// what the grid serves right now -- success rate, a p99 hop-count proxy,
   /// and the shed rate. The queries are part of the step's deterministic
-  /// execution (they draw from the engine stream and cost ledger messages);
+  /// execution (they draw from the engine stream and cost kQuery messages);
   /// only the AddPoint calls depend on the timeline, so digests stay
   /// timeline-independent. `hot_prefix` aims every query at a random
   /// extension of one key region (the flash-crowd shape); null queries the
@@ -931,8 +931,9 @@ struct ScenarioRunner::Impl {
   std::string ComputeDigest() {
     Digest d;
     d.U64(GridStateDigest(grid));
+    const MessageStats stats = grid.stats();
     for (int t = 0; t < kNumMessageTypes; ++t) {
-      d.U64(grid.stats().count(static_cast<MessageType>(t)));
+      d.U64(stats.count(static_cast<MessageType>(t)));
     }
     d.U64(transport.virtual_now());
     d.U64(churn.live_count());

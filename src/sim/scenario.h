@@ -5,7 +5,7 @@
 // barriers). Every random decision is either materialized into the step's
 // parameters at generation time or drawn from an Rng reseeded per step with
 // DeriveStreamSeed(seed, step_index), so executing a scenario is a pure
-// function of the value: same scenario in, same grid, same ledger, same
+// function of the value: same scenario in, same grid, same message counts, same
 // digest out -- regardless of what ran before. That is what makes fuzzing
 // findings reproducible (sim/fuzzer.h) and shrunk repros replayable
 // (`pgrid replay <file>`).
@@ -195,9 +195,9 @@ struct ScenarioResult {
   /// Steps actually executed (== steps.size() unless a barrier failed).
   size_t steps_executed = 0;
 
-  /// FNV-1a digest of the final state (peer paths, refs, indexes, ledger,
-  /// virtual clock). Two runs of the same scenario produce the same digest;
-  /// this is the "byte-identical trace" the harness asserts on.
+  /// FNV-1a digest of the final state (peer paths, refs, indexes, message
+  /// counts, virtual clock). Two runs of the same scenario produce the same
+  /// digest; this is the "byte-identical trace" the harness asserts on.
   std::string digest;
 };
 

@@ -184,9 +184,17 @@ TEST(ChurnTest, GracefulDepartHandsEntriesToLiveBuddyFirst) {
   planted.version = 3;
   ASSERT_TRUE(f.grid.peer(leaver).index().InsertOrRefresh(planted));
 
+  const MessageStats before = f.grid.stats();
   const uint64_t handed = f.driver->Depart(leaver, /*graceful=*/true);
   EXPECT_GT(handed, 0u);
   EXPECT_TRUE(f.driver->IsDead(leaver));
+  // The handover is one kControl session carrying `handed` entries.
+  const MessageStats after = f.grid.stats();
+  EXPECT_EQ(after.count(MessageType::kDataTransfer) -
+                before.count(MessageType::kDataTransfer),
+            handed);
+  EXPECT_EQ(after.count(MessageType::kControl) - before.count(MessageType::kControl),
+            1u);
   // The first live buddy inherited the entry at full version.
   const IndexEntry* got = f.grid.peer(buddy).index().Find(leaver, 987654);
   ASSERT_NE(got, nullptr) << "buddy must be preferred as heir";
@@ -247,7 +255,9 @@ TEST(ChurnTest, CrashDepartHandsOverNothing) {
   planted.key = f.grid.peer(victim).path();
   planted.version = 9;
   f.grid.peer(victim).index().InsertOrRefresh(planted);
+  const uint64_t messages_before = f.grid.stats().total();
   EXPECT_EQ(f.driver->Depart(victim, /*graceful=*/false), 0u);
+  EXPECT_EQ(f.grid.stats().total(), messages_before);  // a crash sends nothing
   EXPECT_TRUE(f.driver->IsDead(victim));
   // No live peer inherited the crashed peer's private entry.
   for (PeerId p = 0; p < f.grid.size(); ++p) {

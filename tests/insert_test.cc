@@ -101,6 +101,42 @@ TEST(InsertTest, FailsGracefullyWhenNetworkDown) {
   EXPECT_NE(built.grid->peer(holder).store().Get(9), nullptr);
 }
 
+TEST(InsertTest, InstalledEntriesAreCountedAsDataTransfer) {
+  // Every index entry an insert installs at a reached replica is one kDataTransfer
+  // message; the propagation itself is breadth-first, so its reported messages
+  // are all kUpdate.
+  auto built = testing_util::Build(256, 4, 3, 2, 1);
+  Rng rng(3);
+  InsertEngine insert(built.grid.get(), nullptr, &rng);
+  const auto index_entries = [&built] {
+    uint64_t sum = 0;
+    for (const PeerState& p : *built.grid) sum += p.index().size();
+    return sum;
+  };
+  const MessageStats before = built.grid->stats();
+  const uint64_t entries_before = index_entries();
+  uint64_t reached = 0;
+  uint64_t messages = 0;
+  for (ItemId id = 1; id <= 30; ++id) {
+    const DataItem item = Item(id, KeyPath::Random(&rng, 10));
+    // A holder that is not co-responsible, so no entry is indexed for free.
+    PeerId holder = 0;
+    while (PathsOverlap(built.grid->peer(holder).path(), item.key)) ++holder;
+    auto outcome = insert.Insert(item, holder, Propagation(2, 2));
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    reached += outcome->replicas_reached;
+    messages += outcome->messages;
+  }
+  const MessageStats after = built.grid->stats();
+  const uint64_t transferred = after.count(MessageType::kDataTransfer) -
+                               before.count(MessageType::kDataTransfer);
+  EXPECT_GT(transferred, 0u);
+  EXPECT_EQ(transferred, index_entries() - entries_before);
+  EXPECT_EQ(transferred, reached);  // fresh items: every reached replica installs
+  EXPECT_EQ(after.count(MessageType::kUpdate) - before.count(MessageType::kUpdate),
+            messages);
+}
+
 TEST(InsertTest, HolderIndexesLocallyWhenCoResponsible) {
   auto built = testing_util::Build(64, 3, 2, 2, 8);
   Rng rng(9);

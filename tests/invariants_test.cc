@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/grid.h"
-#include "sim/message_stats.h"
 #include "tests/test_util.h"
 
 namespace pgrid {
@@ -15,7 +14,7 @@ using check::InvariantOptions;
 using check::InvariantReport;
 
 // A freshly constructed community (everyone responsible for everything) breaks
-// nothing: no refs, no data, root-terminal coverage, zeroed ledger.
+// nothing: no refs, no data, root-terminal coverage.
 TEST(GridInvariantsTest, FreshGridIsClean) {
   Grid grid(8);
   ExchangeConfig config;
@@ -164,17 +163,6 @@ TEST_F(CorruptionTest, DesyncedReplicaKeyIsCaught) {
   EXPECT_EQ(report.CountOf(Category::kPlacement), 0u) << report.ToString();
 }
 
-TEST_F(CorruptionTest, LedgerMismatchIsCaught) {
-  // Recording into the MessageStats ledger without the mirroring metrics
-  // counter breaks the agreement the engines maintain.
-  grid().stats().Record(MessageType::kQuery, 5);
-  InvariantReport report = Check();
-  EXPECT_GE(report.CountOf(Category::kLedger), 1u) << report.ToString();
-  EXPECT_EQ(report.violations[0].peer, kInvalidPeer);
-  EXPECT_NE(report.violations[0].detail.find("query"), std::string::npos)
-      << report.ToString();
-}
-
 TEST(GridInvariantsCoverageTest, UncoveredSubtreeIsReported) {
   // Two peers both at "0": nobody is responsible for keys starting with 1.
   Grid grid(2);
@@ -212,16 +200,13 @@ TEST(GridInvariantsOptionsTest, DisabledChecksAreSkipped) {
   Grid grid(2);
   grid.peer(0).AppendPathBit(0);
   grid.peer(1).AppendPathBit(0);
-  grid.stats().Record(MessageType::kExchange, 3);
   ExchangeConfig config;
   InvariantOptions options;
   options.check_coverage = false;
-  options.check_ledger = false;
   EXPECT_TRUE(GridInvariants::Check(grid, config, options).ok());
   options.check_coverage = true;
   InvariantReport report = GridInvariants::Check(grid, config, options);
   EXPECT_EQ(report.CountOf(Category::kCoverage), 1u);
-  EXPECT_EQ(report.CountOf(Category::kLedger), 0u);
 }
 
 TEST(GridInvariantsOptionsTest, MaxViolationsTruncates) {

@@ -309,7 +309,6 @@ TEST(MacroScenarioTest, PartitionLeakInvariantFlagsCrossGroupEntries) {
 
   check::InvariantOptions opt;
   opt.partition = &pv;
-  opt.check_ledger = false;
   const check::InvariantReport report = check::GridInvariants::Check(
       runner.grid(), runner.exchange_config(), opt);
   EXPECT_GT(report.CountOf(check::Category::kPartitionLeak), 0u);

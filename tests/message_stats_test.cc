@@ -2,62 +2,66 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace pgrid {
 namespace {
 
 TEST(MessageStatsTest, StartsAtZero) {
-  MessageStats stats;
+  obs::MetricsRegistry metrics;
+  MessageStats stats(metrics);
   EXPECT_EQ(stats.total(), 0u);
   EXPECT_EQ(stats.count(MessageType::kQuery), 0u);
+  // Reading creates no instrument: an export of the registry is unchanged.
+  EXPECT_TRUE(metrics.Snapshot().counters.empty());
 }
 
 TEST(MessageStatsTest, RecordAccumulatesPerType) {
-  MessageStats stats;
-  stats.Record(MessageType::kExchange);
-  stats.Record(MessageType::kExchange, 4);
-  stats.Record(MessageType::kQuery, 2);
+  obs::MetricsRegistry metrics;
+  metrics.GetCounter("exchange.count")->Increment();
+  metrics.GetCounter("exchange.count")->Increment(4);
+  metrics.GetCounter("search.messages")->Increment(2);
+  MessageStats stats(metrics);
   EXPECT_EQ(stats.count(MessageType::kExchange), 5u);
   EXPECT_EQ(stats.count(MessageType::kQuery), 2u);
   EXPECT_EQ(stats.count(MessageType::kUpdate), 0u);
   EXPECT_EQ(stats.total(), 7u);
 }
 
-TEST(MessageStatsTest, ResetZeroesEverything) {
-  MessageStats stats;
-  stats.Record(MessageType::kUpdate, 3);
-  stats.Record(MessageType::kDataTransfer, 9);
-  stats.Reset();
-  EXPECT_EQ(stats.total(), 0u);
-}
-
-TEST(MessageStatsTest, MergeFromAddsEveryType) {
-  MessageStats total;
-  total.Record(MessageType::kExchange, 5);
-  MessageStats shard;
-  shard.Record(MessageType::kExchange, 2);
-  shard.Record(MessageType::kQuery, 7);
-  shard.Record(MessageType::kDataTransfer, 11);
-  total.MergeFrom(shard);
-  EXPECT_EQ(total.count(MessageType::kExchange), 7u);
-  EXPECT_EQ(total.count(MessageType::kQuery), 7u);
-  EXPECT_EQ(total.count(MessageType::kDataTransfer), 11u);
-  EXPECT_EQ(total.total(), 25u);
-  // The shard is left untouched; the sharded-accounting drivers Reset() it
-  // explicitly after each barrier merge.
-  EXPECT_EQ(shard.total(), 20u);
-}
-
-TEST(MessageStatsTest, MergeOrderDoesNotMatterForTotals) {
-  MessageStats a, b, ab, ba;
-  a.Record(MessageType::kQuery, 3);
-  b.Record(MessageType::kQuery, 4);
-  b.Record(MessageType::kControl, 1);
-  ab.MergeFrom(a);
-  ab.MergeFrom(b);
-  ba.MergeFrom(b);
-  ba.MergeFrom(a);
-  EXPECT_EQ(ab.count(MessageType::kQuery), ba.count(MessageType::kQuery));
-  EXPECT_EQ(ab.total(), ba.total());
+TEST(MessageStatsTest, MappingTableSendsEachCounterToOneType) {
+  // The counter -> type table is the definition of every paper message count
+  // (docs/observability.md). Each counter gets its own power of two, so every
+  // per-type sum spells out exactly which counters it includes.
+  obs::MetricsRegistry metrics;
+  const char* const kNames[] = {
+      "exchange.count",             // 1
+      "search.messages",            // 2
+      "update.messages",            // 4
+      "exchange.entries_moved",     // 8
+      "insert.entries_installed",   // 16
+      "churn.entries_handed_over",  // 32
+      "repair.entries_reconciled",  // 64
+      "churn.handovers",            // 128
+      "repair.probes",              // 256
+      "repair.sync_sessions",       // 512
+      "repair.read_repairs",        // 1024
+  };
+  uint64_t bit = 1;
+  for (const char* name : kNames) {
+    metrics.GetCounter(name)->Increment(bit);
+    bit <<= 1;
+  }
+  // Counters outside the table count as nothing.
+  metrics.GetCounter("exchange.splits")->Increment(1u << 20);
+  metrics.GetCounter("search.queries")->Increment(1u << 21);
+  metrics.GetCounter("repair.probe_failures")->Increment(1u << 22);
+  MessageStats stats(metrics);
+  EXPECT_EQ(stats.count(MessageType::kExchange), 1u);
+  EXPECT_EQ(stats.count(MessageType::kQuery), 2u);
+  EXPECT_EQ(stats.count(MessageType::kUpdate), 4u);
+  EXPECT_EQ(stats.count(MessageType::kDataTransfer), 8u + 16 + 32 + 64);
+  EXPECT_EQ(stats.count(MessageType::kControl), 128u + 256 + 512 + 1024);
+  EXPECT_EQ(stats.total(), 2047u);
 }
 
 TEST(MessageStatsTest, TypeNamesAreStable) {

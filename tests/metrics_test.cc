@@ -88,51 +88,16 @@ TEST(HistogramTest, MedianOfUniformSamples) {
   EXPECT_EQ(h.Quantile(1.0), 40u);
 }
 
-TEST(HistogramTest, MergeFromAddsBucketsCountSumAndExtremes) {
-  Histogram a({10, 100, 1000});
-  Histogram b({10, 100, 1000});
-  a.Record(5);
-  a.Record(50);
-  b.Record(500);
-  b.Record(5000);  // overflow bucket
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.sum(), 5555u);
-  EXPECT_EQ(a.min(), 5u);
-  EXPECT_EQ(a.max(), 5000u);
-  const std::vector<uint64_t> buckets = a.bucket_counts();
-  ASSERT_EQ(buckets.size(), 4u);
-  EXPECT_EQ(buckets[0], 1u);
-  EXPECT_EQ(buckets[1], 1u);
-  EXPECT_EQ(buckets[2], 1u);
-  EXPECT_EQ(buckets[3], 1u);
-  // `b` is a read-only source.
-  EXPECT_EQ(b.count(), 2u);
-}
-
-TEST(HistogramTest, MergeFromEmptyLeavesExtremesAlone) {
-  Histogram a({10});
-  Histogram empty({10});
-  a.Record(7);
-  a.MergeFrom(empty);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_EQ(a.min(), 7u);
-  EXPECT_EQ(a.max(), 7u);
-}
-
-TEST(MetricsRegistryTest, MergeFromFoldsShardIntoTotal) {
-  MetricsRegistry total;
-  MetricsRegistry shard;
-  total.GetCounter("exchange.count")->Increment(10);
-  shard.GetCounter("exchange.count")->Increment(5);
-  shard.GetCounter("search.messages")->Increment(3);  // absent in total so far
-  shard.GetGauge("peers.online")->Set(40);
-  shard.GetHistogram("depth", CountBounds())->Record(2);
-  total.MergeFrom(shard);
-  EXPECT_EQ(total.GetCounter("exchange.count")->value(), 15u);
-  EXPECT_EQ(total.GetCounter("search.messages")->value(), 3u);
-  EXPECT_EQ(total.GetGauge("peers.online")->value(), 40);
-  EXPECT_EQ(total.GetHistogram("depth", CountBounds())->count(), 1u);
+TEST(MetricsRegistryTest, FindCounterNeverCreates) {
+  MetricsRegistry reg;
+  EXPECT_EQ(reg.FindCounter("x"), nullptr);
+  EXPECT_TRUE(reg.Snapshot().counters.empty());
+  reg.GetGauge("g");
+  EXPECT_EQ(reg.FindCounter("g"), nullptr);  // a gauge is not a counter
+  Counter* x = reg.GetCounter("x");
+  x->Increment(3);
+  ASSERT_EQ(reg.FindCounter("x"), x);
+  EXPECT_EQ(reg.FindCounter("x")->value(), 3u);
 }
 
 TEST(MetricsRegistryTest, SameNameReturnsSameInstrument) {

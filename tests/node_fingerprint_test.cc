@@ -170,12 +170,11 @@ uint64_t Fingerprint(Community* c) {
     for (const std::string& b : buddies) f.Str(b);
     f.Entries(node->entries());
     f.Entries(node->foreign_entries());
-    const NodeStats s = node->stats();
-    f.U64(s.exchanges_initiated);
-    f.U64(s.exchanges_served);
-    f.U64(s.queries_served);
-    f.U64(s.publishes_served);
-    f.U64(s.entries_adopted);
+    for (const char* name :
+         {"node.exchanges_initiated", "node.exchanges_served", "node.queries_served",
+          "node.publishes_served", "node.entries_adopted"}) {
+      f.U64(node->metrics().GetCounter(name)->value());
+    }
     Result<ProbeResponse> probe = node->Probe(node->address());
     EXPECT_TRUE(probe.ok()) << probe.status();
     if (probe.ok()) f.U64(probe->index_digest);

@@ -41,9 +41,6 @@ TEST(NodeStatsTest, ConcurrentQueriesAreCountedExactly) {
   }
   for (std::thread& t : threads) t.join();
 
-  NodeStats stats = node.stats();
-  EXPECT_EQ(stats.queries_served,
-            static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(node.metrics().GetCounter("node.queries_served")->value(),
             static_cast<uint64_t>(kThreads) * kPerThread);
 }
@@ -78,13 +75,14 @@ TEST(NodeStatsTest, ConcurrentMixedTrafficSumsExactly) {
   }
   for (std::thread& t : threads) t.join();
 
-  NodeStats stats = node.stats();
-  EXPECT_EQ(stats.queries_served, static_cast<uint64_t>(kThreads / 2) * kPerThread);
-  EXPECT_EQ(stats.publishes_served,
+  obs::MetricsRegistry& m = node.metrics();
+  EXPECT_EQ(m.GetCounter("node.queries_served")->value(),
+            static_cast<uint64_t>(kThreads / 2) * kPerThread);
+  EXPECT_EQ(m.GetCounter("node.publishes_served")->value(),
             static_cast<uint64_t>(kThreads / 2) * kPerThread);
   // Every publish key overlaps the empty path, so each distinct entry was
   // adopted exactly once.
-  EXPECT_EQ(stats.entries_adopted,
+  EXPECT_EQ(m.GetCounter("node.entries_adopted")->value(),
             static_cast<uint64_t>(kThreads / 2) * kPerThread);
 }
 

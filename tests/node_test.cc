@@ -391,9 +391,8 @@ TEST(NodeTest, StatsCountActivity) {
   c.Mingle(100);
   uint64_t initiated = 0, served = 0;
   for (const auto& node : c.nodes) {
-    NodeStats s = node->stats();
-    initiated += s.exchanges_initiated;
-    served += s.exchanges_served;
+    initiated += node->metrics().GetCounter("node.exchanges_initiated")->value();
+    served += node->metrics().GetCounter("node.exchanges_served")->value();
   }
   EXPECT_GT(initiated, 0u);
   EXPECT_GT(served, 0u);

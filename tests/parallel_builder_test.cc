@@ -1,11 +1,11 @@
-// Determinism and ledger-exactness of the multi-threaded grid builder.
+// Determinism of the multi-threaded grid builder.
 //
 // The load-bearing guarantee (core/parallel_builder.h) is that the built grid is a
 // pure function of (seed, batch_size) -- independent of the thread count. These
 // tests verify it at full strength: grids built at 1, 2, and 8 threads are
 // snapshotted (src/snapshot) and the snapshot files compared byte for byte, and
-// every merged ledger quantity (MessageStats by type, the mirrored metrics
-// counters, path-length accounting) must agree exactly.
+// every message count (MessageStats by type) and the path-length accounting must
+// agree exactly.
 
 #include "core/parallel_builder.h"
 
@@ -99,7 +99,7 @@ TEST(ParallelBuilderTest, ThreadCountDoesNotChangeTheGrid) {
   EXPECT_EQ(s1, s2);
   EXPECT_EQ(s1, s8);
 
-  // Merged ledgers agree exactly, for every message type.
+  // Message counts agree exactly, for every message type.
   for (int t = 0; t < kNumMessageTypes; ++t) {
     const MessageType type = static_cast<MessageType>(t);
     EXPECT_EQ(t1.grid->stats().count(type), t2.grid->stats().count(type))
@@ -148,22 +148,11 @@ TEST(ParallelBuilderTest, BatchSizeIsPartOfTheSchedule) {
   EXPECT_EQ(SnapshotBytes(a, "batch_a.pgrid"), SnapshotBytes(b, "batch_b.pgrid"));
 }
 
-TEST(ParallelBuilderTest, LedgerStaysExactUnderSharding) {
-  // PR 1's ledger invariant: the metrics counter "exchange.count" mirrors the
-  // MessageStats exchange count exactly. Sharded merges must preserve it.
-  ParallelBuilt built = BuildParallel(400, /*threads=*/4, /*seed=*/21);
-  obs::MetricsRegistry& m = built.grid->metrics();
-  EXPECT_EQ(m.GetCounter("exchange.count")->value(),
-            built.grid->stats().count(MessageType::kExchange));
-  EXPECT_EQ(m.GetCounter("exchange.entries_moved")->value(),
-            built.grid->stats().count(MessageType::kDataTransfer));
-}
-
 TEST(ParallelBuilderTest, BuiltGridSatisfiesAllInvariantsAtEveryThreadCount) {
   // Byte-identical snapshots (above) prove 2- and 8-thread grids equal the
   // 1-thread one; this checks the shared structure is actually *correct* --
-  // references, coverage, placement, replicas, and the metrics ledger -- via
-  // the full checker, independently at each thread count.
+  // references, coverage, placement and replicas -- via the full checker,
+  // independently at each thread count.
   for (size_t threads : {1u, 2u, 8u}) {
     ParallelBuilt built = BuildParallel(400, threads, /*seed=*/42);
     check::InvariantReport report =

@@ -1,7 +1,7 @@
 // Partition-heal reconciliation (docs/robustness.md): replicas diverge while a
 // partition is up, and after the merge RejoinSync / anti-entropy must restore
-// replica agreement -- with the reconciliation work observable in the ledger
-// (one kControl per sync session, kDataTransfer per reconciled entry).
+// replica agreement -- with the reconciliation work observable in the message
+// counts (one kControl per sync session, kDataTransfer per reconciled entry).
 
 #include <gtest/gtest.h>
 
@@ -98,7 +98,7 @@ TEST(PartitionHealTest, RejoinSyncPullsLongDivergence) {
   EXPECT_GT(tick.sync_sessions, 0u);
   EXPECT_GT(tick.entries_reconciled, 0u)
       << "the rejoined replica pulled no missed updates";
-  // Reconciliation messages are on the ledger: one kControl per session.
+  // Reconciliation messages are counted: one kControl per session.
   EXPECT_GE(f.grid.stats().count(MessageType::kControl),
             control_before + tick.sync_sessions);
 

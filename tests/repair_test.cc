@@ -231,22 +231,60 @@ TEST(RepairEngineTest, ReadRepairPatchesStaleMinority) {
 }
 
 TEST(RepairEngineTest, LedgerStaysExactThroughRepair) {
+  // The grid's message counts move by exactly what each repair call reports
+  // about itself: one kControl per delivered probe, sync session and
+  // read-repair patch, one kDataTransfer per reconciled entry.
   RepairFixture f;
   f.Crash(0.25);
-  for (int round = 0; round < 6; ++round) f.repair->Tick();
-  ReliableReadConfig read;
-  read.quorum = 2;
-  read.max_attempts = 16;
-  f.repair->ReadRepair(KeyPath::Random(&f.rng, 4), 7, read);
+  const auto live = [&f](PeerId p) { return !f.driver->IsDead(p); };
+  // Desynchronize one live buddy pair so anti-entropy has entries to move.
+  PeerId a = kInvalidPeer;
+  for (PeerId p = 0; p < f.grid.size() && a == kInvalidPeer; ++p) {
+    for (PeerId b : f.grid.peer(p).buddies()) {
+      if (live(p) && live(b)) a = p;
+    }
+  }
+  ASSERT_NE(a, kInvalidPeer) << "no live buddy pair after the crash wave";
+  f.grid.peer(a).index().InsertOrRefresh(
+      IndexEntry{/*holder=*/a, /*item_id=*/42, f.grid.peer(a).path(), /*version=*/5});
 
-  check::InvariantOptions ledger_only;
-  ledger_only.check_structure = false;
-  ledger_only.check_coverage = false;
-  ledger_only.check_placement = false;
-  ledger_only.check_replica_agreement = false;
-  check::InvariantReport report =
-      check::GridInvariants::Check(f.grid, f.config, ledger_only);
-  EXPECT_TRUE(report.ok()) << report.ToString();
+  const MessageStats before = f.grid.stats();
+  uint64_t control = 0;
+  uint64_t transferred = 0;
+  for (int round = 0; round < 6; ++round) {
+    const repair::RepairTick tick = f.repair->Tick();
+    control += tick.probes + tick.sync_sessions;
+    transferred += tick.entries_reconciled;
+  }
+  EXPECT_GT(control, 0u);
+  EXPECT_GT(transferred, 0u);
+
+  // A stale minority for the read repair: every live peer responsible for one
+  // key holds item 99 at version 7, except one straggler at version 1. Each
+  // holds one entry of the item, so every patched entry is one patched replica.
+  const KeyPath key = f.grid.peer(a).path();
+  std::vector<PeerId> replicas;
+  for (PeerId p = 0; p < f.grid.size(); ++p) {
+    if (live(p) && PathsOverlap(f.grid.peer(p).path(), key)) replicas.push_back(p);
+  }
+  ASSERT_GE(replicas.size(), 3u);
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    f.grid.peer(replicas[i]).index().InsertOrRefresh(
+        IndexEntry{/*holder=*/a, /*item_id=*/99, key, i == 0 ? 1u : 7u});
+  }
+  ReliableReadConfig read;
+  read.quorum = replicas.size();
+  read.max_attempts = 256;
+  const repair::ReadRepairOutcome out = f.repair->ReadRepair(key, 99, read);
+  EXPECT_EQ(out.repaired_entries, 1u);  // the straggler answered and was patched
+  control += out.repaired_entries;
+
+  const MessageStats after = f.grid.stats();
+  EXPECT_EQ(after.count(MessageType::kControl) - before.count(MessageType::kControl),
+            control);
+  EXPECT_EQ(after.count(MessageType::kDataTransfer) -
+                before.count(MessageType::kDataTransfer),
+            transferred);
 }
 
 TEST(RepairEngineTest, RepairScheduleIsDeterministic) {

@@ -41,9 +41,8 @@ TEST_P(ScenarioSnapshotTest, RestoredFuzzedGridKeepsInvariants) {
   Result<LoadedGrid> loaded = LoadGrid(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
 
-  // The restored grid satisfies everything the live one did. Its ledger is
-  // fresh (snapshots persist state, not message history), which the ledger
-  // check accepts because the metrics registry is equally fresh.
+  // The restored grid satisfies everything the live one did. Its message
+  // counts start fresh: snapshots persist state, not message history.
   check::InvariantOptions options;
   options.check_placement = scenario.config.manage_data;
   check::InvariantReport report = check::GridInvariants::Check(

@@ -237,8 +237,8 @@ TEST(SearchTest, ReadVersionSeesNewVersionAfterFullPropagation) {
 
 TEST(SearchTest, MetricsLedgerAgreesWithMessageStats) {
   // The acceptance contract of the observability layer: the registry counter
-  // "search.messages" and the paper's MessageStats ledger count the same
-  // messages, so either can be used to reproduce the paper's numbers.
+  // "search.messages", read through the paper's MessageStats view, counts
+  // exactly the messages the queries report spending.
   auto built = testing_util::Build(96, 4, 2, 2, 21);
   Rng rng(22);
   OnlineModel online(OnlineMode::kSnapshot, built.grid->size(), 0.5, &rng);
@@ -247,12 +247,14 @@ TEST(SearchTest, MetricsLedgerAgreesWithMessageStats) {
   ASSERT_EQ(queries_before, 0u);
 
   size_t found = 0;
+  uint64_t reported = 0;
   for (int t = 0; t < 200; ++t) {
     if (t % 50 == 0) online.Resample(&rng);
     auto start = search.RandomOnlinePeer();
     if (!start.has_value()) continue;
     QueryResult r = search.Query(*start, KeyPath::Random(&rng, 4));
     if (r.found) ++found;
+    reported += r.messages;
   }
   ASSERT_GT(found, 0u);
 
@@ -264,6 +266,7 @@ TEST(SearchTest, MetricsLedgerAgreesWithMessageStats) {
     if (name == "search.failures") failures = value;
   }
   EXPECT_EQ(messages, built.grid->stats().count(MessageType::kQuery));
+  EXPECT_EQ(messages, reported);
   EXPECT_GT(messages, 0u);
   EXPECT_EQ(queries, 200u);
   EXPECT_EQ(found, queries - failures);

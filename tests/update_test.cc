@@ -74,6 +74,43 @@ TEST(UpdateTest, BuddiesExtendDfsCoverage) {
   EXPECT_GE(buddy_total, dfs_total);
 }
 
+TEST(UpdateTest, ReportedMessagesMatchTheGridCounts) {
+  // What each propagation reports it spent is what the grid counted: kUpdate
+  // for breadth-first hops and buddy notifications, kQuery for the searches a
+  // depth-first pass routes through.
+  auto built = testing_util::Build(512, 4, 3, 2, 5);
+  Rng rng(6);
+  UpdateEngine update(built.grid.get(), nullptr, &rng);
+  for (auto strategy : {UpdateStrategy::kRepeatedDfs, UpdateStrategy::kRepeatedDfsBuddies,
+                        UpdateStrategy::kBreadthFirst}) {
+    const MessageStats before = built.grid->stats();
+    uint64_t reported = 0;
+    for (ItemId item = 1; item <= 20; ++item) {
+      reported += update
+                      .Propagate(KeyPath::Random(&rng, 4), item, /*version=*/2,
+                                 strategy, Params(2, 3))
+                      .messages;
+    }
+    const MessageStats after = built.grid->stats();
+    const uint64_t updates =
+        after.count(MessageType::kUpdate) - before.count(MessageType::kUpdate);
+    const uint64_t queries =
+        after.count(MessageType::kQuery) - before.count(MessageType::kQuery);
+    const char* name = UpdateStrategyName(strategy);
+    EXPECT_EQ(updates + queries, reported) << name;
+    if (strategy == UpdateStrategy::kBreadthFirst) {
+      EXPECT_EQ(queries, 0u) << name;
+    } else {
+      EXPECT_GT(queries, 0u) << name;
+    }
+    if (strategy == UpdateStrategy::kRepeatedDfs) {
+      EXPECT_EQ(updates, 0u) << name;
+    } else {
+      EXPECT_GT(updates, 0u) << name;
+    }
+  }
+}
+
 TEST(UpdateTest, BfsReachesMoreReplicasThanDfs) {
   // The paper's Fig. 5 headline: breadth-first search is by far superior.
   auto built = testing_util::Build(512, 4, 4, 2, 7);

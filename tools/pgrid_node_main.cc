@@ -253,14 +253,16 @@ int main(int argc, char** argv) {
                  << " reference(s)";
     }
     if (round % 10 == 0) {
-      pgrid::net::NodeStats stats = node.stats();
+      const auto counter = [&node](const char* name) {
+        return static_cast<unsigned long long>(
+            node.metrics().GetCounter(name)->value());
+      };
       std::printf("[round %lld] path=%s known_peers=%zu entries=%zu "
                   "exchanges=%llu/%llu queries_served=%llu\n",
                   static_cast<long long>(round), node.path().ToString().c_str(),
                   contacts.size(), node.entries().size(),
-                  static_cast<unsigned long long>(stats.exchanges_initiated),
-                  static_cast<unsigned long long>(stats.exchanges_served),
-                  static_cast<unsigned long long>(stats.queries_served));
+                  counter("node.exchanges_initiated"),
+                  counter("node.exchanges_served"), counter("node.queries_served"));
       std::fflush(stdout);
     }
   }
