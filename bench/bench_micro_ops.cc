@@ -4,7 +4,8 @@
 // that reproduce the paper's tables.
 //
 // Besides the google-benchmark section, two manual JSON reports are written:
-// BENCH_micro_ops.json (--json=FILE; key algebra + parallel build/query rows)
+// BENCH_micro_ops.json (--json=FILE; key algebra, leaf index and parallel
+// build/query rows)
 // and BENCH_obs_overhead.json (--obs-json=FILE; the measured cost of the
 // disabled tracing hooks -- see WriteObsOverheadReport and `tools/check.sh
 // obs-overhead`).
@@ -25,6 +26,7 @@
 #include "key/key_path.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "storage/leaf_index.h"
 #include "util/stopwatch.h"
 
 // Global allocation counter behind the replaceable operator new. The
@@ -214,6 +216,57 @@ void WriteJsonReport(const bench::Args& args) {
         .Int("iters", kIters)
         .Num("seconds", secs)
         .Num("ops_per_sec", secs > 0 ? kIters / secs : 0);
+  }
+
+  // Leaf index at 1k, 4k and 16k entries: a one-hit match, a drain that finds
+  // nothing to move, and an insert of a new key. Every key extends the leaf
+  // path "0110" and the 28 bits after it are distinct, as in a peer's index.
+  for (size_t n : {size_t{1} << 10, size_t{1} << 12, size_t{1} << 14}) {
+    const KeyPath leaf = KeyPath::FromString("0110").value();
+    // n entries for the index and n more to insert, made before any timing.
+    std::vector<IndexEntry> entries;
+    for (uint64_t i = 0; i < 2 * n; ++i) {
+      const uint64_t suffix = (i * 0x9e3779b1ull) & ((uint64_t{1} << 28) - 1);
+      entries.push_back({static_cast<PeerId>(i % 97), i,
+                         leaf.Concat(KeyPath::FromUint64(suffix, 28)), 1});
+    }
+    LeafIndex index;
+    for (uint64_t i = 0; i < n; ++i) index.InsertOrRefresh(entries[i]);
+    const auto add_row = [&](const char* op, uint64_t iters, double secs, uint64_t hits) {
+      report.AddRow()
+          .Str("op", op)
+          .Int("entries", n)
+          .Int("iters", iters)
+          .Num("ns_per_op", secs * 1e9 / static_cast<double>(iters))
+          .Num("hits_per_op", static_cast<double>(hits) / static_cast<double>(iters));
+    };
+
+    constexpr uint64_t kQueries = 200'000;
+    uint64_t hits = 0;
+    Stopwatch match_watch;
+    for (uint64_t q = 0; q < kQueries; ++q) {
+      index.ForEachOverlapping(entries[q * 7919 % n].key, [&hits](const IndexEntry&) { ++hits; });
+    }
+    add_row("index_match_one_hit", kQueries, match_watch.ElapsedSeconds(), hits);
+
+    constexpr uint64_t kDrains = 1'000'000;
+    uint64_t moved = 0;
+    Stopwatch drain_watch;
+    for (uint64_t d = 0; d < kDrains; ++d) moved += index.ExtractNotMatching(leaf).size();
+    add_row("index_drain_nothing", kDrains, drain_watch.ElapsedSeconds(), moved);
+
+    // Each of 8 fresh copies takes its own n/8 of the new entries; the table
+    // does not rehash on the way.
+    const uint64_t batch = n / 8;
+    double insert_secs = 0;
+    for (uint64_t copy = 0; copy < 8; ++copy) {
+      LeafIndex grown = index;
+      Stopwatch insert_watch;
+      for (uint64_t i = 0; i < batch; ++i) grown.InsertOrRefresh(entries[n + copy * batch + i]);
+      insert_secs += insert_watch.ElapsedSeconds();
+      benchmark::DoNotOptimize(grown.size());
+    }
+    add_row("index_insert_new_key", 8 * batch, insert_secs, 0);
   }
 
   // Parallel build + query throughput per thread count (deterministic: every

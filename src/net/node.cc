@@ -225,9 +225,6 @@ Status PGridNode::Start() {
       state_.index().ForEach([this](const IndexEntry& e) {
         index_terms_ += sim::EntryTerm(HolderDigestLocked(e.holder), e);
       });
-      // A WAL cut inside a commit can leave entries the recovered path no
-      // longer covers; the next drain scans for them.
-      drained_depth_ = 0;
       // A restart is a state change: directives computed against the
       // pre-crash state (an exchange in flight when we died) must not apply.
       // The epoch is not stored: MeetWithDepth compares it only with the
@@ -385,15 +382,10 @@ std::vector<IndexEntry> PGridNode::DrainNonMatchingLocked() {
                               std::make_move_iterator(foreign.end()));
   if (!foreign.empty()) delta_.MarkForeign();
   foreign.clear();
-  // An entry is adopted only if it overlaps the path, so only a path that grew
-  // since the last drain can leave entries behind: skip the index scan otherwise.
-  if (state_.depth() != drained_depth_) {
-    for (IndexEntry& e : state_.index().ExtractNotMatching(state_.path())) {
-      delta_.MarkIndex(e.holder, e.item_id);
-      index_terms_ -= sim::EntryTerm(HolderDigestLocked(e.holder), e);
-      out.push_back(std::move(e));
-    }
-    drained_depth_ = state_.depth();
+  for (IndexEntry& e : state_.index().ExtractNotMatching(state_.path())) {
+    delta_.MarkIndex(e.holder, e.item_id);
+    index_terms_ -= sim::EntryTerm(HolderDigestLocked(e.holder), e);
+    out.push_back(std::move(e));
   }
   return out;
 }

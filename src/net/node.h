@@ -291,9 +291,8 @@ class PGridNode {
   void ParkLocked(IndexEntry entry);
 
   /// Extracts index entries that no longer overlap the path, plus parked foreign
-  /// entries. Every mutation that adopts an entry checks it against the path
-  /// under the same lock hold, so the index is scanned only when the path grew
-  /// since the last drain.
+  /// entries. When every entry's key extends the path, the index part costs
+  /// O(1): see LeafIndex::ExtractNotMatching.
   std::vector<IndexEntry> DrainNonMatchingLocked();
 
   /// One routing step against local state: the Fig. 2 step and the answer.
@@ -320,7 +319,6 @@ class PGridNode {
   PeerState state_;
   AddressBook book_;
   repair::SuspicionTable suspicion_;  // consecutive call failures, by book_ id
-  size_t drained_depth_ = 0;          // path depth at the last index drain
   // Sum of the sim::EntryTerm of every entry in state_.index(): updated where
   // the node changes its index (AdoptEntryLocked, DrainNonMatchingLocked) and
   // re-seeded when Start() installs a recovered state.

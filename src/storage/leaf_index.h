@@ -38,6 +38,14 @@ struct IndexEntry {
 /// all and a populated one is a single flat array. Iteration order is a
 /// deterministic function of the insertion/erasure history; everything that
 /// must be canonical (snapshots, digests) sorts or folds commutatively.
+///
+/// Next to the table the index keeps the live slot indices sorted by key, a
+/// permutation of 4 B per entry. KeyPath orders a prefix before its
+/// extensions, so the keys that extend a key K form one run of it and each
+/// proper prefix of K one more: a match is a binary search per run rather than
+/// a scan of the table. Entries never move for the permutation's sake, and the
+/// operations that answer from it hand entries over in slot order, the order
+/// ForEach visits them in.
 class LeafIndex {
  public:
   /// Inserts the entry, or refreshes key/version if (holder, item_id) is present
@@ -56,12 +64,13 @@ class LeafIndex {
   /// Visits, in slot order, every entry whose key overlaps `key` (one is a
   /// prefix of the other): what a peer responsible for `key` answers. `fn`
   /// receives a const IndexEntry&. The index must not be mutated during the
-  /// visit.
+  /// visit. Costs a binary search for the run of keys that extend `key`, one
+  /// more for each proper-prefix length at or above the shortest key held,
+  /// and a sort of the k hits: O(log n + k log k) when no key held is shorter
+  /// than `key`.
   template <typename Fn>
   void ForEachOverlapping(const KeyPath& key, Fn&& fn) const {
-    ForEach([&key, &fn](const IndexEntry& e) {
-      if (PathsOverlap(e.key, key)) fn(e);
-    });
+    for (uint32_t slot : OverlappingSlots(key)) fn(slots_[slot]);
   }
 
   /// Visits every entry in slot order, without copying. `fn` receives a const
@@ -87,20 +96,24 @@ class LeafIndex {
   /// number of entries bumped.
   size_t ApplyVersion(ItemId item_id, uint64_t version);
 
-  /// Removes and returns every entry whose key does not overlap `path` (neither is a
-  /// prefix of the other). Used when a peer specializes its path and hands
-  /// mismatching entries to the exchange partner.
+  /// Removes and returns, in slot order, every entry whose key does not
+  /// overlap `path` (neither is a prefix of the other). Used when a peer
+  /// specializes its path and hands mismatching entries to the exchange
+  /// partner. When every key extends `path` (the first and the last in key
+  /// order do) it returns at once without allocating; otherwise it costs the
+  /// runs of ForEachOverlapping plus O(n) to close the permutation's gaps.
   std::vector<IndexEntry> ExtractNotMatching(const KeyPath& path);
 
   /// Merges all of `other`'s entries into this index (used when replicas meet).
   /// Returns the number of entries inserted or refreshed.
   size_t MergeFrom(const LeafIndex& other);
 
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  size_t size() const { return order_.size(); }
+  bool empty() const { return order_.empty(); }
 
-  /// Approximate heap bytes owned: the flat slot array at capacity, plus each
-  /// entry key's own heap (zero for inline keys). Excludes sizeof(*this).
+  /// Approximate heap bytes owned: the flat slot array and the permutation at
+  /// capacity, plus each entry key's own heap (zero for inline keys). Excludes
+  /// sizeof(*this).
   size_t ApproxMemoryBytes() const;
 
   /// Snapshot of all entries (unordered).
@@ -125,8 +138,28 @@ class LeafIndex {
     return const_cast<LeafIndex*>(this)->FindSlot(holder, item_id);
   }
 
+  /// Slot indices of the entries whose keys overlap `key`, ascending.
+  std::vector<uint32_t> OverlappingSlots(const KeyPath& key) const;
+
+  /// Calls fn(first, last) for each run [first, last) of order_ positions
+  /// whose keys overlap `key`, in ascending position order: an equal run for
+  /// each proper prefix of `key` held, then the run of keys `key` is a prefix
+  /// of. Defined in the .cc file, its only user.
+  template <typename Fn>
+  void ForEachOverlapRun(const KeyPath& key, Fn&& fn) const;
+
+  /// Inserts live slot `slot` into order_ at its key's place.
+  void AddToOrder(uint32_t slot);
+
+  /// Removes live slot `slot` from order_.
+  void RemoveFromOrder(uint32_t slot);
+
+  /// Turns live slot `slot` into a tombstone. order_ must no longer hold it.
+  void Tombstone(uint32_t slot);
+
   /// Re-buckets every live entry into a fresh table of at least `min_slots`
-  /// slots (rounded up to a power of two), dropping tombstones.
+  /// slots (rounded up to a power of two), dropping tombstones. Entries are
+  /// placed in old slot order and order_ is remapped to the new slots.
   void Rehash(size_t min_slots);
 
   /// Grows/cleans the table if inserting one more entry would push the
@@ -134,8 +167,11 @@ class LeafIndex {
   void ReserveForInsert();
 
   std::vector<IndexEntry> slots_;  // size is a power of two (or zero when empty)
-  size_t size_ = 0;                // live entries
+  std::vector<uint32_t> order_;    // the live slots sorted by key; size() is its size
   size_t tombstones_ = 0;          // erased slots awaiting the next rehash
+  // No live key is shorter than this (lowered by inserts, recomputed by
+  // Rehash): proper prefixes of a query below it are never looked up.
+  uint32_t min_key_length_ = UINT32_MAX;
 };
 
 }  // namespace pgrid

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
+
+#include "util/rng.h"
 
 namespace pgrid {
 namespace {
@@ -17,7 +21,8 @@ IndexEntry Entry(PeerId holder, ItemId item, const std::string& key,
   return e;
 }
 
-/// The items ForEachOverlapping visits for `key`, sorted.
+/// The items ForEachOverlapping visits for `key`, sorted. (The visit order is
+/// pinned by KeyOrderedAnswersMatchAScanOfEverySlot.)
 std::vector<ItemId> OverlappingItems(const LeafIndex& index, const std::string& key) {
   std::vector<ItemId> items;
   index.ForEachOverlapping(KeyPath::FromString(key).value(),
@@ -223,6 +228,98 @@ TEST(LeafIndexTest, ApproxMemoryBytesTracksTableAndSpilledKeys) {
   IndexEntry big = Entry(2, 2, std::string(70, '0').c_str());
   index.InsertOrRefresh(big);
   EXPECT_GE(index.ApproxMemoryBytes(), with_inline_key + 16);
+}
+
+/// What a scan of every slot finds: the entries ForEach visits that `keep`
+/// accepts, in slot order.
+template <typename Pred>
+std::vector<IndexEntry> Scan(const LeafIndex& index, Pred keep) {
+  std::vector<IndexEntry> out;
+  index.ForEach([&](const IndexEntry& e) {
+    if (keep(e)) out.push_back(e);
+  });
+  return out;
+}
+
+std::vector<IndexEntry> Overlapping(const LeafIndex& index, const KeyPath& key) {
+  std::vector<IndexEntry> out;
+  index.ForEachOverlapping(key, [&out](const IndexEntry& e) { out.push_back(e); });
+  return out;
+}
+
+TEST(LeafIndexTest, KeyOrderedAnswersMatchAScanOfEverySlot) {
+  // Seeded random runs of inserts, refreshes (some to a new key), erases,
+  // extractions and copies, in phases that grow the table and phases that
+  // shrink it so both kinds of rehash happen. Keys run from 0 to 130 bits,
+  // inline and heap, and many are proper prefixes of others. After each step
+  // every answer must be the scan's: the same entries in the same slot order,
+  // and an extraction must leave the index the scan says remains.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<KeyPath> keys;
+    for (int i = 0; i < 24; ++i) {
+      const KeyPath key = KeyPath::Random(&rng, rng.UniformIndex(131));
+      keys.push_back(key);
+      for (int j = 0; j < 3; ++j) keys.push_back(key.Prefix(rng.UniformIndex(key.length() + 1)));
+    }
+    const auto random_key = [&] {
+      return rng.Bernoulli(0.8) ? keys[rng.UniformIndex(keys.size())]
+                                : KeyPath::Random(&rng, rng.UniformIndex(131));
+    };
+    LeafIndex index;
+    std::map<std::pair<PeerId, ItemId>, IndexEntry> model;
+    uint64_t version = 0;
+    for (int step = 0; step < 1500; ++step) {
+      const bool growing = (step / 250) % 2 == 0;
+      const size_t op = rng.UniformIndex(100);
+      if (op < (growing ? 55u : 25u)) {
+        // Insert, or refresh when (holder, item) is taken.
+        IndexEntry e{static_cast<PeerId>(rng.UniformIndex(16)),
+                     static_cast<ItemId>(rng.UniformIndex(64)), random_key(), ++version};
+        index.InsertOrRefresh(e);
+        model[{e.holder, e.item_id}] = e;
+      } else if (op < (growing ? 70u : 40u) && !model.empty()) {
+        // Refresh a present entry: a stale version is a no-op, a newer one
+        // may bring a new key.
+        auto it = std::next(model.begin(), static_cast<long>(rng.UniformIndex(model.size())));
+        IndexEntry e = it->second;
+        const bool stale = rng.Bernoulli(0.2);
+        e.version = stale ? e.version : ++version;
+        if (rng.Bernoulli(0.5)) e.key = random_key();
+        EXPECT_EQ(index.InsertOrRefresh(e), !stale);
+        if (!stale) it->second = e;
+      } else if (op < 95) {
+        const PeerId holder = static_cast<PeerId>(rng.UniformIndex(16));
+        const ItemId item = static_cast<ItemId>(rng.UniformIndex(64));
+        EXPECT_EQ(index.Erase(holder, item), model.erase({holder, item}) == 1);
+      } else if (op < 99) {
+        const KeyPath path = random_key();
+        const std::vector<IndexEntry> leaving =
+            Scan(index, [&](const IndexEntry& e) { return !PathsOverlap(path, e.key); });
+        const std::vector<IndexEntry> staying =
+            Scan(index, [&](const IndexEntry& e) { return PathsOverlap(path, e.key); });
+        EXPECT_EQ(index.ExtractNotMatching(path), leaving);
+        EXPECT_EQ(index.All(), staying);
+        for (const IndexEntry& e : leaving) model.erase({e.holder, e.item_id});
+      } else {
+        const LeafIndex copy = index;
+        index = copy;
+      }
+      ASSERT_EQ(index.size(), model.size());
+      for (int q = 0; q < 3; ++q) {
+        const KeyPath key = random_key();
+        ASSERT_EQ(Overlapping(index, key),
+                  Scan(index, [&](const IndexEntry& e) { return PathsOverlap(key, e.key); }))
+            << "step " << step << " key '" << key << "'";
+      }
+    }
+    for (const auto& [id, e] : model) {
+      const IndexEntry* found = index.Find(id.first, id.second);
+      ASSERT_NE(found, nullptr);
+      EXPECT_EQ(*found, e);
+    }
+  }
 }
 
 }  // namespace

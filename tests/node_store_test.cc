@@ -5,12 +5,14 @@
 // as the store's name table. These tests pin the table's round trips (commit
 // a larger table, recover the same names; save -> recover -> save stays
 // byte-identical; a WAL replayed over the snapshot that already folded it in
-// converges), the kFsync round trip, the node's storage.* metrics, and that
+// converges), the kFsync round trip, the node's storage.* metrics, that
 // Start() refuses a store whose ids or table do not belong to the node
-// instead of installing it.
+// instead of installing it, and that a recovered entry the path does not
+// cover leaves the index at the next meeting.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -298,6 +300,54 @@ TEST(NodeStoreTest, StartRejectsAStoreRecoveredUnderAnotherAddress) {
   ASSERT_TRUE(owner.Start().ok());
   EXPECT_TRUE(owner.recovered_from_disk());
   EXPECT_FALSE(owner.path().empty());
+}
+
+// ---- a recovered index is drained like any other ----
+
+TEST(NodeStoreTest, AnEntryTheRecoveredPathDoesNotCoverLeavesAtTheNextMeeting) {
+  // A WAL cut inside a commit can recover an index entry that the recovered
+  // path does not cover. The node restarts in place at the depth its last
+  // drain saw, so only a drain that always looks can find that entry.
+  const std::string dir = FreshDir("node_store_uncovered_entry");
+  net::InProcTransport transport(/*seed=*/99);
+  const net::NodeConfig config = StoreConfig(dir);
+  net::PGridNode a("node:1", &transport, config, 1);
+  net::PGridNode b("node:2", &transport, config, 2);
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(a.MeetWith("node:2").ok());
+  const KeyPath path = a.path();
+  ASSERT_FALSE(path.empty());
+  a.Stop();
+
+  // Plant an entry of item 77 under a key that leaves the path at its first bit.
+  {
+    storage::StorageConfig store = config.storage;
+    store.dir += "/node-node_1";
+    storage::PersistenceManager manager(store, config.maxl);
+    std::vector<std::string> names;
+    Result<PeerState> state = manager.Recover(0, &names);
+    ASSERT_TRUE(state.ok()) << state.status();
+    KeyPath uncovered;
+    uncovered.PushBack(ComplementBit(path.bit(0)));
+    uncovered.PushBack(1);
+    ASSERT_FALSE(PathsOverlap(path, uncovered));
+    state->index().InsertOrRefresh({0, 77, uncovered, 1});
+    ASSERT_TRUE(manager.Attach(*state, names).ok());
+  }
+  const auto holds_77 = [](const std::vector<net::WireEntry>& entries) {
+    return std::any_of(entries.begin(), entries.end(),
+                       [](const net::WireEntry& e) { return e.item_id == 77; });
+  };
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(a.recovered_from_disk());
+  ASSERT_EQ(a.path(), path);
+  ASSERT_TRUE(holds_77(a.entries()));
+
+  ASSERT_TRUE(a.MeetWith("node:2").ok());
+  EXPECT_FALSE(holds_77(a.entries()));
+  EXPECT_TRUE(holds_77(b.entries()) || holds_77(b.foreign_entries()) ||
+              holds_77(a.foreign_entries()));
 }
 
 // ---- the node's storage.* metrics ----
