@@ -4,8 +4,8 @@
 // that reproduce the paper's tables.
 //
 // Besides the google-benchmark section, two manual JSON reports are written:
-// BENCH_micro_ops.json (--json=FILE; key algebra, leaf index and parallel
-// build/query rows)
+// BENCH_micro_ops.json (--json=FILE; key algebra, leaf index, wire codec and
+// parallel build/query rows)
 // and BENCH_obs_overhead.json (--obs-json=FILE; the measured cost of the
 // disabled tracing hooks -- see WriteObsOverheadReport and `tools/check.sh
 // obs-overhead`).
@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 
@@ -24,6 +25,7 @@
 #include "core/search.h"
 #include "core/update.h"
 #include "key/key_path.h"
+#include "net/protocol.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "storage/leaf_index.h"
@@ -179,6 +181,39 @@ void BM_BfsUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsUpdate);
 
+/// With fewer than 4 peers per leaf at maxl 8 a parallel_build_query grid may
+/// not reach 0.99 * maxl, and its build then runs on to the 200M-meeting cap
+/// (256 peers: over ten minutes).
+constexpr int64_t kMinParPeers = 1024;
+
+/// One wire-codec row: ns per encode and per decode of `m`.
+template <typename M>
+void AddCodecRow(bench::JsonReport* report, const char* op, const M& m,
+                 std::string (*encode)(const M&),
+                 Result<M> (*decode)(const std::string&)) {
+  constexpr uint64_t kIters = 200'000;
+  const std::string bytes = encode(m);
+  Stopwatch encode_watch;
+  for (uint64_t i = 0; i < kIters; ++i) {
+    std::string out = encode(m);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const double encode_secs = encode_watch.ElapsedSeconds();
+  Stopwatch decode_watch;
+  for (uint64_t i = 0; i < kIters; ++i) {
+    Result<M> back = decode(bytes);
+    benchmark::DoNotOptimize(back);
+  }
+  const double decode_secs = decode_watch.ElapsedSeconds();
+  report->AddRow()
+      .Str("op", op)
+      .Int("bytes", bytes.size())
+      .Int("iters", kIters)
+      .Num("encode_ns", encode_secs * 1e9 / kIters)
+      .Num("decode_ns", decode_secs * 1e9 / kIters);
+}
+
 /// Manual-timing section: measures the operations whose scaling the JSON report
 /// tracks across commits -- key algebra ns/op, sequential exchange throughput, and
 /// parallel build/query throughput per thread count -- without google-benchmark's
@@ -267,6 +302,61 @@ void WriteJsonReport(const bench::Args& args) {
       benchmark::DoNotOptimize(grown.size());
     }
     add_row("index_insert_new_key", 8 * batch, insert_secs, 0);
+  }
+
+  // Wire codec: the messages node_read sends most, shaped like its traffic
+  // (16-bit keys, "node:<i>" addresses, maxl 5), then bare key paths.
+  {
+    const auto key = [&rng](size_t bits) { return KeyPath::Random(&rng, bits); };
+    const auto address = [&rng] { return "node:" + std::to_string(rng.UniformIndex(32)); };
+    net::QueryRequest query{key(16), 2};
+    AddCodecRow(&report, "codec_query_req", query, &net::EncodeQueryRequest,
+                &net::DecodeQueryRequest);
+    net::QueryResponseForward forward{2, key(14), {address(), address(), address()}};
+    AddCodecRow(&report, "codec_query_resp_forward_3", forward,
+                &net::EncodeQueryResponseForward, &net::DecodeQueryResponseForward);
+    net::QueryResponseFound found{address(), {net::WireEntry{address(), 4711, key(16), 1}}};
+    AddCodecRow(&report, "codec_query_resp_found_1", found, &net::EncodeQueryResponseFound,
+                &net::DecodeQueryResponseFound);
+    net::ExchangeRequest exchange{address(), 3, key(5), {}, 0, rng.UniformInt(0, ~uint64_t{0})};
+    for (uint32_t level = 1; level <= 5; ++level) {
+      exchange.refs.push_back({level, {address(), address(), address()}});
+    }
+    AddCodecRow(&report, "codec_exchange_req_5x3", exchange, &net::EncodeExchangeRequest,
+                &net::DecodeExchangeRequest);
+
+    // Key paths go 1,024 to a buffer, as a message carries them: each write
+    // appends to a writer, each read takes the next path from a reader.
+    constexpr uint64_t kBatch = 1024;
+    constexpr uint64_t kBatches = 200;
+    for (size_t bits : {size_t{16}, size_t{64}, size_t{130}}) {
+      const KeyPath k = key(bits);
+      Stopwatch write_watch;
+      std::string batch;
+      for (uint64_t b = 0; b < kBatches; ++b) {
+        net::ByteWriter w;
+        for (uint64_t i = 0; i < kBatch; ++i) w.WriteKeyPath(k);
+        benchmark::DoNotOptimize(w.data().data());
+        benchmark::ClobberMemory();
+        batch = w.Take();
+      }
+      const double write_secs = write_watch.ElapsedSeconds();
+      Stopwatch read_watch;
+      for (uint64_t b = 0; b < kBatches; ++b) {
+        net::ByteReader r(batch);
+        for (uint64_t i = 0; i < kBatch; ++i) {
+          Result<KeyPath> back = r.ReadKeyPath();
+          benchmark::DoNotOptimize(back);
+        }
+      }
+      const double read_secs = read_watch.ElapsedSeconds();
+      report.AddRow()
+          .Str("op", "codec_key_path")
+          .Int("bits", bits)
+          .Int("iters", kBatch * kBatches)
+          .Num("write_ns", write_secs * 1e9 / static_cast<double>(kBatch * kBatches))
+          .Num("read_ns", read_secs * 1e9 / static_cast<double>(kBatch * kBatches));
+    }
   }
 
   // Parallel build + query throughput per thread count (deterministic: every
@@ -479,9 +569,17 @@ void WriteObsOverheadReport(const bench::Args& args) {
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);  // consumes --benchmark_* flags only
+  pgrid::bench::Args args(argc, argv);
+  const int64_t par_peers = args.GetInt("par-peers", pgrid::kMinParPeers);
+  if (par_peers < pgrid::kMinParPeers) {
+    std::fprintf(stderr,
+                 "bench_micro_ops: --par-peers=%lld is below %lld (4 peers per leaf at "
+                 "maxl 8); a smaller grid may build for up to 200M meetings\n",
+                 static_cast<long long>(par_peers), static_cast<long long>(pgrid::kMinParPeers));
+    return 2;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  pgrid::bench::Args args(argc, argv);
   pgrid::WriteJsonReport(args);
   pgrid::WriteAllocReport(args);
   pgrid::WriteObsOverheadReport(args);

@@ -112,6 +112,22 @@ KeyPath KeyPath::Random(Rng* rng, size_t length) {
   return out;
 }
 
+KeyPath KeyPath::FromPackedBytes(std::string_view bytes, size_t length) {
+  PGRID_CHECK_EQ(bytes.size(), (length + 7) / 8);
+  // Byte j of the packed form is bits 8j..8j+7, i.e. byte j % 8 of word j / 8
+  // in little-endian order.
+  KeyPath out = MakeZeroed(length);
+  uint64_t* dst = out.words();
+  for (size_t j = 0; j < bytes.size(); ++j) {
+    dst[j / 8] |= uint64_t{static_cast<uint8_t>(bytes[j])} << (8 * (j % 8));
+  }
+  // Drop the padding bits past the length: the canonical form keeps them zero.
+  if (length % kBitsPerWord != 0) {
+    dst[out.word_count() - 1] &= (uint64_t{1} << (length % kBitsPerWord)) - 1;
+  }
+  return out;
+}
+
 KeyPath ComplementaryKey(const KeyPath& path, size_t level, size_t length, Rng* rng) {
   KeyPath key = path.Prefix(level - 1).Append(ComplementBit(path.bit(level - 1)));
   while (key.length() < length) key.PushBack(rng->Bit());
@@ -270,6 +286,17 @@ std::string KeyPath::ToString() const {
   out.reserve(length_);
   for (size_t i = 0; i < length_; ++i) out.push_back(bit(i) != 0 ? '1' : '0');
   return out;
+}
+
+void KeyPath::AppendPackedBytes(std::string* out) const {
+  const uint64_t* w = words();
+  for (size_t left = (size_t{length_} + 7) / 8; left > 0; ++w) {
+    char bytes[8];
+    for (size_t j = 0; j < 8; ++j) bytes[j] = static_cast<char>(*w >> (8 * j));
+    const size_t take = std::min<size_t>(left, 8);
+    out->append(bytes, take);
+    left -= take;
+  }
 }
 
 std::strong_ordering KeyPath::operator<=>(const KeyPath& other) const {

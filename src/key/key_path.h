@@ -61,6 +61,11 @@ class KeyPath {
   /// Builds a uniformly random path of the given length.
   static KeyPath Random(Rng* rng, size_t length);
 
+  /// Builds a path from its packed form (see AppendPackedBytes). Requires
+  /// bytes.size() == ceil(length / 8). Bits past `length` in the last byte are
+  /// ignored.
+  static KeyPath FromPackedBytes(std::string_view bytes, size_t length);
+
   size_t length() const { return length_; }
   bool empty() const { return length_ == 0; }
 
@@ -119,6 +124,11 @@ class KeyPath {
 
   /// Renders the path as a string of '0'/'1' ("<empty>" is rendered as "").
   std::string ToString() const;
+
+  /// Appends the packed form to `out`: ceil(length / 8) bytes, bit i at byte
+  /// i / 8, position i % 8 (LSB first), bits past the length written as 0.
+  /// This is the wire and storage encoding (net/wire.h).
+  void AppendPackedBytes(std::string* out) const;
 
   /// Lexicographic comparison; a proper prefix orders before its extensions.
   std::strong_ordering operator<=>(const KeyPath& other) const;

@@ -1,86 +1,53 @@
 #include "net/wire.h"
 
+#include <algorithm>
+
 namespace pgrid {
 namespace net {
 
-void ByteWriter::WriteKeyPath(const KeyPath& k) {
-  WriteU32(static_cast<uint32_t>(k.length()));
-  uint8_t acc = 0;
-  for (size_t i = 0; i < k.length(); ++i) {
-    if (k.bit(i) != 0) acc |= static_cast<uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      WriteU8(acc);
-      acc = 0;
-    }
-  }
-  if (k.length() % 8 != 0) WriteU8(acc);
+Status ByteReader::Truncated(size_t need) const {
+  return Status::InvalidArgument("truncated message: need " + std::to_string(need) +
+                                 " bytes, have " + std::to_string(remaining()));
 }
 
-Result<uint8_t> ByteReader::ReadU8() {
-  PGRID_RETURN_IF_ERROR(Need(1));
-  return static_cast<uint8_t>(data_[pos_++]);
+Status ByteReader::OverCap(const char* what, uint32_t n) {
+  return Status::InvalidArgument(std::string(what) + " " + std::to_string(n) +
+                                 " exceeds wire cap");
 }
 
-Result<uint32_t> ByteReader::ReadU32() {
-  PGRID_RETURN_IF_ERROR(Need(4));
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-Result<uint64_t> ByteReader::ReadU64() {
-  PGRID_RETURN_IF_ERROR(Need(8));
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-Result<std::string> ByteReader::ReadString() {
+Result<std::string_view> ByteReader::ReadStringView() {
   PGRID_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
-  if (len > kMaxWireCollection) {
-    return Status::InvalidArgument("string length " + std::to_string(len) +
-                                   " exceeds wire cap");
-  }
-  PGRID_RETURN_IF_ERROR(Need(len));
-  std::string out(data_.substr(pos_, len));
+  if (len > kMaxWireCollection) return OverCap("string length", len);
+  if (remaining() < len) return Truncated(len);
+  const std::string_view out = data_.substr(pos_, len);
   pos_ += len;
   return out;
 }
 
+Result<std::string> ByteReader::ReadString() {
+  PGRID_ASSIGN_OR_RETURN(std::string_view s, ReadStringView());
+  return std::string(s);
+}
+
 Result<KeyPath> ByteReader::ReadKeyPath() {
   PGRID_ASSIGN_OR_RETURN(uint32_t bits, ReadU32());
-  if (bits > kMaxWireCollection) {
-    return Status::InvalidArgument("key path length " + std::to_string(bits) +
-                                   " exceeds wire cap");
-  }
-  const size_t bytes = (bits + 7) / 8;
-  PGRID_RETURN_IF_ERROR(Need(bytes));
-  KeyPath out;
-  for (uint32_t i = 0; i < bits; ++i) {
-    const uint8_t byte = static_cast<uint8_t>(data_[pos_ + i / 8]);
-    out.PushBack((byte >> (i % 8)) & 1);
-  }
+  if (bits > kMaxWireCollection) return OverCap("key path length", bits);
+  const size_t bytes = (size_t{bits} + 7) / 8;
+  if (remaining() < bytes) return Truncated(bytes);
+  KeyPath out = KeyPath::FromPackedBytes(data_.substr(pos_, bytes), bits);
   pos_ += bytes;
   return out;
 }
 
 Result<std::vector<std::string>> ByteReader::ReadStringList() {
   PGRID_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
-  if (count > kMaxWireCollection) {
-    return Status::InvalidArgument("list size " + std::to_string(count) +
-                                   " exceeds wire cap");
-  }
+  if (count > kMaxWireCollection) return OverCap("list size", count);
   std::vector<std::string> out;
-  out.reserve(count);
+  // Each element takes at least its 4-byte length prefix.
+  out.reserve(std::min<size_t>(count, remaining() / 4));
   for (uint32_t i = 0; i < count; ++i) {
-    PGRID_ASSIGN_OR_RETURN(std::string s, ReadString());
-    out.push_back(std::move(s));
+    PGRID_ASSIGN_OR_RETURN(std::string_view s, ReadStringView());
+    out.emplace_back(s);
   }
   return out;
 }

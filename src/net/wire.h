@@ -22,13 +22,9 @@ class ByteWriter {
  public:
   void WriteU8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
 
-  void WriteU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  void WriteU32(uint32_t v) { WriteLittleEndian(v); }
 
-  void WriteU64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  void WriteU64(uint64_t v) { WriteLittleEndian(v); }
 
   /// Length-prefixed (u32) byte string.
   void WriteString(std::string_view s) {
@@ -36,8 +32,12 @@ class ByteWriter {
     out_.append(s);
   }
 
-  /// Bit length (u32) followed by ceil(len/8) packed bytes, LSB-first per byte.
-  void WriteKeyPath(const KeyPath& k);
+  /// Bit length (u32) followed by ceil(len/8) packed bytes, LSB-first per byte
+  /// (KeyPath::AppendPackedBytes).
+  void WriteKeyPath(const KeyPath& k) {
+    WriteU32(static_cast<uint32_t>(k.length()));
+    k.AppendPackedBytes(&out_);
+  }
 
   /// A list of strings (u32 count + each length-prefixed).
   void WriteStringList(const std::vector<std::string>& v) {
@@ -49,6 +49,14 @@ class ByteWriter {
   std::string Take() { return std::move(out_); }
 
  private:
+  // Built with shifts, so the bytes are little-endian on any host.
+  template <typename T>
+  void WriteLittleEndian(T v) {
+    char bytes[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+    out_.append(bytes, sizeof(T));
+  }
+
   std::string out_;
 };
 
@@ -57,9 +65,9 @@ class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
 
-  Result<uint8_t> ReadU8();
-  Result<uint32_t> ReadU32();
-  Result<uint64_t> ReadU64();
+  Result<uint8_t> ReadU8() { return ReadLittleEndian<uint8_t>(); }
+  Result<uint32_t> ReadU32() { return ReadLittleEndian<uint32_t>(); }
+  Result<uint64_t> ReadU64() { return ReadLittleEndian<uint64_t>(); }
   Result<std::string> ReadString();
   Result<KeyPath> ReadKeyPath();
   Result<std::vector<std::string>> ReadStringList();
@@ -77,13 +85,23 @@ class ByteReader {
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
-  Status Need(size_t n) {
-    if (remaining() < n) {
-      return Status::InvalidArgument("truncated message: need " + std::to_string(n) +
-                                     " bytes, have " + std::to_string(remaining()));
+  template <typename T>
+  Result<T> ReadLittleEndian() {
+    if (remaining() < sizeof(T)) [[unlikely]] return Truncated(sizeof(T));
+    T v = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
     }
-    return Status::OK();
+    pos_ += sizeof(T);
+    return v;
   }
+
+  /// ReadString's bytes as a view into the buffer.
+  Result<std::string_view> ReadStringView();
+
+  /// The errors, built only on failure.
+  [[gnu::cold]] Status Truncated(size_t need) const;
+  [[gnu::cold]] static Status OverCap(const char* what, uint32_t n);
 
   std::string_view data_;
   size_t pos_ = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -335,6 +336,33 @@ TEST_P(KeyPathPropertyTest, ConcatMatchesPerBitAppend) {
     // Canonical form survives the word-packed splice: equal value, equal hash.
     EXPECT_EQ(cat.Prefix(a.length()), a);
     EXPECT_EQ(cat.SuffixFrom(a.length()), b);
+  }
+}
+
+TEST_P(KeyPathPropertyTest, PackedBytesMatchPerBitPacking) {
+  // The packed form moves whole words; check it against a bit-by-bit packing
+  // (bit i at byte i / 8, position i % 8) at word-boundary lengths.
+  Rng rng(GetParam() * 17 + 9);
+  KeyPath k = KeyPath::Random(&rng, GetParam());
+  std::string expected = "prefix";
+  expected.resize(expected.size() + (k.length() + 7) / 8);
+  for (size_t i = 0; i < k.length(); ++i) {
+    expected[6 + i / 8] |= static_cast<char>(k.bit(i) << (i % 8));
+  }
+  std::string packed = "prefix";
+  k.AppendPackedBytes(&packed);
+  EXPECT_EQ(packed, expected);
+
+  const std::string_view bytes = std::string_view(packed).substr(6);
+  EXPECT_EQ(KeyPath::FromPackedBytes(bytes, k.length()), k);
+  if (k.length() % 8 != 0) {
+    // Set bits past the length decode to the same, canonical path.
+    std::string dirty(bytes);
+    dirty.back() |= static_cast<char>(0xff << (k.length() % 8));
+    const KeyPath back = KeyPath::FromPackedBytes(dirty, k.length());
+    EXPECT_EQ(back, k);
+    EXPECT_EQ(back.Hash(), k.Hash());
+    EXPECT_EQ(back <=> k, std::strong_ordering::equal);
   }
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
+#include <functional>
+#include <set>
+
+#include "tests/hex.h"
+
 namespace pgrid {
 namespace net {
 namespace {
@@ -264,6 +270,162 @@ TEST(ProtocolTest, TracedEnvelopeRejectsMalformedInput) {
   const std::string full = EncodeTraced(ctx, ping);
   for (size_t cut = 1; cut + 1 < full.size(); ++cut) {
     EXPECT_FALSE(DecodeTraced(full.substr(0, cut)).ok()) << "cut at " << cut;
+  }
+}
+
+// ---- Pinned bytes ----
+//
+// One message of every type, with bytes captured from a bit-by-bit encoder.
+// Each must encode to exactly these bytes, and the pinned bytes must decode to
+// a message that encodes to them again.
+
+using testing_util::Hex;
+using testing_util::Unhex;
+
+struct PinnedMessage {
+  const char* name;
+  std::string encoded;
+  const char* hex;
+  /// Decodes and encodes again; tag-only messages need none.
+  std::function<Result<std::string>(const std::string&)> reencode;
+};
+
+template <typename M>
+std::function<Result<std::string>(const std::string&)> Reencode(
+    Result<M> (*decode)(const std::string&), std::string (*encode)(const M&)) {
+  return [decode, encode](const std::string& bytes) -> Result<std::string> {
+    PGRID_ASSIGN_OR_RETURN(M m, decode(bytes));
+    return encode(m);
+  };
+}
+
+TEST(ProtocolTest, EveryMessageTypeEncodesToPinnedBytes) {
+  const WireEntry entry = Entry("node:2", 9, "0110011", 4);
+  QueryRequest query{P("1001111001100100"), 3};
+  QueryResponseFound found{"node:1", {entry}};
+  QueryResponseForward forward{2, P("110"), {"node:3", "node:4", "node:5"}};
+  PublishRequest publish{entry, 1};
+  PublishAck ack{1, 7};
+  ExchangeRequest exchange{"node:9", 42, P("01101"),
+                           {WireRefLevel{1, {"a:1"}}, WireRefLevel{2, {"b:2", "c:3"}}},
+                           2, 0xfedcba9876543210ull};
+  ExchangeResponse exchanged;
+  exchanged.epoch = 9;
+  exchanged.append_bits = P("1");
+  exchanged.ref_updates = {WireRefLevel{3, {"x:1"}}};
+  exchanged.referrals = {"r:1"};
+  exchanged.buddy = 1;
+  exchanged.entries = {entry};
+  EntryPushRequest push{{Entry("h:1", 1, "0"), Entry("h:2", 2, "1")}};
+  EntryPushResponse rejected{{Entry("h:1", 1, "0")}};
+  CommitRequest commit{7, 1};
+  StatsResponse stats{"{}"};
+  ProbeResponse probe{P("0110"), 42, 0xdeadbeefcafef00dull};
+  const obs::TraceContext ctx{0xDEAD, 0xBEEF, 3};
+
+  const std::vector<PinnedMessage> cases = {
+      {"ping", EncodePing(), "01", nullptr},
+      {"pong", EncodePong(), "02", nullptr},
+      {"error", EncodeError("bad"),
+       "0d03000000626164",
+       Reencode(&DecodeError, &EncodeError)},
+      {"query", EncodeQueryRequest(query),
+       "0310000000792603000000",
+       Reencode(&DecodeQueryRequest, &EncodeQueryRequest)},
+      {"found", EncodeQueryResponseFound(found),
+       "04060000006e6f64653a3101000000060000006e6f64653a3209000000000000"
+       "0007000000660400000000000000",
+       Reencode(&DecodeQueryResponseFound, &EncodeQueryResponseFound)},
+      {"forward", EncodeQueryResponseForward(forward),
+       "0502000000030000000303000000060000006e6f64653a33060000006e6f6465"
+       "3a34060000006e6f64653a35",
+       Reencode(&DecodeQueryResponseForward, &EncodeQueryResponseForward)},
+      {"miss", EncodeQueryResponseMiss(), "06", nullptr},
+      {"publish", EncodePublishRequest(publish),
+       "07060000006e6f64653a32090000000000000007000000660400000000000000"
+       "01",
+       Reencode(&DecodePublishRequest, &EncodePublishRequest)},
+      {"publish_ack", EncodePublishAck(ack),
+       "080107000000",
+       Reencode(&DecodePublishAck, &EncodePublishAck)},
+      {"exchange", EncodeExchangeRequest(exchange),
+       "09060000006e6f64653a392a0000000000000005000000160200000001000000"
+       "0100000003000000613a31020000000200000003000000623a3203000000633a"
+       "33020000001032547698badcfe",
+       Reencode(&DecodeExchangeRequest, &EncodeExchangeRequest)},
+      {"exchange_resp", EncodeExchangeResponse(exchanged),
+       "0a0900000000000000010000000101000000030000000100000003000000783a"
+       "310100000003000000723a310101000000060000006e6f64653a320900000000"
+       "0000000700000066040000000000000000",
+       Reencode(&DecodeExchangeResponse, &EncodeExchangeResponse)},
+      {"entry_push", EncodeEntryPushRequest(push),
+       "0b0200000003000000683a310100000000000000010000000001000000000000"
+       "0003000000683a32020000000000000001000000010100000000000000",
+       Reencode(&DecodeEntryPushRequest, &EncodeEntryPushRequest)},
+      {"entry_push_resp", EncodeEntryPushResponse(rejected),
+       "0c0100000003000000683a310100000000000000010000000001000000000000"
+       "00",
+       Reencode(&DecodeEntryPushResponse, &EncodeEntryPushResponse)},
+      {"commit", EncodeCommitRequest(commit),
+       "0e0700000001",
+       Reencode(&DecodeCommitRequest, &EncodeCommitRequest)},
+      {"commit_ack", EncodeCommitAck(), "0f", nullptr},
+      {"stats", EncodeStatsRequest(), "10", nullptr},
+      {"stats_resp", EncodeStatsResponse(stats),
+       "11020000007b7d",
+       Reencode(&DecodeStatsResponse, &EncodeStatsResponse)},
+      {"probe", EncodeProbeRequest(), "12", nullptr},
+      {"probe_resp", EncodeProbeResponse(probe),
+       "1304000000062a0000000df0fecaefbeadde",
+       Reencode(&DecodeProbeResponse, &EncodeProbeResponse)},
+      {"traced", EncodeTraced(ctx, EncodeQueryRequest(query)),
+       "14adde000000000000efbe000000000000030000000000000003100000007926"
+       "03000000",
+       [](const std::string& bytes) -> Result<std::string> {
+         PGRID_ASSIGN_OR_RETURN(TracedEnvelope env, DecodeTraced(bytes));
+         return EncodeTraced(env.ctx, env.inner);
+       }},
+  };
+  std::set<MsgType> types;
+  for (const PinnedMessage& c : cases) {
+    EXPECT_EQ(Hex(c.encoded), c.hex) << c.name;
+    const std::string pinned = Unhex(c.hex);
+    Result<MsgType> type = PeekType(pinned);
+    ASSERT_TRUE(type.ok()) << c.name;
+    types.insert(*type);
+    if (c.reencode == nullptr) {
+      EXPECT_EQ(pinned.size(), 1u) << c.name;
+      continue;
+    }
+    Result<std::string> again = c.reencode(pinned);
+    ASSERT_TRUE(again.ok()) << c.name << ": " << again.status();
+    EXPECT_EQ(Hex(*again), c.hex) << c.name;
+  }
+  EXPECT_EQ(types.size(), static_cast<size_t>(MsgType::kTraced)) << "a type is not pinned";
+}
+
+TEST(ProtocolTest, KeyPaddingBitsAreIgnoredOnDecode) {
+  // Senders write the bits past a key's length in its last byte as 0; a
+  // receiver ignores them, since KeyPath's ==, Hash() and <=> assume zeros.
+  for (const char* bits : {"10110", "1001111001100100110", "1",
+                           "10011110011001000110110001001111010110001000010111011110100"
+                           "010100101001100000010101100011011000001010011101001111010001"
+                           "10001001"}) {
+    const KeyPath key = P(bits);
+    const std::string clean = EncodeQueryRequest(QueryRequest{key, 3});
+    // tag | u32 key length | key bytes | u32 consumed
+    const size_t last_key_byte = 1 + 4 + (key.length() - 1) / 8;
+    std::string dirty = clean;
+    dirty[last_key_byte] |= static_cast<char>(0xff << (key.length() % 8));
+    ASSERT_NE(dirty, clean) << bits;
+
+    Result<QueryRequest> back = DecodeQueryRequest(dirty);
+    ASSERT_TRUE(back.ok()) << bits;
+    EXPECT_EQ(back->key, key) << bits;
+    EXPECT_EQ(back->key.Hash(), key.Hash()) << bits;
+    EXPECT_EQ(back->key <=> key, std::strong_ordering::equal) << bits;
+    EXPECT_EQ(back->consumed, 3u) << bits;
+    EXPECT_EQ(EncodeQueryRequest(*back), clean) << bits;
   }
 }
 
