@@ -17,7 +17,10 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
@@ -25,6 +28,8 @@
 #include "core/search.h"
 #include "core/update.h"
 #include "key/key_path.h"
+#include "net/inproc_transport.h"
+#include "net/node.h"
 #include "net/protocol.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -34,7 +39,8 @@
 // Global allocation counter behind the replaceable operator new. The
 // allocation-count section below reads it around tight loops of key-algebra
 // operations to prove the inline-word KeyPath representation performs zero
-// heap allocations per op (`tools/check.sh memory` gates on the reported rate).
+// heap allocations per op, and around node meetings, searches and publishes
+// (`tools/check.sh memory` gates on the reported rates).
 // Counting is one relaxed atomic increment per allocation: negligible next to
 // malloc itself, and inert for every other section of this binary.
 static std::atomic<uint64_t> g_alloc_count{0};
@@ -404,25 +410,85 @@ void WriteJsonReport(const bench::Args& args) {
   report.WriteTo(args.GetString("json", "BENCH_micro_ops.json"));
 }
 
+/// Heap allocations per node meeting, search and publish in a 32-node InProc
+/// community shaped like perfbench's node_read (maxl 5, refmax 3, recmax 2,
+/// fan-out 2, 16-bit keys): 60 bootstrap meetings per node and 32,000
+/// preloaded items, then a fixed-seed stream of each op. InProc calls run on
+/// this thread, so the counts are exact and the same on every run.
+/// `measure(op, iters, body)` counts the allocations of `iters` calls of body.
+template <typename Measure>
+void MeasureNodeOps(const Measure& measure) {
+  constexpr size_t kNodes = 32;
+  constexpr size_t kKeyBits = 16;
+  const auto address = [](size_t i) { return "node:" + std::to_string(i); };
+  net::NodeConfig config;
+  config.maxl = 5;
+  config.refmax = 3;
+  config.recmax = 2;
+  config.recursion_fanout = 2;
+  net::InProcTransport bus;
+  obs::MetricsRegistry registry;
+  std::vector<std::unique_ptr<net::PGridNode>> nodes;
+  for (size_t i = 0; i < kNodes; ++i) {
+    nodes.push_back(
+        std::make_unique<net::PGridNode>(address(i), &bus, config, 100 + i, &registry));
+    PGRID_CHECK(nodes.back()->Start().ok());
+  }
+  Rng rng(41);
+  const auto other_than = [&](size_t a) {
+    return (a + 1 + rng.UniformIndex(kNodes - 1)) % kNodes;
+  };
+  for (size_t m = 0; m < 60 * kNodes; ++m) {
+    const size_t a = rng.UniformIndex(kNodes);
+    PGRID_CHECK(nodes[a]->MeetWith(address(other_than(a))).ok());
+  }
+  struct Item {
+    DataItem data;
+    size_t origin;
+  };
+  std::vector<Item> items;
+  for (uint64_t id = 1; id <= 32'000; ++id) {
+    const KeyPath key = KeyPath::Random(&rng, kKeyBits);
+    Item item{DataItem{id, key, "item-" + std::to_string(id), 1}, rng.UniformIndex(kNodes)};
+    PGRID_CHECK(nodes[item.origin]->Publish(item.data).ok());
+    items.push_back(std::move(item));
+  }
+
+  measure("node_meet", 2'000, [&] {
+    const size_t a = rng.UniformIndex(kNodes);
+    PGRID_CHECK(nodes[a]->MeetWith(address(other_than(a))).ok());
+  });
+  measure("node_search", 20'000, [&] {
+    const Item& item = items[rng.UniformIndex(items.size())];
+    PGRID_CHECK(nodes[rng.UniformIndex(kNodes)]->Search(item.data.key).ok());
+  });
+  measure("node_publish", 5'000, [&] {
+    Item& item = items[rng.UniformIndex(items.size())];
+    ++item.data.version;
+    PGRID_CHECK(nodes[item.origin]->Publish(item.data).ok());
+  });
+}
+
 /// Allocation-count section: heap allocations per key-algebra operation,
 /// measured with the counting operator new above. Paths of <= 64 bits live in
 /// the KeyPath's inline word, so the routing hot path (common-prefix, suffix,
 /// append, push/pop cycles at protocol depths) must run allocation-free; the
-/// 256-bit arm is the contrast case where the heap spill is expected.
-/// `tools/check.sh memory` fails if the inline rates regress.
+/// 256-bit arm is the contrast case where the heap spill is expected. The
+/// node rows (MeasureNodeOps) count a whole operation's allocations.
+/// `tools/check.sh memory` fails if the inline rates or node_meet regress.
 void WriteAllocReport(const bench::Args& args) {
   bench::JsonReport report("alloc_counts");
   Rng rng(33);
   constexpr uint64_t kIters = 200'000;
 
-  const auto measure = [&](const char* op, auto&& body) {
+  const auto measure = [&](const char* op, uint64_t iters, auto&& body) {
     const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    for (uint64_t i = 0; i < kIters; ++i) body();
+    for (uint64_t i = 0; i < iters; ++i) body();
     const uint64_t allocs =
         g_alloc_count.load(std::memory_order_relaxed) - before;
-    const double per_op = static_cast<double>(allocs) / kIters;
+    const double per_op = static_cast<double>(allocs) / static_cast<double>(iters);
     std::printf("alloc/op %-28s %8.4f\n", op, per_op);
-    report.AddRow().Str("op", op).Int("iters", kIters).Int("allocs", allocs).Num(
+    report.AddRow().Str("op", op).Int("iters", iters).Int("allocs", allocs).Num(
         "allocs_per_op", per_op);
   };
 
@@ -433,28 +499,29 @@ void WriteAllocReport(const bench::Args& args) {
   const KeyPath a8 = KeyPath::Random(&rng, 8);
   const KeyPath a256 = KeyPath::Random(&rng, 256);
 
-  measure("inline_common_prefix_64", [&] {
+  measure("inline_common_prefix_64", kIters, [&] {
     benchmark::DoNotOptimize(a64.CommonPrefixLength(b64));
   });
-  measure("inline_suffix_from_64", [&] {
+  measure("inline_suffix_from_64", kIters, [&] {
     benchmark::DoNotOptimize(a64.SuffixFrom(29));
   });
-  measure("inline_concat_8_plus_8", [&] {
+  measure("inline_concat_8_plus_8", kIters, [&] {
     benchmark::DoNotOptimize(a8.Concat(a8));
   });
-  measure("inline_copy_64", [&] {
+  measure("inline_copy_64", kIters, [&] {
     KeyPath copy = a64;
     benchmark::DoNotOptimize(&copy);
   });
   KeyPath walker = KeyPath::Random(&rng, 10);
-  measure("inline_push_pop_10", [&] {
+  measure("inline_push_pop_10", kIters, [&] {
     walker.PushBack(1);
     walker.PopBack();
     benchmark::DoNotOptimize(&walker);
   });
-  measure("heap_suffix_from_256", [&] {
+  measure("heap_suffix_from_256", kIters, [&] {
     benchmark::DoNotOptimize(a256.SuffixFrom(3));
   });
+  MeasureNodeOps(measure);
 
   report.WriteTo(args.GetString("alloc-json", "BENCH_alloc_counts.json"));
 }

@@ -22,14 +22,20 @@ std::vector<std::ranges::range_value_t<List>> Without(
   return out;
 }
 
+/// Appends to `*a`, in order, the elements of `b` it does not hold yet.
+template <typename T, std::ranges::range B>
+void AppendMissing(std::vector<T>* a, const B& b) {
+  for (const auto& x : b) {
+    if (std::find(a->begin(), a->end(), x) == a->end()) a->push_back(x);
+  }
+}
+
 /// `a` followed by the elements of `b` it does not hold yet.
 template <std::ranges::range A, std::ranges::range B>
 std::vector<std::ranges::range_value_t<A>> Union(const A& a, const B& b) {
   std::vector<std::ranges::range_value_t<A>> out(std::ranges::begin(a),
                                                  std::ranges::end(a));
-  for (const auto& x : b) {
-    if (std::find(out.begin(), out.end(), x) == out.end()) out.push_back(x);
-  }
+  AppendMissing(&out, b);
   return out;
 }
 

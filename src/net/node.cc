@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <string_view>
 #include <tuple>
 
 #include "core/ref_lists.h"
@@ -30,6 +31,13 @@ std::string StoreDirName(std::string address) {
     if (!std::isalnum(static_cast<unsigned char>(c)) && c != '-' && c != '.') c = '_';
   }
   return "node-" + address;
+}
+
+/// A trace span's detail, `key` followed by `value`; built only when a recorder
+/// is attached, since an address often outgrows the inline string buffer.
+std::string SpanDetail(const obs::TraceRecorder* trace, std::string_view key,
+                       const std::string& value) {
+  return trace != nullptr ? std::string(key) + value : std::string();
 }
 
 repair::SuspicionTable MakeSuspicionTable(const NodeConfig& config) {
@@ -175,7 +183,9 @@ void PGridNode::NoteCallOutcome(const std::string& to, bool ok) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (ok) {
-      // An address the book never saw has no suspicion to clear.
+      // With no failure counted there is nothing to clear; an address the
+      // book never saw has no suspicion either.
+      if (!suspicion_.has_failures()) return;
       const PeerId id = book_.Find(to);
       if (id != kInvalidPeer) suspicion_.NoteSuccess(id);
       return;
@@ -322,12 +332,14 @@ std::vector<std::string> PGridNode::NamesLocked(Span<PeerId> ids) const {
 }
 
 void PGridNode::SetRefsLocked(size_t level, const std::vector<std::string>& addresses) {
+  // Most exchanges re-sample a level to the list it already holds; only a
+  // real change (order included) costs a record. An equal list names only
+  // addresses the book holds, so interning it would change nothing either.
+  const auto name = [this](PeerId id) -> const std::string& { return book_.Name(id); };
+  if (std::ranges::equal(state_.RefsAt(level), addresses, {}, name)) return;
   std::vector<PeerId> ids;
   ids.reserve(addresses.size());
   for (const std::string& a : addresses) ids.push_back(book_.Intern(a));
-  // Most exchanges re-sample a level to the list it already holds; only a
-  // real change (order included) costs a record.
-  if (state_.RefsAt(level) == ids) return;
   state_.SetRefsAt(level, std::move(ids));
   delta_.MarkRefs(level);
 }
@@ -605,11 +617,12 @@ std::string PGridNode::HandleExchange(const std::string& from,
 
   ExchangeResponse resp;
   resp.epoch = req.epoch;
+  resp.ref_updates.reserve(2);  // level lc, then level lc + 1
   std::vector<std::string> my_recursion_targets;
   uint32_t depth = req.depth;
 
-  // Initiator's refs by level for easy lookup.
-  auto refs1_at = [&req](size_t level) -> std::vector<std::string> {
+  // Initiator's refs by level, read in place.
+  auto refs1_at = [&req](size_t level) -> Span<std::string> {
     for (const WireRefLevel& rl : req.refs) {
       if (rl.level == level) return rl.addresses;
     }
@@ -626,14 +639,16 @@ std::string PGridNode::HandleExchange(const std::string& from,
     // Reference lists from the wire are unioned and sampled as addresses; only
     // the sample this node keeps is interned.
     if (lc > 0) {
-      // Cross-pollinate level-lc references (both sides have them).
-      const std::vector<std::string> common =
-          Union(NamesLocked(state_.RefsAt(lc)), refs1_at(lc));
+      // Cross-pollinate level-lc references (both sides have them): their
+      // union, ours first.
+      std::vector<std::string> common = NamesLocked(state_.RefsAt(lc));
+      AppendMissing(&common, refs1_at(lc));
       SetRefsLocked(lc, rng_.SampleWithoutReplacement(Without(common, address_),
                                                       config_.refmax));
-      resp.ref_updates.push_back({static_cast<uint32_t>(lc),
-                                  rng_.SampleWithoutReplacement(
-                                      Without(common, req.initiator), config_.refmax)});
+      std::erase(common, req.initiator);
+      resp.ref_updates.push_back(
+          {static_cast<uint32_t>(lc),
+           rng_.SampleWithoutReplacement(std::move(common), config_.refmax)});
     }
 
     if (l1 == 0 && l2 == 0 && lc < config_.maxl) {
@@ -718,7 +733,7 @@ Status PGridNode::MeetWith(const std::string& peer) { return MeetWithDepth(peer,
 Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
                                 const obs::TraceContext& parent) {
   if (peer == address_) return Status::OK();
-  obs::TraceSpan span(trace_, "node.meet", parent, "peer=" + peer);
+  obs::TraceSpan span(trace_, "node.meet", parent, SpanDetail(trace_, "peer=", peer));
   // Downstream context: our meet span if we record, else the inherited one so a
   // remote trace keeps flowing through recursion on an untraced node.
   const obs::TraceContext ctx = trace_ != nullptr ? span.context() : parent;
@@ -730,6 +745,7 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
     std::lock_guard<std::mutex> lock(mu_);
     req.epoch = epoch_;
     req.path = state_.path();
+    req.refs.reserve(state_.depth());
     for (size_t level = 1; level <= state_.depth(); ++level) {
       req.refs.push_back({static_cast<uint32_t>(level), NamesLocked(state_.RefsAt(level))});
     }
@@ -744,7 +760,7 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
   }
   Result<ExchangeResponse> respr = DecodeExchangeResponse(*raw);
   if (!respr.ok()) return respr.status();
-  const ExchangeResponse& resp = *respr;
+  ExchangeResponse& resp = *respr;
 
   std::vector<WireEntry> push;
   std::vector<CommitRequest> commits;
@@ -773,11 +789,11 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
         delta_.MarkPath();
         ++epoch_;
       }
-      for (const WireRefLevel& rl : resp.ref_updates) {
+      for (WireRefLevel& rl : resp.ref_updates) {
         if (rl.level >= 1 && rl.level <= state_.depth()) {
-          std::vector<std::string> addrs = Without(rl.addresses, address_);
-          if (addrs.size() > config_.refmax) addrs.resize(config_.refmax);
-          SetRefsLocked(rl.level, addrs);
+          std::erase(rl.addresses, address_);
+          if (rl.addresses.size() > config_.refmax) rl.addresses.resize(config_.refmax);
+          SetRefsLocked(rl.level, rl.addresses);
         }
       }
       const bool became_buddy = resp.buddy != 0 && state_.AddBuddy(book_.Intern(peer));
@@ -873,7 +889,8 @@ Status PGridNode::Publish(const DataItem& item) {
 
 Result<PGridNode::RouteResult> PGridNode::Route(const KeyPath& key,
                                                 const obs::TraceContext& parent) {
-  obs::TraceSpan span(trace_, "node.route", parent, "node=" + address_);
+  obs::TraceSpan span(trace_, "node.route", parent,
+                      SpanDetail(trace_, "node=", address_));
   if (trace_ != nullptr) span.Event("node.route.key", key.ToString());
   // Depth-first iterative routing: each frame is a candidate address plus the
   // query suffix/consumed level to present to it.
@@ -891,7 +908,7 @@ Result<PGridNode::RouteResult> PGridNode::Route(const KeyPath& key,
       h_route_attempts_->Record(0);
       return RouteResult{address_, std::move(m.matching)};
     }
-    std::vector<std::string> candidates = m.candidates;
+    std::vector<std::string> candidates = std::move(m.candidates);
     rng_.Shuffle(&candidates);
     for (const std::string& c : candidates) {
       stack.push_back(Frame{c, m.step.remaining, static_cast<uint32_t>(m.step.consumed)});
@@ -911,7 +928,7 @@ Result<PGridNode::RouteResult> PGridNode::Route(const KeyPath& key,
     // time inside the client's RPC time.
     Result<std::string> raw = [&]() -> Result<std::string> {
       obs::TraceSpan hop(trace_, "node.rpc.query", span.context(),
-                         "to=" + frame.address);
+                         SpanDetail(trace_, "to=", frame.address));
       return CallWithRetry(frame.address, EncodeQueryRequest(qreq), hop.context());
     }();
     if (!raw.ok()) {  // offline candidate: backtrack
@@ -971,7 +988,7 @@ Result<std::string> PGridNode::RouteToResponsible(const KeyPath& key) {
 Result<ProbeResponse> PGridNode::Probe(const std::string& peer,
                                        const obs::TraceContext& ctx) {
   c_probes_sent_->Increment();
-  obs::TraceSpan span(trace_, "node.probe", ctx, "peer=" + peer);
+  obs::TraceSpan span(trace_, "node.probe", ctx, SpanDetail(trace_, "peer=", peer));
   PGRID_ASSIGN_OR_RETURN(
       std::string raw, CallWithRetry(peer, EncodeProbeRequest(), span.context()));
   Result<MsgType> type = PeekType(raw);
@@ -983,7 +1000,7 @@ Result<ProbeResponse> PGridNode::Probe(const std::string& peer,
 
 size_t PGridNode::MaintainReferences() {
   obs::TraceSpan span(trace_, "node.maintain", obs::TraceContext{},
-                      "node=" + address_);
+                      SpanDetail(trace_, "node=", address_));
   const obs::TraceContext ctx = span.context();
   // Probe everyone we know. Delivered probes clear suspicion; failures count
   // toward it, and the threshold eviction happens inside the call funnel

@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+
 namespace pgrid {
 namespace net {
 
@@ -10,6 +12,10 @@ void WriteEntry(ByteWriter* w, const WireEntry& e) {
   w->WriteU64(e.item_id);
   w->WriteKeyPath(e.key);
   w->WriteU64(e.version);
+}
+
+size_t EntrySize(const WireEntry& e) {
+  return ByteWriter::StringSize(e.holder) + 8 + ByteWriter::KeyPathSize(e.key) + 8;
 }
 
 Result<WireEntry> ReadEntry(ByteReader* r) {
@@ -26,13 +32,20 @@ void WriteEntryList(ByteWriter* w, const std::vector<WireEntry>& v) {
   for (const WireEntry& e : v) WriteEntry(w, e);
 }
 
+size_t EntryListSize(const std::vector<WireEntry>& v) {
+  size_t n = 4;
+  for (const WireEntry& e : v) n += EntrySize(e);
+  return n;
+}
+
 Result<std::vector<WireEntry>> ReadEntryList(ByteReader* r) {
   PGRID_ASSIGN_OR_RETURN(uint32_t count, r->ReadU32());
   if (count > kMaxWireCollection) {
     return Status::InvalidArgument("entry list too large");
   }
   std::vector<WireEntry> out;
-  out.reserve(count);
+  // Each entry takes at least 24 bytes (an empty holder and key).
+  out.reserve(std::min<size_t>(count, r->remaining() / 24));
   for (uint32_t i = 0; i < count; ++i) {
     PGRID_ASSIGN_OR_RETURN(WireEntry e, ReadEntry(r));
     out.push_back(std::move(e));
@@ -48,13 +61,20 @@ void WriteRefLevels(ByteWriter* w, const std::vector<WireRefLevel>& v) {
   }
 }
 
+size_t RefLevelsSize(const std::vector<WireRefLevel>& v) {
+  size_t n = 4;
+  for (const WireRefLevel& rl : v) n += 4 + ByteWriter::StringListSize(rl.addresses);
+  return n;
+}
+
 Result<std::vector<WireRefLevel>> ReadRefLevels(ByteReader* r) {
   PGRID_ASSIGN_OR_RETURN(uint32_t count, r->ReadU32());
   if (count > kMaxWireCollection) {
     return Status::InvalidArgument("ref level list too large");
   }
   std::vector<WireRefLevel> out;
-  out.reserve(count);
+  // Each level takes at least 8 bytes (its number and an empty list).
+  out.reserve(std::min<size_t>(count, r->remaining() / 8));
   for (uint32_t i = 0; i < count; ++i) {
     WireRefLevel rl;
     PGRID_ASSIGN_OR_RETURN(rl.level, r->ReadU32());
@@ -64,8 +84,11 @@ Result<std::vector<WireRefLevel>> ReadRefLevels(ByteReader* r) {
   return out;
 }
 
-ByteWriter Tagged(MsgType type) {
+/// A writer holding the type tag, with room for the `body_bytes` that follow
+/// it. Messages that fit the string's inline buffer leave it at 0.
+ByteWriter Tagged(MsgType type, size_t body_bytes = 0) {
   ByteWriter w;
+  w.Reserve(1 + body_bytes);
   w.WriteU8(static_cast<uint8_t>(type));
   return w;
 }
@@ -97,14 +120,17 @@ std::string EncodeQueryRequest(const QueryRequest& m) {
 }
 
 std::string EncodeQueryResponseFound(const QueryResponseFound& m) {
-  ByteWriter w = Tagged(MsgType::kQueryRespFound);
+  ByteWriter w = Tagged(MsgType::kQueryRespFound,
+                        ByteWriter::StringSize(m.responder) + EntryListSize(m.entries));
   w.WriteString(m.responder);
   WriteEntryList(&w, m.entries);
   return w.Take();
 }
 
 std::string EncodeQueryResponseForward(const QueryResponseForward& m) {
-  ByteWriter w = Tagged(MsgType::kQueryRespForward);
+  ByteWriter w = Tagged(MsgType::kQueryRespForward,
+                        4 + ByteWriter::KeyPathSize(m.remaining) +
+                            ByteWriter::StringListSize(m.candidates));
   w.WriteU32(m.consumed);
   w.WriteKeyPath(m.remaining);
   w.WriteStringList(m.candidates);
@@ -116,7 +142,7 @@ std::string EncodeQueryResponseMiss() {
 }
 
 std::string EncodePublishRequest(const PublishRequest& m) {
-  ByteWriter w = Tagged(MsgType::kPublishReq);
+  ByteWriter w = Tagged(MsgType::kPublishReq, EntrySize(m.entry) + 1);
   WriteEntry(&w, m.entry);
   w.WriteU8(m.forward_to_buddies);
   return w.Take();
@@ -130,7 +156,10 @@ std::string EncodePublishAck(const PublishAck& m) {
 }
 
 std::string EncodeExchangeRequest(const ExchangeRequest& m) {
-  ByteWriter w = Tagged(MsgType::kExchangeReq);
+  ByteWriter w = Tagged(MsgType::kExchangeReq,
+                        ByteWriter::StringSize(m.initiator) + 8 +
+                            ByteWriter::KeyPathSize(m.path) + RefLevelsSize(m.refs) +
+                            4 + 8);
   w.WriteString(m.initiator);
   w.WriteU64(m.epoch);
   w.WriteKeyPath(m.path);
@@ -141,7 +170,11 @@ std::string EncodeExchangeRequest(const ExchangeRequest& m) {
 }
 
 std::string EncodeExchangeResponse(const ExchangeResponse& m) {
-  ByteWriter w = Tagged(MsgType::kExchangeResp);
+  ByteWriter w = Tagged(MsgType::kExchangeResp,
+                        8 + ByteWriter::KeyPathSize(m.append_bits) +
+                            RefLevelsSize(m.ref_updates) +
+                            ByteWriter::StringListSize(m.referrals) + 1 +
+                            EntryListSize(m.entries) + 1);
   w.WriteU64(m.epoch);
   w.WriteKeyPath(m.append_bits);
   WriteRefLevels(&w, m.ref_updates);
@@ -153,13 +186,13 @@ std::string EncodeExchangeResponse(const ExchangeResponse& m) {
 }
 
 std::string EncodeEntryPushRequest(const EntryPushRequest& m) {
-  ByteWriter w = Tagged(MsgType::kEntryPushReq);
+  ByteWriter w = Tagged(MsgType::kEntryPushReq, EntryListSize(m.entries));
   WriteEntryList(&w, m.entries);
   return w.Take();
 }
 
 std::string EncodeEntryPushResponse(const EntryPushResponse& m) {
-  ByteWriter w = Tagged(MsgType::kEntryPushResp);
+  ByteWriter w = Tagged(MsgType::kEntryPushResp, EntryListSize(m.rejected));
   WriteEntryList(&w, m.rejected);
   return w.Take();
 }

@@ -20,6 +20,10 @@ namespace net {
 /// Appends primitive values to a byte buffer.
 class ByteWriter {
  public:
+  /// Makes room for `bytes` in all, so an encoder that knows its message's
+  /// size grows the buffer once.
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
+
   void WriteU8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
 
   void WriteU32(uint32_t v) { WriteLittleEndian(v); }
@@ -43,6 +47,15 @@ class ByteWriter {
   void WriteStringList(const std::vector<std::string>& v) {
     WriteU32(static_cast<uint32_t>(v.size()));
     for (const std::string& s : v) WriteString(s);
+  }
+
+  /// Encoded sizes of the writes above.
+  static size_t StringSize(std::string_view s) { return 4 + s.size(); }
+  static size_t KeyPathSize(const KeyPath& k) { return 4 + (k.length() + 7) / 8; }
+  static size_t StringListSize(const std::vector<std::string>& v) {
+    size_t n = 4;
+    for (const std::string& s : v) n += StringSize(s);
+    return n;
   }
 
   const std::string& data() const { return out_; }

@@ -86,6 +86,9 @@ class SuspicionTable {
   /// True iff the target crossed the slow threshold and has not been fast since.
   bool IsDemoted(PeerId target) const { return demoted_.contains(target); }
 
+  /// True iff some target has a failure counted (NoteSuccess has work to do).
+  bool has_failures() const { return !counts_.empty(); }
+
   /// Current consecutive-failure count for `target` (0 if unsuspected).
   uint32_t suspicion(PeerId target) const {
     auto it = counts_.find(target);

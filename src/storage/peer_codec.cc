@@ -69,7 +69,8 @@ Status ReadPeerCore(net::ByteReader* r, const PeerCoreBounds& bounds,
       return Status::InvalidArgument("ref count too large");
     }
     std::vector<PeerId> refs;
-    refs.reserve(count);
+    // Each id takes 4 bytes.
+    refs.reserve(std::min<size_t>(count, r->remaining() / 4));
     for (uint32_t i = 0; i < count; ++i) {
       PGRID_ASSIGN_OR_RETURN(uint32_t ref, r->ReadU32());
       if (ref >= bounds.peer_id_bound) {

@@ -1,5 +1,6 @@
 #include "storage/persist.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -78,7 +79,8 @@ Status ApplyRecord(std::string_view body, bool check_ids, PeerState* peer,
         return Status::InvalidArgument("kSetRefs count too large");
       }
       std::vector<PeerId> refs;
-      refs.reserve(count);
+      // Each id takes 4 bytes.
+      refs.reserve(std::min<size_t>(count, r.remaining() / 4));
       for (uint32_t i = 0; i < count; ++i) {
         PGRID_ASSIGN_OR_RETURN(uint32_t ref, r.ReadU32());
         PGRID_RETURN_IF_ERROR(check(ref));

@@ -2,17 +2,65 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <compare>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <set>
 
 #include "tests/hex.h"
+
+// Heap allocations made while an AllocWatch (below) is alive: how many, and
+// the largest request. The test binary replaces the global operator new to
+// count them; gtest runs the tests on one thread.
+static bool g_watching_allocs = false;
+static uint64_t g_alloc_count = 0;
+static size_t g_largest_alloc = 0;
+
+// GCC pairs the inlined replacement delete with the allocation it inlined at
+// each call site and flags the malloc/free implementation as mismatched; the
+// pairing is exactly the contract of a replaced global operator.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t n) {
+  if (g_watching_allocs) {
+    ++g_alloc_count;
+    g_largest_alloc = std::max(g_largest_alloc, n);
+  }
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+#pragma GCC diagnostic pop
 
 namespace pgrid {
 namespace net {
 namespace {
 
 KeyPath P(const char* bits) { return KeyPath::FromString(bits).value(); }
+
+/// Counts the heap allocations made during its lifetime.
+class AllocWatch {
+ public:
+  AllocWatch() {
+    g_alloc_count = 0;
+    g_largest_alloc = 0;
+    g_watching_allocs = true;
+  }
+  ~AllocWatch() { g_watching_allocs = false; }
+  AllocWatch(const AllocWatch&) = delete;
+  AllocWatch& operator=(const AllocWatch&) = delete;
+
+  uint64_t count() const { return g_alloc_count; }
+  size_t largest() const { return g_largest_alloc; }
+};
 
 WireEntry Entry(const std::string& holder, uint64_t id, const char* key,
                 uint64_t version = 1) {
@@ -426,6 +474,79 @@ TEST(ProtocolTest, KeyPaddingBitsAreIgnoredOnDecode) {
     EXPECT_EQ(back->key <=> key, std::strong_ordering::equal) << bits;
     EXPECT_EQ(back->consumed, 3u) << bits;
     EXPECT_EQ(EncodeQueryRequest(*back), clean) << bits;
+  }
+}
+
+TEST(ProtocolTest, HostileCountsFailAsTruncatedWithoutLargeAllocations) {
+  // Each body claims 2^20 elements and ends right after the count.
+  // tag | u32 entry count
+  const std::string push = Unhex("0b" "00001000");
+  // tag | empty initiator | u64 epoch | empty path | u32 level count
+  const std::string exchange =
+      Unhex("09" "00000000" "0000000000000000" "00000000" "00001000");
+  ASSERT_EQ(push.size(), 5u);
+  ASSERT_EQ(exchange.size(), 21u);
+  Status push_status;
+  Status exchange_status;
+  size_t largest = 0;
+  {
+    AllocWatch watch;
+    push_status = DecodeEntryPushRequest(push).status();
+    exchange_status = DecodeExchangeRequest(exchange).status();
+    largest = watch.largest();
+  }
+  for (const Status& s : {push_status, exchange_status}) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+    EXPECT_NE(s.message().find("truncated message"), std::string::npos) << s;
+  }
+  // A reserve sized by the claimed count would ask for 32-64 MiB here.
+  EXPECT_LE(largest, size_t{64} << 10);
+}
+
+TEST(ProtocolTest, SizedEncodersAllocateOnce) {
+  // Each message outgrows any inline string buffer; an encoder that reserves
+  // its exact size allocates once, one that under-counts grows again.
+  const WireEntry entry = Entry("127.0.0.1:40002", 9, "0110011001100110", 4);
+  ExchangeRequest exchange{"127.0.0.1:40001", 42, P("01101"),
+                           {WireRefLevel{1, {"127.0.0.1:40003"}},
+                            WireRefLevel{2, {"127.0.0.1:40004", "127.0.0.1:40005"}}},
+                           2, 7};
+  ExchangeResponse exchanged;
+  exchanged.append_bits = P("1");
+  exchanged.ref_updates = {WireRefLevel{3, {"127.0.0.1:40006"}}};
+  exchanged.referrals = {"127.0.0.1:40007", "127.0.0.1:40008"};
+  exchanged.entries = {entry, entry};
+  const QueryResponseFound found{"127.0.0.1:40009", {entry}};
+  const QueryResponseForward forward{2, P("110"), exchanged.referrals};
+  const PublishRequest publish{entry, 1};
+  const EntryPushRequest push{{entry, entry}};
+  const EntryPushResponse rejected{{entry}};
+  // The messages are built above, so the watch sees only the encoding.
+  const std::vector<std::pair<const char*, std::function<std::string()>>> encoders = {
+      {"exchange", [&] { return EncodeExchangeRequest(exchange); }},
+      {"exchange_resp", [&] { return EncodeExchangeResponse(exchanged); }},
+      {"found", [&] { return EncodeQueryResponseFound(found); }},
+      {"forward", [&] { return EncodeQueryResponseForward(forward); }},
+      {"publish", [&] { return EncodePublishRequest(publish); }},
+      {"entry_push", [&] { return EncodeEntryPushRequest(push); }},
+      {"entry_push_resp", [&] { return EncodeEntryPushResponse(rejected); }},
+  };
+  for (const auto& [name, encode] : encoders) {
+    const size_t size = encode().size();
+    ASSERT_GT(size, 32u) << name;
+    uint64_t count = 0;
+    size_t largest = 0;
+    {
+      AllocWatch watch;
+      const std::string bytes = encode();
+      count = watch.count();
+      largest = watch.largest();
+    }
+    EXPECT_EQ(count, 1u) << name;
+    // The one buffer is the message and its terminator, give or take an
+    // allocator's rounding.
+    EXPECT_GE(largest, size + 1) << name;
+    EXPECT_LE(largest, size + 16) << name;
   }
 }
 
