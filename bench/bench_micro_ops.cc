@@ -324,12 +324,30 @@ void WriteJsonReport(const bench::Args& args) {
     net::QueryResponseFound found{address(), {net::WireEntry{address(), 4711, key(16), 1}}};
     AddCodecRow(&report, "codec_query_resp_found_1", found, &net::EncodeQueryResponseFound,
                 &net::DecodeQueryResponseFound);
+    // The exchange messages' reference tables view these names, which are
+    // all drawn before the first view is taken.
     net::ExchangeRequest exchange{address(), 3, key(5), {}, 0, rng.UniformInt(0, ~uint64_t{0})};
+    std::vector<std::string> refs;
+    for (int i = 0; i < 15; ++i) refs.push_back(address());
     for (uint32_t level = 1; level <= 5; ++level) {
-      exchange.refs.push_back({level, {address(), address(), address()}});
+      for (uint32_t i = 0; i < 3; ++i) exchange.refs.Append(refs[3 * (level - 1) + i]);
+      exchange.refs.CloseLevel(level);
     }
     AddCodecRow(&report, "codec_exchange_req_5x3", exchange, &net::EncodeExchangeRequest,
                 &net::DecodeExchangeRequest);
+    // A response with two reference levels and two referrals and no entries:
+    // every address list a response carries, filled.
+    std::vector<std::string> updates;
+    for (int i = 0; i < 5; ++i) updates.push_back(address());
+    net::ExchangeResponse exchanged;
+    exchanged.epoch = 3;
+    exchanged.append_bits = key(1);
+    exchanged.ref_updates.AddLevel(
+        3, std::vector<std::string_view>{updates[0], updates[1]});
+    exchanged.ref_updates.AddLevel(4, std::vector<std::string_view>{updates[2]});
+    exchanged.referrals = {updates[3], updates[4]};
+    AddCodecRow(&report, "codec_exchange_resp", exchanged, &net::EncodeExchangeResponse,
+                &net::DecodeExchangeResponse);
 
     // Key paths go 1,024 to a buffer, as a message carries them: each write
     // appends to a writer, each read takes the next path from a reader.

@@ -1,6 +1,7 @@
 // Order-keeping set algebra over reference lists: the simulator's exchange
-// applies it to PeerIds, the node's to address strings. Both sample the
-// results with random draws, so the element order is part of the contract.
+// applies it to PeerIds, the node's to views of address strings. Both sample
+// the results with random draws, so the element order is part of the
+// contract.
 
 #pragma once
 
@@ -31,10 +32,11 @@ void AppendMissing(std::vector<T>* a, const B& b) {
 }
 
 /// `a` followed by the elements of `b` it does not hold yet.
-template <std::ranges::range A, std::ranges::range B>
+template <std::ranges::sized_range A, std::ranges::sized_range B>
 std::vector<std::ranges::range_value_t<A>> Union(const A& a, const B& b) {
-  std::vector<std::ranges::range_value_t<A>> out(std::ranges::begin(a),
-                                                 std::ranges::end(a));
+  std::vector<std::ranges::range_value_t<A>> out;
+  out.reserve(std::ranges::size(a) + std::ranges::size(b));
+  for (const auto& x : a) out.push_back(x);
   AppendMissing(&out, b);
   return out;
 }

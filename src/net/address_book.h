@@ -8,10 +8,17 @@
 // id stays valid for the life of the node, and of the durable store that
 // holds a copy of the table (storage/persist.h). Ids turn back into addresses
 // only at the wire and in the node's public accessors.
+//
+// Find and Intern take views, so a caller may look up an address where it
+// lies, say in a received payload. A view into the book itself (of a Name)
+// is another matter: an Intern that adds a name may move every name, so no
+// such view may be used after one.
 
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -44,14 +51,16 @@ class AddressBook {
   }
 
   /// The id of `address`, assigning the next dense id if it is new.
-  PeerId Intern(const std::string& address) {
-    auto [it, inserted] = ids_.try_emplace(address, static_cast<PeerId>(names_.size()));
-    if (inserted) names_.push_back(address);
-    return it->second;
+  PeerId Intern(std::string_view address) {
+    if (auto it = ids_.find(address); it != ids_.end()) return it->second;
+    const PeerId id = static_cast<PeerId>(names_.size());
+    ids_.emplace(std::string(address), id);
+    names_.emplace_back(address);
+    return id;
   }
 
   /// The id of `address`, or kInvalidPeer if it was never interned.
-  PeerId Find(const std::string& address) const {
+  PeerId Find(std::string_view address) const {
     auto it = ids_.find(address);
     return it == ids_.end() ? kInvalidPeer : it->second;
   }
@@ -68,8 +77,16 @@ class AddressBook {
   const std::vector<std::string>& names() const { return names_; }
 
  private:
+  /// Hashes strings and views alike, so a view is looked up without a copy.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, PeerId> ids_;
+  std::unordered_map<std::string, PeerId, NameHash, std::equal_to<>> ids_;
 };
 
 }  // namespace net

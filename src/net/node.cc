@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <ranges>
 #include <string_view>
 #include <tuple>
 
@@ -331,15 +332,29 @@ std::vector<std::string> PGridNode::NamesLocked(Span<PeerId> ids) const {
   return out;
 }
 
-void PGridNode::SetRefsLocked(size_t level, const std::vector<std::string>& addresses) {
+void PGridNode::SetRefsLocked(size_t level, Span<std::string_view> addresses) {
+  auto kept = addresses |
+              std::views::filter([this](std::string_view a) { return a != address_; }) |
+              std::views::take(static_cast<std::ptrdiff_t>(config_.refmax));
   // Most exchanges re-sample a level to the list it already holds; only a
   // real change (order included) costs a record. An equal list names only
   // addresses the book holds, so interning it would change nothing either.
   const auto name = [this](PeerId id) -> const std::string& { return book_.Name(id); };
-  if (std::ranges::equal(state_.RefsAt(level), addresses, {}, name)) return;
+  if (std::ranges::equal(state_.RefsAt(level), kept, {}, name)) return;
+  // Every address is looked up before a new one is interned, and only the
+  // new ones are read again: a view of the book's own names would not
+  // survive an Intern that grows it, and a new address is not one of those.
   std::vector<PeerId> ids;
-  ids.reserve(addresses.size());
-  for (const std::string& a : addresses) ids.push_back(book_.Intern(a));
+  std::vector<std::string_view> added;
+  ids.reserve(std::min(addresses.size(), config_.refmax));
+  for (std::string_view a : kept) {
+    ids.push_back(book_.Find(a));
+    if (ids.back() == kInvalidPeer) added.push_back(a);
+  }
+  auto next = added.begin();
+  for (PeerId& id : ids) {
+    if (id == kInvalidPeer) id = book_.Intern(*next++);
+  }
   state_.SetRefsAt(level, std::move(ids));
   delta_.MarkRefs(level);
 }
@@ -610,24 +625,22 @@ std::string PGridNode::HandleExchange(const std::string& from,
                                       const std::string& request,
                                       const obs::TraceContext& ctx) {
   (void)from;
+  // The request's address lists are views into `request`, which outlives
+  // every use of them here, the recursion included.
   Result<ExchangeRequest> reqr = DecodeExchangeRequest(request);
   if (!reqr.ok()) return EncodeError(reqr.status().ToString());
   const ExchangeRequest& req = *reqr;
   if (req.initiator == address_) return EncodeError("self exchange");
 
+  const std::string_view self = address_;
+  const std::string_view initiator = req.initiator;
+  const size_t fanout = config_.recursion_fanout > 0 ? config_.recursion_fanout
+                                                     : config_.refmax;
   ExchangeResponse resp;
   resp.epoch = req.epoch;
-  resp.ref_updates.reserve(2);  // level lc, then level lc + 1
-  std::vector<std::string> my_recursion_targets;
-  uint32_t depth = req.depth;
-
-  // Initiator's refs by level, read in place.
-  auto refs1_at = [&req](size_t level) -> Span<std::string> {
-    for (const WireRefLevel& rl : req.refs) {
-      if (rl.level == level) return rl.addresses;
-    }
-    return {};
-  };
+  std::string encoded;
+  std::vector<std::string_view> my_recursion_targets;
+  const uint32_t depth = req.depth;
 
   c_exchanges_served_->Increment();
   {
@@ -636,19 +649,24 @@ std::string PGridNode::HandleExchange(const std::string& from,
     const size_t l1 = req.path.length() - lc;
     const size_t l2 = state_.depth() - lc;
 
-    // Reference lists from the wire are unioned and sampled as addresses; only
-    // the sample this node keeps is interned.
+    // Reference lists are unioned, sampled and compared as views, of our
+    // book's names and of the request, and the response is encoded from them.
+    // Only then is anything interned (the end of this block): an Intern that
+    // grows the book moves the names those views point into.
+    std::vector<std::string_view> kept_lc;  // our new level-lc references
+    bool refer_to_initiator = false;        // case 3: it becomes our lc + 1 reference
+    bool buddy_initiator = false;           // the replica case
+    const auto name = [this](PeerId id) { return std::string_view(book_.Name(id)); };
     if (lc > 0) {
       // Cross-pollinate level-lc references (both sides have them): their
       // union, ours first.
-      std::vector<std::string> common = NamesLocked(state_.RefsAt(lc));
-      AppendMissing(&common, refs1_at(lc));
-      SetRefsLocked(lc, rng_.SampleWithoutReplacement(Without(common, address_),
-                                                      config_.refmax));
-      std::erase(common, req.initiator);
-      resp.ref_updates.push_back(
-          {static_cast<uint32_t>(lc),
-           rng_.SampleWithoutReplacement(std::move(common), config_.refmax)});
+      std::vector<std::string_view> common =
+          Union(state_.RefsAt(lc) | std::views::transform(name), req.refs.Find(lc));
+      kept_lc = rng_.SampleWithoutReplacement(Without(common, self), config_.refmax);
+      std::erase(common, initiator);
+      resp.ref_updates.AddLevel(
+          static_cast<uint32_t>(lc),
+          rng_.SampleWithoutReplacement(std::move(common), config_.refmax));
     }
 
     if (l1 == 0 && l2 == 0 && lc < config_.maxl) {
@@ -661,39 +679,38 @@ std::string PGridNode::HandleExchange(const std::string& from,
       delta_.MarkPath();
       ++epoch_;
       resp.append_bits.PushBack(ComplementBit(my_bit));
-      resp.ref_updates.push_back({static_cast<uint32_t>(lc + 1), {address_}});
+      resp.ref_updates.AddLevel(static_cast<uint32_t>(lc + 1), {&self, 1});
     } else if (l1 == 0 && l2 > 0 && lc < config_.maxl) {
       // Case 2: initiator's path is a prefix of ours -- it specializes opposite to
       // our next bit. As in case 1, we only learn about it as a reference once it
       // commits.
       resp.append_bits.PushBack(ComplementBit(state_.PathBit(lc + 1)));
-      resp.ref_updates.push_back({static_cast<uint32_t>(lc + 1), {address_}});
+      resp.ref_updates.AddLevel(static_cast<uint32_t>(lc + 1), {&self, 1});
     } else if (l1 > 0 && l2 == 0 && lc < config_.maxl) {
       // Case 3: we specialize opposite to the initiator's next bit.
       state_.AppendPathBit(ComplementBit(req.path.bit(lc)));
       delta_.MarkPath();
-      SetRefsLocked(state_.depth(), {req.initiator});
+      refer_to_initiator = true;
       ++epoch_;
-      resp.ref_updates.push_back(
-          {static_cast<uint32_t>(lc + 1),
-           rng_.SampleWithoutReplacement(
-               Without(Union(Span<std::string>(&address_, 1), refs1_at(lc + 1)),
-                       req.initiator),
-               config_.refmax)});
+      resp.ref_updates.AddLevel(
+          static_cast<uint32_t>(lc + 1),
+          rng_.SampleWithoutReplacement(
+              Without(Union(Span<std::string_view>(&self, 1), req.refs.Find(lc + 1)),
+                      initiator),
+              config_.refmax));
     } else if (l1 > 0 && l2 > 0 && depth < config_.recmax) {
       // Case 4: diverging paths -- refer the initiator to our references on its
       // side, and (after releasing the lock) exchange with its references on ours.
       resp.referrals = rng_.SampleWithoutReplacement(
-          Without(NamesLocked(state_.RefsAt(lc + 1)), req.initiator),
-          config_.recursion_fanout > 0 ? config_.recursion_fanout : config_.refmax);
-      my_recursion_targets = rng_.SampleWithoutReplacement(
-          Without(refs1_at(lc + 1), address_),
-          config_.recursion_fanout > 0 ? config_.recursion_fanout : config_.refmax);
+          Without(state_.RefsAt(lc + 1) | std::views::transform(name), initiator),
+          fanout);
+      my_recursion_targets =
+          rng_.SampleWithoutReplacement(Without(req.refs.Find(lc + 1), self), fanout);
     } else if (l1 == 0 && l2 == 0) {
       // Replica case: identical complete paths at maxl -- become buddies and give
       // the initiator everything we index (its push completes the sync). Equal
       // digests mean equal entry sets, so then there is nothing to give.
-      if (state_.AddBuddy(book_.Intern(req.initiator))) delta_.MarkBuddies();
+      buddy_initiator = true;
       resp.buddy = 1;
       if (req.index_digest == IndexDigestLocked()) {
         resp.in_sync = 1;
@@ -716,14 +733,19 @@ std::string PGridNode::HandleExchange(const std::string& from,
         }
       }
     }
+
+    encoded = EncodeExchangeResponse(resp);
+    if (lc > 0) SetRefsLocked(lc, kept_lc);
+    if (refer_to_initiator) SetRefsLocked(lc + 1, {&initiator, 1});
+    if (buddy_initiator && state_.AddBuddy(book_.Intern(initiator))) delta_.MarkBuddies();
   }
 
   c_meet_entries_shipped_->Increment(resp.entries.size());
   // Responder-side case-4 recursion, outside the lock.
-  for (const std::string& target : my_recursion_targets) {
-    (void)MeetWithDepth(target, depth + 1, ctx);
+  for (std::string_view target : my_recursion_targets) {
+    (void)MeetWithDepth(std::string(target), depth + 1, ctx);
   }
-  return EncodeExchangeResponse(resp);
+  return encoded;
 }
 
 // ---- client side ----
@@ -737,30 +759,40 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
   // Downstream context: our meet span if we record, else the inherited one so a
   // remote trace keeps flowing through recursion on an untraced node.
   const obs::TraceContext ctx = trace_ != nullptr ? span.context() : parent;
-  ExchangeRequest req;
-  req.initiator = address_;
-  req.depth = depth;
   c_exchanges_initiated_->Increment();
+  std::string request;
   {
+    // The request's table views the book's names, so the request is built
+    // and encoded under the lock and goes out of scope with it.
     std::lock_guard<std::mutex> lock(mu_);
+    ExchangeRequest req;
+    req.initiator = address_;
+    req.depth = depth;
     req.epoch = epoch_;
     req.path = state_.path();
-    req.refs.reserve(state_.depth());
+    size_t refs = 0;
     for (size_t level = 1; level <= state_.depth(); ++level) {
-      req.refs.push_back({static_cast<uint32_t>(level), NamesLocked(state_.RefsAt(level))});
+      refs += state_.RefsAt(level).size();
+    }
+    req.refs.Reserve(state_.depth(), refs);
+    for (size_t level = 1; level <= state_.depth(); ++level) {
+      for (PeerId id : state_.RefsAt(level)) req.refs.Append(book_.Name(id));
+      req.refs.CloseLevel(static_cast<uint32_t>(level));
     }
     req.index_digest = IndexDigestLocked();
+    request = EncodeExchangeRequest(req);
   }
 
-  Result<std::string> raw = CallWithRetry(peer, EncodeExchangeRequest(req), ctx);
+  Result<std::string> raw = CallWithRetry(peer, request, ctx);
   if (!raw.ok()) return raw.status();
   Result<MsgType> type = PeekType(*raw);
   if (!type.ok() || *type != MsgType::kExchangeResp) {
     return Status::Internal("bad exchange response from " + peer);
   }
+  // The response's address lists are views into *raw.
   Result<ExchangeResponse> respr = DecodeExchangeResponse(*raw);
   if (!respr.ok()) return respr.status();
-  ExchangeResponse& resp = *respr;
+  const ExchangeResponse& resp = *respr;
 
   std::vector<WireEntry> push;
   std::vector<CommitRequest> commits;
@@ -789,11 +821,10 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
         delta_.MarkPath();
         ++epoch_;
       }
-      for (WireRefLevel& rl : resp.ref_updates) {
-        if (rl.level >= 1 && rl.level <= state_.depth()) {
-          std::erase(rl.addresses, address_);
-          if (rl.addresses.size() > config_.refmax) rl.addresses.resize(config_.refmax);
-          SetRefsLocked(rl.level, rl.addresses);
+      for (size_t i = 0; i < resp.ref_updates.size(); ++i) {
+        const uint32_t level = resp.ref_updates.level(i);
+        if (level >= 1 && level <= state_.depth()) {
+          SetRefsLocked(level, resp.ref_updates.addresses(i));
         }
       }
       const bool became_buddy = resp.buddy != 0 && state_.AddBuddy(book_.Intern(peer));
@@ -820,8 +851,8 @@ Status PGridNode::MeetWithDepth(const std::string& peer, uint32_t depth,
   }
   if (!push.empty()) PushEntries(peer, std::move(push), ctx);
   PersistState();
-  for (const std::string& referral : resp.referrals) {
-    (void)MeetWithDepth(referral, depth + 1, ctx);
+  for (std::string_view referral : resp.referrals) {
+    (void)MeetWithDepth(std::string(referral), depth + 1, ctx);
   }
   return Status::OK();
 }

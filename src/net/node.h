@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/peer_state.h"
@@ -265,9 +266,10 @@ class PGridNode {
   /// Addresses of `ids`, in order.
   std::vector<std::string> NamesLocked(Span<PeerId> ids) const;
 
-  /// Interns `addresses` and installs them as the references at `level`,
-  /// marking the level in delta_ if the list changed.
-  void SetRefsLocked(size_t level, const std::vector<std::string>& addresses);
+  /// Interns the first refmax of `addresses` that are not this node's own
+  /// and installs them as the references at `level`, marking the level in
+  /// delta_ if the list changed. The views may name book_'s own strings.
+  void SetRefsLocked(size_t level, Span<std::string_view> addresses);
 
   WireEntry ToWireLocked(const IndexEntry& entry) const;
 

@@ -53,35 +53,46 @@ Result<std::vector<WireEntry>> ReadEntryList(ByteReader* r) {
   return out;
 }
 
-void WriteRefLevels(ByteWriter* w, const std::vector<WireRefLevel>& v) {
-  w->WriteU32(static_cast<uint32_t>(v.size()));
-  for (const WireRefLevel& rl : v) {
-    w->WriteU32(rl.level);
-    w->WriteStringList(rl.addresses);
+void WriteRefTable(ByteWriter* w, const WireRefTable& t) {
+  w->WriteU32(static_cast<uint32_t>(t.size()));
+  for (size_t i = 0; i < t.size(); ++i) {
+    w->WriteU32(t.level(i));
+    w->WriteStringList(t.addresses(i));
   }
 }
 
-size_t RefLevelsSize(const std::vector<WireRefLevel>& v) {
-  size_t n = 4;
-  for (const WireRefLevel& rl : v) n += 4 + ByteWriter::StringListSize(rl.addresses);
+size_t RefTableSize(const WireRefTable& t) {
+  // The level count, each level's number and address count, every address.
+  size_t n = 4 + 8 * t.size();
+  for (std::string_view a : t.all_addresses()) n += ByteWriter::StringSize(a);
   return n;
 }
 
-Result<std::vector<WireRefLevel>> ReadRefLevels(ByteReader* r) {
+Result<WireRefTable> ReadRefTable(ByteReader* r) {
   PGRID_ASSIGN_OR_RETURN(uint32_t count, r->ReadU32());
   if (count > kMaxWireCollection) {
     return Status::InvalidArgument("ref level list too large");
   }
-  std::vector<WireRefLevel> out;
-  // Each level takes at least 8 bytes (its number and an empty list).
-  out.reserve(std::min<size_t>(count, r->remaining() / 8));
+  WireRefTable t;
+  // Room for four addresses a level, NodeConfig's default refmax, so most
+  // tables allocate each list once; a fuller one grows. Neither list is given
+  // more room than the bytes left could fill: a level takes at least 8 bytes
+  // and an address at least 4.
+  t.Reserve(std::min<size_t>(count, r->remaining() / 8),
+            std::min<size_t>(4 * size_t{count}, r->remaining() / 4));
   for (uint32_t i = 0; i < count; ++i) {
-    WireRefLevel rl;
-    PGRID_ASSIGN_OR_RETURN(rl.level, r->ReadU32());
-    PGRID_ASSIGN_OR_RETURN(rl.addresses, r->ReadStringList());
-    out.push_back(std::move(rl));
+    PGRID_ASSIGN_OR_RETURN(uint32_t level, r->ReadU32());
+    PGRID_ASSIGN_OR_RETURN(uint32_t addresses, r->ReadU32());
+    if (addresses > kMaxWireCollection) {
+      return Status::InvalidArgument("ref level too large");
+    }
+    for (uint32_t j = 0; j < addresses; ++j) {
+      PGRID_ASSIGN_OR_RETURN(std::string_view a, r->ReadStringView());
+      t.Append(a);
+    }
+    t.CloseLevel(level);
   }
-  return out;
+  return t;
 }
 
 /// A writer holding the type tag, with room for the `body_bytes` that follow
@@ -158,12 +169,12 @@ std::string EncodePublishAck(const PublishAck& m) {
 std::string EncodeExchangeRequest(const ExchangeRequest& m) {
   ByteWriter w = Tagged(MsgType::kExchangeReq,
                         ByteWriter::StringSize(m.initiator) + 8 +
-                            ByteWriter::KeyPathSize(m.path) + RefLevelsSize(m.refs) +
+                            ByteWriter::KeyPathSize(m.path) + RefTableSize(m.refs) +
                             4 + 8);
   w.WriteString(m.initiator);
   w.WriteU64(m.epoch);
   w.WriteKeyPath(m.path);
-  WriteRefLevels(&w, m.refs);
+  WriteRefTable(&w, m.refs);
   w.WriteU32(m.depth);
   w.WriteU64(m.index_digest);
   return w.Take();
@@ -172,12 +183,12 @@ std::string EncodeExchangeRequest(const ExchangeRequest& m) {
 std::string EncodeExchangeResponse(const ExchangeResponse& m) {
   ByteWriter w = Tagged(MsgType::kExchangeResp,
                         8 + ByteWriter::KeyPathSize(m.append_bits) +
-                            RefLevelsSize(m.ref_updates) +
+                            RefTableSize(m.ref_updates) +
                             ByteWriter::StringListSize(m.referrals) + 1 +
                             EntryListSize(m.entries) + 1);
   w.WriteU64(m.epoch);
   w.WriteKeyPath(m.append_bits);
-  WriteRefLevels(&w, m.ref_updates);
+  WriteRefTable(&w, m.ref_updates);
   w.WriteStringList(m.referrals);
   w.WriteU8(m.buddy);
   WriteEntryList(&w, m.entries);
@@ -354,7 +365,7 @@ Result<ExchangeRequest> DecodeExchangeRequest(const std::string& payload) {
   PGRID_ASSIGN_OR_RETURN(m.initiator, r.ReadString());
   PGRID_ASSIGN_OR_RETURN(m.epoch, r.ReadU64());
   PGRID_ASSIGN_OR_RETURN(m.path, r.ReadKeyPath());
-  PGRID_ASSIGN_OR_RETURN(m.refs, ReadRefLevels(&r));
+  PGRID_ASSIGN_OR_RETURN(m.refs, ReadRefTable(&r));
   PGRID_ASSIGN_OR_RETURN(m.depth, r.ReadU32());
   PGRID_ASSIGN_OR_RETURN(m.index_digest, r.ReadU64());
   return m;
@@ -366,8 +377,8 @@ Result<ExchangeResponse> DecodeExchangeResponse(const std::string& payload) {
   ExchangeResponse m;
   PGRID_ASSIGN_OR_RETURN(m.epoch, r.ReadU64());
   PGRID_ASSIGN_OR_RETURN(m.append_bits, r.ReadKeyPath());
-  PGRID_ASSIGN_OR_RETURN(m.ref_updates, ReadRefLevels(&r));
-  PGRID_ASSIGN_OR_RETURN(m.referrals, r.ReadStringList());
+  PGRID_ASSIGN_OR_RETURN(m.ref_updates, ReadRefTable(&r));
+  PGRID_ASSIGN_OR_RETURN(m.referrals, r.ReadStringViewList());
   PGRID_ASSIGN_OR_RETURN(m.buddy, r.ReadU8());
   PGRID_ASSIGN_OR_RETURN(m.entries, ReadEntryList(&r));
   PGRID_ASSIGN_OR_RETURN(m.in_sync, r.ReadU8());

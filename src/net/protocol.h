@@ -27,14 +27,17 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "key/key_path.h"
 #include "net/wire.h"
 #include "obs/trace.h"
 #include "util/result.h"
+#include "util/span.h"
 
 namespace pgrid {
 namespace net {
@@ -73,12 +76,86 @@ struct WireEntry {
   friend bool operator==(const WireEntry&, const WireEntry&) = default;
 };
 
-/// One reference level: the addresses a peer keeps at a given (1-indexed) level.
-struct WireRefLevel {
-  uint32_t level = 0;
-  std::vector<std::string> addresses;
+/// Reference levels: for each level, its (1-indexed) number and the addresses
+/// a peer keeps there. All levels' addresses sit in one list of views. The
+/// table owns none of their bytes: a decoded table views the payload it was
+/// decoded from, so it is valid only while that payload lives, and a table
+/// built to encode must be encoded before whatever its views name changes.
+class WireRefTable {
+ public:
+  /// Makes room for `levels` levels holding `addresses` addresses in all.
+  void Reserve(size_t levels, size_t addresses) {
+    if (levels > kInlineLevels) more_levels_.reserve(levels - kInlineLevels);
+    addresses_.reserve(addresses);
+  }
 
-  friend bool operator==(const WireRefLevel&, const WireRefLevel&) = default;
+  /// Appends an address to the level that the next CloseLevel closes.
+  void Append(std::string_view address) { addresses_.push_back(address); }
+
+  /// Closes a level numbered `level` over the addresses appended since the
+  /// previous level.
+  void CloseLevel(uint32_t level) {
+    const Level closed{level, static_cast<uint32_t>(addresses_.size())};
+    if (size_ < kInlineLevels) {
+      inline_levels_[size_] = closed;
+    } else {
+      more_levels_.push_back(closed);
+    }
+    ++size_;
+  }
+
+  /// Appends a level numbered `level` holding `addresses`, in order.
+  void AddLevel(uint32_t level, Span<std::string_view> addresses) {
+    addresses_.insert(addresses_.end(), addresses.begin(), addresses.end());
+    CloseLevel(level);
+  }
+
+  /// The number of levels.
+  size_t size() const { return size_; }
+
+  /// The number of level `i` (0-based position in the table).
+  uint32_t level(size_t i) const { return At(i).number; }
+
+  /// The addresses of level `i` (0-based position in the table).
+  Span<std::string_view> addresses(size_t i) const {
+    const uint32_t begin = i == 0 ? 0 : At(i - 1).end;
+    return {addresses_.data() + begin, At(i).end - begin};
+  }
+
+  /// The addresses of the first level numbered `level`; none if no level is.
+  Span<std::string_view> Find(uint32_t level) const {
+    for (size_t i = 0; i < size_; ++i) {
+      if (At(i).number == level) return addresses(i);
+    }
+    return {};
+  }
+
+  /// Every level's addresses, level after level.
+  Span<std::string_view> all_addresses() const { return addresses_; }
+
+  friend bool operator==(const WireRefTable&, const WireRefTable&) = default;
+
+ private:
+  struct Level {
+    uint32_t number = 0;
+    uint32_t end = 0;  ///< one past the level's last address in addresses_
+
+    friend bool operator==(const Level&, const Level&) = default;
+  };
+
+  /// Levels kept in the table itself, so a table of no more levels than
+  /// NodeConfig's default maxl allocates only its address list. Slots past
+  /// size_ stay zero, which keeps the defaulted == exact.
+  static constexpr size_t kInlineLevels = 8;
+
+  const Level& At(size_t i) const {
+    return i < kInlineLevels ? inline_levels_[i] : more_levels_[i - kInlineLevels];
+  }
+
+  uint32_t size_ = 0;
+  std::array<Level, kInlineLevels> inline_levels_{};
+  std::vector<Level> more_levels_;  // levels past kInlineLevels
+  std::vector<std::string_view> addresses_;
 };
 
 // ---- Query ----
@@ -117,7 +194,7 @@ struct ExchangeRequest {
   std::string initiator;
   uint64_t epoch = 0;  ///< initiator's state epoch; directives apply only if unchanged
   KeyPath path;
-  std::vector<WireRefLevel> refs;
+  WireRefTable refs;   ///< the initiator's references at every level
   uint32_t depth = 0;  ///< recursion depth (bounded by recmax)
   uint64_t index_digest = 0;  ///< initiator's index digest (as in ProbeResponse)
 };
@@ -125,8 +202,8 @@ struct ExchangeRequest {
 struct ExchangeResponse {
   uint64_t epoch = 0;              ///< echoed initiator epoch
   KeyPath append_bits;             ///< bits the initiator appends to its path
-  std::vector<WireRefLevel> ref_updates;  ///< full replacements per level
-  std::vector<std::string> referrals;     ///< peers to exchange with at depth+1
+  WireRefTable ref_updates;        ///< full replacements per level
+  std::vector<std::string_view> referrals;  ///< peers to exchange with at depth+1
   uint8_t buddy = 0;               ///< responder is a same-path replica
   std::vector<WireEntry> entries;  ///< entries the initiator should adopt
   uint8_t in_sync = 0;  ///< replica with the initiator's index digest: no entries
@@ -219,8 +296,12 @@ Result<QueryResponseFound> DecodeQueryResponseFound(const std::string& payload);
 Result<QueryResponseForward> DecodeQueryResponseForward(const std::string& payload);
 Result<PublishRequest> DecodePublishRequest(const std::string& payload);
 Result<PublishAck> DecodePublishAck(const std::string& payload);
+// The exchange messages' address lists are views into `payload`, so they are
+// valid while it lives; a temporary payload would leave them dangling.
 Result<ExchangeRequest> DecodeExchangeRequest(const std::string& payload);
+Result<ExchangeRequest> DecodeExchangeRequest(std::string&& payload) = delete;
 Result<ExchangeResponse> DecodeExchangeResponse(const std::string& payload);
+Result<ExchangeResponse> DecodeExchangeResponse(std::string&& payload) = delete;
 Result<EntryPushRequest> DecodeEntryPushRequest(const std::string& payload);
 Result<EntryPushResponse> DecodeEntryPushResponse(const std::string& payload);
 Result<CommitRequest> DecodeCommitRequest(const std::string& payload);

@@ -57,7 +57,9 @@ uint64_t RetryPolicy::NextBackoffMs(size_t retry_index) {
 Result<std::string> RetryPolicy::Call(RpcTransport* transport, const std::string& to,
                                       const std::string& from,
                                       const std::string& request) {
-  const auto start = std::chrono::steady_clock::now();
+  // Only a deadline reads the clock, so a call without one stays clock-free.
+  const auto start = config_.deadline_ms > 0 ? std::chrono::steady_clock::now()
+                                             : std::chrono::steady_clock::time_point{};
   uint64_t backoff_elapsed_ms = 0;  // virtual time spent waiting so far
   Status last = Status::Unavailable("no attempt made");
   for (size_t attempt = 0;; ++attempt) {

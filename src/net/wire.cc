@@ -39,10 +39,11 @@ Result<KeyPath> ByteReader::ReadKeyPath() {
   return out;
 }
 
-Result<std::vector<std::string>> ByteReader::ReadStringList() {
+template <typename S>
+Result<std::vector<S>> ByteReader::ReadList() {
   PGRID_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
   if (count > kMaxWireCollection) return OverCap("list size", count);
-  std::vector<std::string> out;
+  std::vector<S> out;
   // Each element takes at least its 4-byte length prefix.
   out.reserve(std::min<size_t>(count, remaining() / 4));
   for (uint32_t i = 0; i < count; ++i) {
@@ -50,6 +51,14 @@ Result<std::vector<std::string>> ByteReader::ReadStringList() {
     out.emplace_back(s);
   }
   return out;
+}
+
+Result<std::vector<std::string>> ByteReader::ReadStringList() {
+  return ReadList<std::string>();
+}
+
+Result<std::vector<std::string_view>> ByteReader::ReadStringViewList() {
+  return ReadList<std::string_view>();
 }
 
 }  // namespace net

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <ranges>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,18 +45,21 @@ class ByteWriter {
     k.AppendPackedBytes(&out_);
   }
 
-  /// A list of strings (u32 count + each length-prefixed).
-  void WriteStringList(const std::vector<std::string>& v) {
-    WriteU32(static_cast<uint32_t>(v.size()));
-    for (const std::string& s : v) WriteString(s);
+  /// A list of strings (u32 count + each length-prefixed), from any sized
+  /// range of strings or string views, a braced list included.
+  template <std::ranges::sized_range List = std::initializer_list<std::string_view>>
+  void WriteStringList(const List& v) {
+    WriteU32(static_cast<uint32_t>(std::ranges::size(v)));
+    for (std::string_view s : v) WriteString(s);
   }
 
   /// Encoded sizes of the writes above.
   static size_t StringSize(std::string_view s) { return 4 + s.size(); }
   static size_t KeyPathSize(const KeyPath& k) { return 4 + (k.length() + 7) / 8; }
-  static size_t StringListSize(const std::vector<std::string>& v) {
+  template <std::ranges::range List>
+  static size_t StringListSize(const List& v) {
     size_t n = 4;
-    for (const std::string& s : v) n += StringSize(s);
+    for (std::string_view s : v) n += StringSize(s);
     return n;
   }
 
@@ -82,8 +87,12 @@ class ByteReader {
   Result<uint32_t> ReadU32() { return ReadLittleEndian<uint32_t>(); }
   Result<uint64_t> ReadU64() { return ReadLittleEndian<uint64_t>(); }
   Result<std::string> ReadString();
+  /// ReadString's bytes as a view into the buffer: valid while it lives.
+  Result<std::string_view> ReadStringView();
   Result<KeyPath> ReadKeyPath();
   Result<std::vector<std::string>> ReadStringList();
+  /// ReadStringList as views into the buffer: valid while it lives.
+  Result<std::vector<std::string_view>> ReadStringViewList();
 
   /// Consumes and returns all bytes not yet read. Used by envelope formats
   /// (e.g. the traced-RPC wrapper) whose payload is simply "the rest".
@@ -109,8 +118,8 @@ class ByteReader {
     return v;
   }
 
-  /// ReadString's bytes as a view into the buffer.
-  Result<std::string_view> ReadStringView();
+  template <typename S>
+  Result<std::vector<S>> ReadList();
 
   /// The errors, built only on failure.
   [[gnu::cold]] Status Truncated(size_t need) const;

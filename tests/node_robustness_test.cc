@@ -54,7 +54,7 @@ TEST(NodeRobustnessTest, TruncatedProtocolMessagesAreRejected) {
   ExchangeRequest req;
   req.initiator = "node:1";
   req.path = KeyPath::FromString("0110").value();
-  req.refs = {WireRefLevel{1, {"node:2"}}};
+  req.refs.AddLevel(1, std::vector<std::string_view>{"node:2"});
   const std::string full = EncodeExchangeRequest(req);
   for (size_t cut = 1; cut < full.size(); ++cut) {
     auto response = transport.Call("node:0", "node:1", full.substr(0, cut));
@@ -221,6 +221,69 @@ TEST(NodeRobustnessTest, ConcurrentMeetingsOverTcpKeepStateConsistent) {
     }
   }
   for (auto& n : nodes) n->Stop();
+}
+
+TEST(NodeRobustnessTest, ExchangeThatGrowsTheAddressBookKeepsEveryAddress) {
+  // The responder unions and samples reference lists as views of its address
+  // book and of the request, then interns the sample it keeps. Here that
+  // sample mixes its own references with dozens of new addresses, so the
+  // book outgrows its storage while the views into it are still in use.
+  InProcTransport transport;
+  NodeConfig config;
+  config.refmax = 40;
+  PGridNode node("node:0", &transport, config, 22);
+  ASSERT_TRUE(node.Start().ok());
+
+  // A case-1 split gives the node a path bit; three committers take level 1.
+  // Their addresses are as long as the node's own, so a comparison with it
+  // reads their bytes.
+  ExchangeRequest split;
+  split.initiator = "node:1";
+  Result<std::string> raw =
+      transport.Call("node:0", "node:1", EncodeExchangeRequest(split));
+  ASSERT_TRUE(raw.ok());
+  const KeyPath path = node.path();
+  ASSERT_EQ(path.length(), 1u);
+  const std::vector<std::string> own = {"node:1", "node:2", "node:3"};
+  for (const std::string& ghost : own) {
+    const CommitRequest commit{1, static_cast<uint8_t>(ComplementBit(path.bit(0)))};
+    Result<std::string> ack =
+        transport.Call("node:0", ghost, EncodeCommitRequest(commit));
+    ASSERT_TRUE(ack.ok());
+    ASSERT_EQ(PeekType(*ack).value(), MsgType::kCommitAck);
+  }
+  ASSERT_EQ(node.RefsAt(1), own);
+
+  // A replica of the node's path sends 60 level-1 references it has never seen.
+  std::vector<std::string> sent;
+  for (int i = 0; i < 60; ++i) sent.push_back("new:" + std::to_string(i));
+  ExchangeRequest req;
+  req.initiator = "init:0";
+  req.path = path;
+  req.refs.AddLevel(1, std::vector<std::string_view>(sent.begin(), sent.end()));
+  raw = transport.Call("node:0", "init:0", EncodeExchangeRequest(req));
+  ASSERT_TRUE(raw.ok());
+  Result<ExchangeResponse> resp = DecodeExchangeResponse(*raw);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+
+  std::set<std::string> known(own.begin(), own.end());
+  known.insert(sent.begin(), sent.end());
+  const Span<std::string_view> answered = resp->ref_updates.Find(1);
+  EXPECT_EQ(answered.size(), config.refmax);
+  for (std::string_view a : answered) EXPECT_EQ(known.count(std::string(a)), 1u) << a;
+
+  // The kept sample lists one of the node's own references after a new
+  // address: interning it in list order would read that reference's view
+  // after the book had grown.
+  const std::vector<std::string> kept = node.RefsAt(1);
+  ASSERT_EQ(kept.size(), config.refmax);
+  for (const std::string& a : kept) EXPECT_EQ(known.count(a), 1u) << a;
+  const auto is_own = [&own](const std::string& a) {
+    return std::find(own.begin(), own.end(), a) != own.end();
+  };
+  const auto first_new = std::find_if_not(kept.begin(), kept.end(), is_own);
+  EXPECT_TRUE(std::any_of(first_new, kept.end(), is_own));
+  EXPECT_EQ(transport.Call("node:0", "x", EncodePing()).value(), EncodePong());
 }
 
 TEST(NodeRobustnessTest, NoReferenceWithoutCommit) {

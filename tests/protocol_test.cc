@@ -62,6 +62,24 @@ class AllocWatch {
   size_t largest() const { return g_largest_alloc; }
 };
 
+/// A reference table of (level, addresses) pairs. Its views name string
+/// literals, which outlive it.
+WireRefTable Table(
+    std::initializer_list<std::pair<uint32_t, std::vector<std::string_view>>> levels) {
+  WireRefTable t;
+  for (const auto& [level, addresses] : levels) t.AddLevel(level, addresses);
+  return t;
+}
+
+/// True iff every view in `views` lies inside `buffer`.
+bool AllInside(Span<std::string_view> views, const std::string& buffer) {
+  const auto inside = [&buffer](std::string_view v) {
+    return std::less_equal<>()(buffer.data(), v.data()) &&
+           std::less_equal<>()(v.data() + v.size(), buffer.data() + buffer.size());
+  };
+  return std::all_of(views.begin(), views.end(), inside);
+}
+
 WireEntry Entry(const std::string& holder, uint64_t id, const char* key,
                 uint64_t version = 1) {
   WireEntry e;
@@ -144,11 +162,11 @@ TEST(ProtocolTest, ExchangeRequestRoundTrip) {
   m.initiator = "me:9";
   m.epoch = 42;
   m.path = P("0110");
-  m.refs = {WireRefLevel{1, {"a:1"}}, WireRefLevel{2, {"b:2", "c:3"}},
-            WireRefLevel{3, {}}, WireRefLevel{4, {"d:4"}}};
+  m.refs = Table({{1, {"a:1"}}, {2, {"b:2", "c:3"}}, {3, {}}, {4, {"d:4"}}});
   m.depth = 2;
   m.index_digest = 0xfedcba9876543210ull;
-  auto back = DecodeExchangeRequest(EncodeExchangeRequest(m));
+  const std::string bytes = EncodeExchangeRequest(m);
+  auto back = DecodeExchangeRequest(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->initiator, "me:9");
   EXPECT_EQ(back->epoch, 42u);
@@ -162,11 +180,12 @@ TEST(ProtocolTest, ExchangeResponseRoundTrip) {
   ExchangeResponse m;
   m.epoch = 9;
   m.append_bits = P("1");
-  m.ref_updates = {WireRefLevel{3, {"x:1", "y:2"}}};
+  m.ref_updates = Table({{3, {"x:1", "y:2"}}});
   m.referrals = {"r:1", "r:2"};
   m.buddy = 1;
   m.entries = {Entry("h:5", 77, "0110011", 3)};
-  auto back = DecodeExchangeResponse(EncodeExchangeResponse(m));
+  const std::string bytes = EncodeExchangeResponse(m);
+  auto back = DecodeExchangeResponse(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->epoch, 9u);
   EXPECT_EQ(back->append_bits, m.append_bits);
@@ -179,7 +198,8 @@ TEST(ProtocolTest, ExchangeResponseRoundTrip) {
   // An in-sync replica answers with no entries.
   m.entries.clear();
   m.in_sync = 1;
-  back = DecodeExchangeResponse(EncodeExchangeResponse(m));
+  const std::string in_sync = EncodeExchangeResponse(m);
+  back = DecodeExchangeResponse(in_sync);
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->entries.empty());
   EXPECT_EQ(back->in_sync, 1);
@@ -237,7 +257,8 @@ TEST(ProtocolTest, ProbeRoundTrip) {
 
 TEST(ProtocolTest, DecodingWrongTypeFails) {
   EXPECT_FALSE(DecodeQueryRequest(EncodePing()).ok());
-  EXPECT_FALSE(DecodeExchangeRequest(EncodeQueryRequest(QueryRequest{})).ok());
+  const std::string query = EncodeQueryRequest(QueryRequest{});
+  EXPECT_FALSE(DecodeExchangeRequest(query).ok());
   EXPECT_FALSE(DecodePublishAck(EncodeError("x")).ok());
   EXPECT_FALSE(DecodeProbeResponse(EncodeProbeRequest()).ok());
 }
@@ -245,18 +266,18 @@ TEST(ProtocolTest, DecodingWrongTypeFails) {
 TEST(ProtocolTest, DecodingTruncatedMessagesFails) {
   // Every cut, the trailing index_digest and in_sync fields included.
   const std::string request = EncodeExchangeRequest(ExchangeRequest{
-      "a:1", 1, P("01"), {WireRefLevel{1, {"b:2"}}}, 0, /*index_digest=*/7});
+      "a:1", 1, P("01"), Table({{1, {"b:2"}}}), 0, /*index_digest=*/7});
   for (size_t cut = 1; cut < request.size(); ++cut) {
-    EXPECT_FALSE(DecodeExchangeRequest(request.substr(0, cut)).ok())
-        << "cut at " << cut;
+    const std::string prefix = request.substr(0, cut);
+    EXPECT_FALSE(DecodeExchangeRequest(prefix).ok()) << "cut at " << cut;
   }
   ExchangeResponse resp;
   resp.buddy = 1;
   resp.entries = {Entry("h:5", 77, "0110011", 3)};
   const std::string response = EncodeExchangeResponse(resp);
   for (size_t cut = 1; cut < response.size(); ++cut) {
-    EXPECT_FALSE(DecodeExchangeResponse(response.substr(0, cut)).ok())
-        << "cut at " << cut;
+    const std::string prefix = response.substr(0, cut);
+    EXPECT_FALSE(DecodeExchangeResponse(prefix).ok()) << "cut at " << cut;
   }
 }
 
@@ -285,7 +306,7 @@ TEST(ProtocolTest, TracedEnvelopeRoundTrip) {
 TEST(ProtocolTest, TracedEnvelopeWrapsEveryRequestShape) {
   // The envelope appends the inner message raw (no length prefix), so wrapping
   // must work for any request, including ones with nested collections.
-  ExchangeRequest ex{"a:1", 1, P("01"), {WireRefLevel{1, {"b:2", "c:3"}}}, 0};
+  ExchangeRequest ex{"a:1", 1, P("01"), Table({{1, {"b:2", "c:3"}}}), 0};
   obs::TraceContext ctx{7, 7, 0};
   for (const std::string& inner :
        {EncodePing(), EncodeProbeRequest(), EncodeStatsRequest(),
@@ -355,12 +376,12 @@ TEST(ProtocolTest, EveryMessageTypeEncodesToPinnedBytes) {
   PublishRequest publish{entry, 1};
   PublishAck ack{1, 7};
   ExchangeRequest exchange{"node:9", 42, P("01101"),
-                           {WireRefLevel{1, {"a:1"}}, WireRefLevel{2, {"b:2", "c:3"}}},
+                           Table({{1, {"a:1"}}, {2, {"b:2", "c:3"}}}),
                            2, 0xfedcba9876543210ull};
   ExchangeResponse exchanged;
   exchanged.epoch = 9;
   exchanged.append_bits = P("1");
-  exchanged.ref_updates = {WireRefLevel{3, {"x:1"}}};
+  exchanged.ref_updates = Table({{3, {"x:1"}}});
   exchanged.referrals = {"r:1"};
   exchanged.buddy = 1;
   exchanged.entries = {entry};
@@ -503,21 +524,95 @@ TEST(ProtocolTest, HostileCountsFailAsTruncatedWithoutLargeAllocations) {
   EXPECT_LE(largest, size_t{64} << 10);
 }
 
+TEST(ProtocolTest, HostileAddressCountsReserveNoMoreThanTheBytesHold) {
+  // Exchange messages claiming 2^20 reference levels, 2^20 addresses in one
+  // level or 2^20 referrals, each followed by 1 KiB of zeros: room for 128
+  // empty levels or 256 empty addresses, after which the bytes run out.
+  const std::string padding(1024, '\0');
+  // tag | empty initiator | u64 epoch | empty path
+  const std::string request = Unhex("09" "00000000" "0000000000000000" "00000000");
+  // tag | u64 epoch | empty append bits | no levels
+  const std::string response = Unhex("0a" "0000000000000000" "00000000" "00000000");
+  const std::string levels = request + Unhex("00001000") + padding;
+  const std::string addresses =
+      request + Unhex("01000000" "01000000" "00001000") + padding;
+  const std::string referrals = response + Unhex("00001000") + padding;
+  for (const std::string* bytes : {&levels, &addresses, &referrals}) {
+    Status status;
+    size_t largest = 0;
+    {
+      AllocWatch watch;
+      status = bytes == &referrals ? DecodeExchangeResponse(*bytes).status()
+                                   : DecodeExchangeRequest(*bytes).status();
+      largest = watch.largest();
+    }
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("truncated message"), std::string::npos) << status;
+    // The most views 1 KiB can hold; a reserve sized by the claimed count
+    // would ask for 16 MiB.
+    EXPECT_LE(largest, padding.size() / 4 * sizeof(std::string_view)) << status;
+  }
+}
+
+// The exchange decoders' address lists view their payload, so a temporary
+// payload does not compile.
+template <typename Payload>
+concept DecodesExchangeRequest =
+    requires(Payload&& p) { DecodeExchangeRequest(std::forward<Payload>(p)); };
+template <typename Payload>
+concept DecodesExchangeResponse =
+    requires(Payload&& p) { DecodeExchangeResponse(std::forward<Payload>(p)); };
+static_assert(DecodesExchangeRequest<const std::string&>);
+static_assert(DecodesExchangeResponse<std::string&>);
+static_assert(!DecodesExchangeRequest<std::string>);
+static_assert(!DecodesExchangeResponse<std::string>);
+
+TEST(ProtocolTest, DecodedAddressListsViewThePayload) {
+  ExchangeRequest m;
+  m.initiator = "me:9";
+  m.path = P("0110");
+  m.refs = Table({{1, {"a:1"}}, {2, {"b:2", "long-address:40004"}}, {3, {}}});
+  ExchangeResponse r;
+  r.ref_updates = Table({{3, {"x:1", "y:2"}}, {4, {"long-address:40006"}}});
+  r.referrals = {"r:1", "long-address:40007"};
+  r.entries = {Entry("h:5", 77, "0110011", 3)};
+  const std::string request = EncodeExchangeRequest(m);
+  const std::string response = EncodeExchangeResponse(r);
+
+  Result<ExchangeRequest> req = DecodeExchangeRequest(request);
+  Result<ExchangeResponse> resp = DecodeExchangeResponse(response);
+  ASSERT_TRUE(req.ok() && resp.ok());
+  EXPECT_EQ(req->refs, m.refs);
+  EXPECT_EQ(resp->ref_updates, r.ref_updates);
+  EXPECT_EQ(resp->referrals, r.referrals);
+  EXPECT_EQ(req->refs.all_addresses().size(), 3u);
+  EXPECT_TRUE(AllInside(req->refs.all_addresses(), request));
+  EXPECT_TRUE(AllInside(resp->ref_updates.all_addresses(), response));
+  EXPECT_TRUE(AllInside(resp->referrals, response));
+  // Levels keep their numbers and bounds in the flat list.
+  ASSERT_EQ(req->refs.size(), 3u);
+  EXPECT_EQ(req->refs.level(1), 2u);
+  EXPECT_EQ(req->refs.addresses(1)[1], "long-address:40004");
+  EXPECT_TRUE(req->refs.Find(3).empty());
+  EXPECT_TRUE(req->refs.Find(7).empty());
+  EXPECT_EQ(resp->ref_updates.Find(4)[0], "long-address:40006");
+}
+
 TEST(ProtocolTest, SizedEncodersAllocateOnce) {
   // Each message outgrows any inline string buffer; an encoder that reserves
   // its exact size allocates once, one that under-counts grows again.
   const WireEntry entry = Entry("127.0.0.1:40002", 9, "0110011001100110", 4);
   ExchangeRequest exchange{"127.0.0.1:40001", 42, P("01101"),
-                           {WireRefLevel{1, {"127.0.0.1:40003"}},
-                            WireRefLevel{2, {"127.0.0.1:40004", "127.0.0.1:40005"}}},
+                           Table({{1, {"127.0.0.1:40003"}},
+                                  {2, {"127.0.0.1:40004", "127.0.0.1:40005"}}}),
                            2, 7};
   ExchangeResponse exchanged;
   exchanged.append_bits = P("1");
-  exchanged.ref_updates = {WireRefLevel{3, {"127.0.0.1:40006"}}};
+  exchanged.ref_updates = Table({{3, {"127.0.0.1:40006"}}});
   exchanged.referrals = {"127.0.0.1:40007", "127.0.0.1:40008"};
   exchanged.entries = {entry, entry};
   const QueryResponseFound found{"127.0.0.1:40009", {entry}};
-  const QueryResponseForward forward{2, P("110"), exchanged.referrals};
+  const QueryResponseForward forward{2, P("110"), {"127.0.0.1:40007", "127.0.0.1:40008"}};
   const PublishRequest publish{entry, 1};
   const EntryPushRequest push{{entry, entry}};
   const EntryPushResponse rejected{{entry}};

@@ -76,7 +76,7 @@ EOF
 
 # The compact per-peer layout: protocol bytes per peer at 20k peers, heap
 # allocations per op on the inline (<= 64-bit) key-path rows, and heap
-# allocations per node meeting.
+# allocations per node meeting, search and publish.
 gate_memory() {
   ./bench/bench_t1_peers_vs_exchanges --trials=1 --par-peers=20000 --par-threads=1 \
     --par-queries=2000 --table-json=BENCH_memory_gate_t1.json \
@@ -86,9 +86,10 @@ gate_memory() {
     python3 - <<'EOF'
 import json, sys
 BYTES_PER_PEER_LIMIT, ALLOCS_PER_OP_LIMIT = 600, 0.01
-# 10% above the 310.4 a meeting made once its exchange stopped copying address
-# lists and re-interning unchanged levels (511.0 before). The count is exact.
-NODE_MEET_LIMIT = 341
+# 10% above each node operation's count once exchanges read reference levels
+# in place (a meeting: 139.8, against 310.4 and 511.0 in earlier layouts; a
+# search 12.67, a publish 13.89). The counts are exact.
+NODE_OP_LIMITS = {"node_meet": 153.7, "node_search": 13.9, "node_publish": 15.3}
 bad = []
 for r in json.load(open("BENCH_memory_gate.json"))["rows"]:
     if int(r["peers"]) == 20000 and int(r["threads"]) == 1:
@@ -104,8 +105,8 @@ for r in json.load(open("BENCH_alloc_counts.json"))["rows"]:
     op, rate = r["op"], float(r["allocs_per_op"])
     if op.startswith("inline_"):
         note, over = "", rate >= ALLOCS_PER_OP_LIMIT
-    elif op == "node_meet":
-        note, over = f"  (ceiling {NODE_MEET_LIMIT})", rate > NODE_MEET_LIMIT
+    elif op in NODE_OP_LIMITS:
+        note, over = f"  (ceiling {NODE_OP_LIMITS[op]})", rate > NODE_OP_LIMITS[op]
     else:
         note, over = "  (contrast row, not gated)", False
     print(f"  {op:<28} {rate:8.4f} allocs/op{note}")
