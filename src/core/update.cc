@@ -1,6 +1,5 @@
 #include "core/update.h"
 
-#include "core/search.h"
 #include "util/macros.h"
 
 namespace pgrid {
@@ -18,8 +17,7 @@ const char* UpdateStrategyName(UpdateStrategy s) {
 }
 
 UpdateEngine::UpdateEngine(Grid* grid, const OnlineModel* online, Rng* rng)
-    : grid_(grid), online_(online), rng_(rng) {
-  PGRID_CHECK(grid != nullptr && rng != nullptr);
+    : grid_(grid), online_(online), rng_(rng), search_(grid, online, rng) {
   obs::MetricsRegistry& m = grid->metrics();
   updates_ = m.GetCounter("update.runs");
   messages_ = m.GetCounter("update.messages");
@@ -53,7 +51,6 @@ UpdateOutcome UpdateEngine::Run(const KeyPath& key, UpdateStrategy strategy,
   obs::TraceSpan span(grid_->trace(), "update.propagate");
   std::unordered_set<PeerId> reached;
   uint64_t messages = 0;
-  SearchEngine search(grid_, online_, rng_);
   for (size_t rep = 0; rep < config.repetition; ++rep) {
     switch (strategy) {
       case UpdateStrategy::kRepeatedDfs:
@@ -63,7 +60,7 @@ UpdateOutcome UpdateEngine::Run(const KeyPath& key, UpdateStrategy strategy,
         DfsPass(key, /*with_buddies=*/true, &reached, &messages);
         break;
       case UpdateStrategy::kBreadthFirst: {
-        std::optional<PeerId> start = search.RandomOnlinePeer();
+        std::optional<PeerId> start = search_.RandomOnlinePeer();
         if (start.has_value()) BfsPass(*start, key, 0, config.recbreadth, &reached,
                                        &messages);
         break;
@@ -84,10 +81,9 @@ UpdateOutcome UpdateEngine::Run(const KeyPath& key, UpdateStrategy strategy,
 
 void UpdateEngine::DfsPass(const KeyPath& key, bool with_buddies,
                            std::unordered_set<PeerId>* reached, uint64_t* messages) {
-  SearchEngine search(grid_, online_, rng_);
-  std::optional<PeerId> start = search.RandomOnlinePeer();
+  std::optional<PeerId> start = search_.RandomOnlinePeer();
   if (!start.has_value()) return;
-  QueryResult q = search.Query(*start, key);
+  QueryResult q = search_.Query(*start, key);
   *messages += q.messages;
   if (!q.found) return;
   reached->insert(q.responder);

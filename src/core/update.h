@@ -25,6 +25,7 @@
 
 #include "core/config.h"
 #include "core/grid.h"
+#include "core/search.h"
 #include "obs/metrics.h"
 #include "sim/online_model.h"
 #include "util/rng.h"
@@ -91,6 +92,7 @@ class UpdateEngine {
   Grid* grid_;
   const OnlineModel* online_;
   Rng* rng_;
+  SearchEngine search_;  // picks start peers and runs the depth-first passes
 
   // Cached registry instruments (owned by the grid; see docs/observability.md).
   obs::Counter* updates_;   // runs of the propagation algorithm

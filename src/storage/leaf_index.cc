@@ -9,8 +9,8 @@ namespace pgrid {
 
 namespace {
 
-/// Final avalanche of MurmurHash3; spreads the packed key across all bits so
-/// the power-of-two mask below sees a well-mixed value.
+/// Final avalanche of MurmurHash3; spreads the item id across all bits so the
+/// power-of-two mask below sees a well-mixed value.
 uint64_t Mix64(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdull;
@@ -33,15 +33,14 @@ struct SlotKeyBefore {
 
 }  // namespace
 
-size_t LeafIndex::HashKey(PeerId holder, ItemId item_id) {
-  return static_cast<size_t>(Mix64((static_cast<uint64_t>(holder) << 32) ^
-                                   (item_id * 0x9e3779b97f4a7c15ull)));
+size_t LeafIndex::HashItem(ItemId item_id) {
+  return static_cast<size_t>(Mix64(item_id));
 }
 
 IndexEntry* LeafIndex::FindSlot(PeerId holder, ItemId item_id) {
   if (slots_.empty()) return nullptr;
   const size_t mask = slots_.size() - 1;
-  size_t i = HashKey(holder, item_id) & mask;
+  size_t i = HashItem(item_id) & mask;
   while (true) {
     IndexEntry& slot = slots_[i];
     if (slot.holder == kEmptySlot) return nullptr;
@@ -65,7 +64,7 @@ void LeafIndex::Rehash(size_t min_slots) {
   for (size_t old_slot = 0; old_slot < old.size(); ++old_slot) {
     IndexEntry& e = old[old_slot];
     if (!IsLive(e)) continue;
-    size_t i = HashKey(e.holder, e.item_id) & mask;
+    size_t i = HashItem(e.item_id) & mask;
     while (slots_[i].holder != kEmptySlot) i = (i + 1) & mask;
     min_key_length_ = std::min(min_key_length_, static_cast<uint32_t>(e.key.length()));
     slots_[i] = std::move(e);
@@ -108,7 +107,7 @@ bool LeafIndex::InsertOrRefresh(const IndexEntry& entry, IndexEntry* replaced) {
   }
   ReserveForInsert();
   const size_t mask = slots_.size() - 1;
-  size_t i = HashKey(entry.holder, entry.item_id) & mask;
+  size_t i = HashItem(entry.item_id) & mask;
   while (IsLive(slots_[i])) i = (i + 1) & mask;
   if (slots_[i].holder == kTombstoneSlot) --tombstones_;
   slots_[i] = entry;
@@ -180,22 +179,31 @@ std::vector<uint32_t> LeafIndex::OverlappingSlots(const KeyPath& key) const {
   return hits;
 }
 
+template <typename Fn>
+void LeafIndex::ForEachOfItem(ItemId item_id, Fn&& fn) const {
+  if (slots_.empty()) return;
+  const size_t mask = slots_.size() - 1;
+  // A tombstone keeps the chain going: entries placed past it before it was
+  // erased are still on the chain.
+  for (size_t i = HashItem(item_id) & mask; slots_[i].holder != kEmptySlot; i = (i + 1) & mask) {
+    if (slots_[i].holder != kTombstoneSlot && slots_[i].item_id == item_id) fn(i);
+  }
+}
+
 uint64_t LeafIndex::LatestVersionOf(ItemId item_id) const {
   uint64_t latest = 0;
-  for (const IndexEntry& e : slots_) {
-    if (IsLive(e) && e.item_id == item_id && e.version > latest) latest = e.version;
-  }
+  ForEachOfItem(item_id, [&](size_t i) { latest = std::max(latest, slots_[i].version); });
   return latest;
 }
 
 size_t LeafIndex::ApplyVersion(ItemId item_id, uint64_t version) {
   size_t bumped = 0;
-  for (IndexEntry& e : slots_) {
-    if (IsLive(e) && e.item_id == item_id && e.version < version) {
-      e.version = version;
+  ForEachOfItem(item_id, [&](size_t i) {
+    if (slots_[i].version < version) {
+      slots_[i].version = version;
       ++bumped;
     }
-  }
+  });
   return bumped;
 }
 

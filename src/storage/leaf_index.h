@@ -39,6 +39,12 @@ struct IndexEntry {
 /// deterministic function of the insertion/erasure history; everything that
 /// must be canonical (snapshots, digests) sorts or folds commutatively.
 ///
+/// Slots are hashed by item id alone, so every entry of one item lies on one
+/// chain: the run of slots from the item's home slot to the first empty one.
+/// A lookup matches (holder, item_id) along that chain, and the per-item
+/// operations walk it, tombstones included. Occupancy (live + tombstones)
+/// stays at or below 7/8, so every chain ends.
+///
 /// Next to the table the index keeps the live slot indices sorted by key, a
 /// permutation of 4 B per entry. KeyPath orders a prefix before its
 /// extensions, so the keys that extend a key K form one run of it and each
@@ -89,11 +95,12 @@ class LeafIndex {
   }
 
   /// Highest version among entries for item `item_id` (0 if none). Used by queries to
-  /// answer "what is the current version of this item".
+  /// answer "what is the current version of this item". Costs one walk of the
+  /// item's chain.
   uint64_t LatestVersionOf(ItemId item_id) const;
 
   /// Applies `version` to every entry for item `item_id` that is older. Returns the
-  /// number of entries bumped.
+  /// number of entries bumped. Costs one walk of the item's chain.
   size_t ApplyVersion(ItemId item_id, uint64_t version);
 
   /// Removes and returns, in slot order, every entry whose key does not
@@ -130,13 +137,19 @@ class LeafIndex {
     return e.holder != kEmptySlot && e.holder != kTombstoneSlot;
   }
 
-  static size_t HashKey(PeerId holder, ItemId item_id);
+  /// The home slot of every entry of `item_id`, before masking.
+  static size_t HashItem(ItemId item_id);
 
   /// Returns the live slot holding (holder, item_id), or nullptr.
   IndexEntry* FindSlot(PeerId holder, ItemId item_id);
   const IndexEntry* FindSlot(PeerId holder, ItemId item_id) const {
     return const_cast<LeafIndex*>(this)->FindSlot(holder, item_id);
   }
+
+  /// Calls fn(slot) for each live slot of item `item_id`, walking its chain
+  /// in probe order. Defined in the .cc file, its only user.
+  template <typename Fn>
+  void ForEachOfItem(ItemId item_id, Fn&& fn) const;
 
   /// Slot indices of the entries whose keys overlap `key`, ascending.
   std::vector<uint32_t> OverlappingSlots(const KeyPath& key) const;

@@ -86,7 +86,7 @@ TEST(LeafIndexTest, MatchingFiltersByPrefix) {
   EXPECT_TRUE(OverlappingItems(index, "01").empty());
 }
 
-TEST(LeafIndexTest, LatestVersionOfScansHolders) {
+TEST(LeafIndexTest, LatestVersionOfIsTheNewestOverHolders) {
   LeafIndex index;
   index.InsertOrRefresh(Entry(1, 10, "01", 2));
   index.InsertOrRefresh(Entry(2, 10, "01", 5));
@@ -106,6 +106,70 @@ TEST(LeafIndexTest, ApplyVersionBumpsAllEntriesOfItem) {
   EXPECT_EQ(index.Find(2, 10)->version, 4u);
   EXPECT_EQ(index.Find(3, 11)->version, 1u);
   EXPECT_EQ(index.ApplyVersion(10, 3), 0u);  // stale version bumps nothing
+}
+
+TEST(LeafIndexTest, OneItemUnderAThousandHoldersStaysCorrect) {
+  // Item 7 under 1,000 holders, each inserted next to an entry of an item of
+  // its own: one chain 1,000 entries long, grown through several rehashes,
+  // then holed by erasures and a drain.
+  constexpr PeerId kHolders = 1000;
+  constexpr ItemId kItem = 7;
+  // Holders 0-1 "0...", 2-3 "1...", 4-5 "0...", and so on.
+  const auto key_of = [](PeerId h) { return (h / 2) % 2 == 0 ? "0011" : "1100"; };
+  LeafIndex index;
+  for (PeerId h = 0; h < kHolders; ++h) {
+    ASSERT_TRUE(index.InsertOrRefresh(Entry(h, kItem, key_of(h), h + 1)));
+    ASSERT_TRUE(index.InsertOrRefresh(Entry(h, 1000 + h, key_of(h), 1)));
+  }
+  ASSERT_EQ(index.size(), 2u * kHolders);
+  for (PeerId h = 0; h < kHolders; ++h) {
+    const IndexEntry* e = index.Find(h, kItem);
+    ASSERT_NE(e, nullptr) << h;
+    EXPECT_EQ(e->version, h + 1u);
+  }
+  EXPECT_EQ(index.Find(kHolders, kItem), nullptr);
+  EXPECT_EQ(index.LatestVersionOf(kItem), 1000u);
+
+  // Versions 1-499 are older than 500.
+  EXPECT_EQ(index.ApplyVersion(kItem, 500), 499u);
+  for (PeerId h = 0; h < kHolders; ++h) {
+    EXPECT_EQ(index.Find(h, kItem)->version, std::max<uint64_t>(h + 1, 500)) << h;
+    EXPECT_EQ(index.LatestVersionOf(1000 + h), 1u) << h;  // the other items stay
+  }
+
+  // Erase the odd holders: tombstones all along the chain.
+  for (PeerId h = 1; h < kHolders; h += 2) ASSERT_TRUE(index.Erase(h, kItem));
+  for (PeerId h = 0; h < kHolders; ++h) EXPECT_EQ(index.Find(h, kItem) != nullptr, h % 2 == 0);
+  EXPECT_EQ(index.LatestVersionOf(kItem), 999u);  // holder 998's
+  EXPECT_EQ(index.ApplyVersion(kItem, 2000), 500u);
+  EXPECT_EQ(index.LatestVersionOf(kItem), 2000u);
+
+  // Drain the "1..." keys: holders 2, 6, 10, ... of item 7 leave, with the
+  // other items of every holder in 2-3, 6-7, ...
+  std::vector<IndexEntry> moved = index.ExtractNotMatching(KeyPath::FromString("0").value());
+  EXPECT_EQ(moved.size(), 250u + 500u);
+  for (const IndexEntry& e : moved) EXPECT_EQ(e.key.ToString(), "1100");
+  size_t left = 0;
+  for (PeerId h = 0; h < kHolders; ++h) {
+    const bool kept = h % 2 == 0 && (h / 2) % 2 == 0;
+    EXPECT_EQ(index.Find(h, kItem) != nullptr, kept) << h;
+    left += kept;
+  }
+  EXPECT_EQ(index.ApplyVersion(kItem, 3000), left);
+  EXPECT_EQ(index.LatestVersionOf(kItem), 3000u);
+
+  // Holders inserted again land on the same chain, in tombstones or past them.
+  for (PeerId h = 1; h < kHolders; h += 2) {
+    ASSERT_TRUE(index.InsertOrRefresh(Entry(h, kItem, "0011", 5)));
+  }
+  EXPECT_EQ(index.ApplyVersion(kItem, 4000), left + kHolders / 2);
+  for (PeerId h = 0; h < kHolders; ++h) {
+    const IndexEntry* e = index.Find(h, kItem);
+    ASSERT_EQ(e != nullptr, h % 2 == 1 || (h / 2) % 2 == 0) << h;
+    if (e != nullptr) {
+      EXPECT_EQ(e->version, 4000u) << h;
+    }
+  }
 }
 
 TEST(LeafIndexTest, ExtractNotMatchingSplitsOnOverlap) {
@@ -249,11 +313,14 @@ std::vector<IndexEntry> Overlapping(const LeafIndex& index, const KeyPath& key) 
 
 TEST(LeafIndexTest, KeyOrderedAnswersMatchAScanOfEverySlot) {
   // Seeded random runs of inserts, refreshes (some to a new key), erases,
-  // extractions and copies, in phases that grow the table and phases that
-  // shrink it so both kinds of rehash happen. Keys run from 0 to 130 bits,
-  // inline and heap, and many are proper prefixes of others. After each step
-  // every answer must be the scan's: the same entries in the same slot order,
-  // and an extraction must leave the index the scan says remains.
+  // version updates, extractions and copies, in phases that grow the table
+  // and phases that shrink it so both kinds of rehash happen. Keys run from 0
+  // to 130 bits, inline and heap, and many are proper prefixes of others.
+  // After each step every answer must be the scan's: the same entries in the
+  // same slot order, and an extraction must leave the index the scan says
+  // remains. Version updates and the newest version of an item must agree
+  // with the model: up to 16 holders share each item's chain, through
+  // tombstones and rehashes.
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
@@ -270,6 +337,14 @@ TEST(LeafIndexTest, KeyOrderedAnswersMatchAScanOfEverySlot) {
     LeafIndex index;
     std::map<std::pair<PeerId, ItemId>, IndexEntry> model;
     uint64_t version = 0;
+    // The model's newest version of `item` (0 if it holds none).
+    const auto newest = [&model](ItemId item) {
+      uint64_t latest = 0;
+      for (const auto& [id, e] : model) {
+        if (id.second == item) latest = std::max(latest, e.version);
+      }
+      return latest;
+    };
     for (int step = 0; step < 1500; ++step) {
       const bool growing = (step / 250) % 2 == 0;
       const size_t op = rng.UniformIndex(100);
@@ -289,10 +364,31 @@ TEST(LeafIndexTest, KeyOrderedAnswersMatchAScanOfEverySlot) {
         if (rng.Bernoulli(0.5)) e.key = random_key();
         EXPECT_EQ(index.InsertOrRefresh(e), !stale);
         if (!stale) it->second = e;
-      } else if (op < 95) {
+      } else if (op < 90) {
         const PeerId holder = static_cast<PeerId>(rng.UniformIndex(16));
         const ItemId item = static_cast<ItemId>(rng.UniformIndex(64));
         EXPECT_EQ(index.Erase(holder, item), model.erase({holder, item}) == 1);
+      } else if (op < 95) {
+        // A version update: a new one bumps every holder of the item, an
+        // older one only the holders behind it. Both stay below the next
+        // insert's version.
+        const ItemId item = static_cast<ItemId>(rng.UniformIndex(64));
+        const uint64_t v =
+            rng.Bernoulli(0.5) || version == 0 ? ++version : 1 + rng.UniformIndex(version);
+        size_t bumped = 0;
+        for (auto& [id, e] : model) {
+          if (id.second == item && e.version < v) {
+            e.version = v;
+            ++bumped;
+          }
+        }
+        EXPECT_EQ(index.ApplyVersion(item, v), bumped) << "step " << step;
+        for (const auto& [id, e] : model) {
+          if (id.second != item) continue;
+          const IndexEntry* found = index.Find(id.first, id.second);
+          ASSERT_NE(found, nullptr);
+          EXPECT_EQ(found->version, e.version) << "step " << step;
+        }
       } else if (op < 99) {
         const KeyPath path = random_key();
         const std::vector<IndexEntry> leaving =
@@ -307,6 +403,9 @@ TEST(LeafIndexTest, KeyOrderedAnswersMatchAScanOfEverySlot) {
         index = copy;
       }
       ASSERT_EQ(index.size(), model.size());
+      // Item 64 is never inserted.
+      const ItemId item = static_cast<ItemId>(rng.UniformIndex(65));
+      ASSERT_EQ(index.LatestVersionOf(item), newest(item)) << "step " << step << " item " << item;
       for (int q = 0; q < 3; ++q) {
         const KeyPath key = random_key();
         ASSERT_EQ(Overlapping(index, key),
