@@ -5,8 +5,9 @@
 namespace pgrid {
 
 InsertEngine::InsertEngine(Grid* grid, const OnlineModel* online, Rng* rng)
-    : grid_(grid), online_(online), rng_(rng) {
-  PGRID_CHECK(grid != nullptr && rng != nullptr);
+    : grid_(grid), update_(grid, online, rng) {  // update_ checks grid and rng
+  installed_ = grid->metrics().GetCounter("insert.entries_installed");
+  PGRID_CHECK(installed_ != nullptr);
 }
 
 Result<InsertOutcome> InsertEngine::Insert(const DataItem& item, PeerId holder,
@@ -20,15 +21,13 @@ Result<InsertOutcome> InsertEngine::Insert(const DataItem& item, PeerId holder,
   entry.key = item.key;
   entry.version = item.version;
 
-  UpdateEngine update(grid_, online_, rng_);
   UpdateOutcome reached =
-      update.Probe(item.key, UpdateStrategy::kBreadthFirst, config);
+      update_.Probe(item.key, UpdateStrategy::kBreadthFirst, config);
 
   InsertOutcome out;
   out.messages = reached.messages;
-  obs::Counter* installed = grid_->metrics().GetCounter("insert.entries_installed");
   for (PeerId p : reached.reached) {
-    if (grid_->peer(p).index().InsertOrRefresh(entry)) installed->Increment();
+    if (grid_->peer(p).index().InsertOrRefresh(entry)) installed_->Increment();
     ++out.replicas_reached;
   }
   // The holder itself may be co-responsible; index locally too (free).

@@ -42,8 +42,10 @@ class InsertEngine {
 
  private:
   Grid* grid_;
-  const OnlineModel* online_;
-  Rng* rng_;
+  UpdateEngine update_;  // finds the replicas an entry is installed at
+
+  // Cached registry instrument (owned by the grid; see docs/observability.md).
+  obs::Counter* installed_;  // MessageStats kDataTransfer
 };
 
 }  // namespace pgrid

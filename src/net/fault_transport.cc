@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "util/macros.h"
 
@@ -115,26 +116,6 @@ uint64_t FaultInjectingTransport::DropWithProbability(const std::string& to,
   rule.probability = p;
   rule.action = FaultAction::kDrop;
   return AddRule(std::move(rule));
-}
-
-std::pair<uint64_t, uint64_t> FaultInjectingTransport::Partition(
-    const std::vector<std::string>& group_a, const std::vector<std::string>& group_b,
-    uint64_t t1, uint64_t t2) {
-  FaultRule a_to_b;
-  a_to_b.from_any_of = group_a;
-  a_to_b.to_any_of = group_b;
-  a_to_b.not_before = t1;
-  a_to_b.not_after = t2;
-  a_to_b.action = FaultAction::kDrop;
-  FaultRule b_to_a;
-  b_to_a.from_any_of = group_b;
-  b_to_a.to_any_of = group_a;
-  b_to_a.not_before = t1;
-  b_to_a.not_after = t2;
-  b_to_a.action = FaultAction::kDrop;
-  const uint64_t id1 = AddRule(std::move(a_to_b));
-  const uint64_t id2 = AddRule(std::move(b_to_a));
-  return {id1, id2};
 }
 
 uint64_t FaultInjectingTransport::PartitionGroups(

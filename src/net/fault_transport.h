@@ -30,7 +30,6 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "net/transport.h"
@@ -57,7 +56,8 @@ struct FaultRule {
   std::string to = "*";
   std::string from = "*";
 
-  /// If non-empty, destination membership overrides `to` (used by Partition).
+  /// If non-empty, destination membership overrides `to` (used by
+  /// PartitionGroups).
   std::vector<std::string> to_any_of;
   /// If non-empty, caller membership overrides `from`.
   std::vector<std::string> from_any_of;
@@ -118,20 +118,13 @@ class FaultInjectingTransport : public RpcTransport {
   uint64_t DropFirst(const std::string& to, uint64_t n);
   /// Drops each call to addresses matching `to` with probability `p`.
   uint64_t DropWithProbability(const std::string& to, double p);
-  /// Drops all traffic between the two groups (both directions) while the
-  /// virtual clock is within [t1, t2]. Returns the ids of the two rules added.
-  std::pair<uint64_t, uint64_t> Partition(const std::vector<std::string>& group_a,
-                                          const std::vector<std::string>& group_b,
-                                          uint64_t t1 = 0,
-                                          uint64_t t2 = UINT64_MAX);
 
   /// Named multi-group partition: installs one drop rule per ordered pair of
   /// distinct groups, so traffic between members of *different* groups is
-  /// dropped while intra-group traffic and traffic involving unlisted
-  /// addresses flows. Empty groups are skipped (an empty any_of list would
-  /// fall back to the match-all glob). Returns a partition id whose rules
-  /// HealPartition removes atomically -- this is the first-class partition the
-  /// scenario `partition` step drives, as opposed to the time-window form.
+  /// dropped while the virtual clock is within [t1, t2]; intra-group traffic
+  /// and traffic involving unlisted addresses flows. Empty groups are skipped
+  /// (an empty any_of list would fall back to the match-all glob). Returns a
+  /// partition id whose rules HealPartition removes together.
   uint64_t PartitionGroups(const std::vector<std::vector<std::string>>& groups,
                            uint64_t t1 = 0, uint64_t t2 = UINT64_MAX);
   /// Removes every rule one PartitionGroups registration installed; false if

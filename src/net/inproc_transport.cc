@@ -3,7 +3,7 @@
 namespace pgrid {
 namespace net {
 
-Status InProcTransport::Bus::Serve(const std::string& address, Handler handler) {
+Status InProcTransport::Serve(const std::string& address, Handler handler) {
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = handlers_.emplace(address, std::move(handler));
   (void)it;
@@ -13,14 +13,14 @@ Status InProcTransport::Bus::Serve(const std::string& address, Handler handler) 
   return Status::OK();
 }
 
-void InProcTransport::Bus::StopServing(const std::string& address) {
+void InProcTransport::StopServing(const std::string& address) {
   std::lock_guard<std::mutex> lock(mu_);
   handlers_.erase(address);
 }
 
-Result<std::string> InProcTransport::Bus::Call(const std::string& to,
-                                               const std::string& from,
-                                               const std::string& request) {
+Result<std::string> InProcTransport::Call(const std::string& to,
+                                          const std::string& from,
+                                          const std::string& request) {
   Handler handler;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -34,36 +34,10 @@ Result<std::string> InProcTransport::Bus::Call(const std::string& to,
   return handler(from, request);
 }
 
-uint64_t InProcTransport::Bus::delivered_calls() const {
+uint64_t InProcTransport::delivered_calls() const {
   std::lock_guard<std::mutex> lock(mu_);
   return delivered_;
 }
-
-InProcTransport::InProcTransport(uint64_t seed) : faults_(&bus_, seed) {}
-
-Status InProcTransport::Serve(const std::string& address, Handler handler) {
-  return faults_.Serve(address, std::move(handler));
-}
-
-void InProcTransport::StopServing(const std::string& address) {
-  faults_.StopServing(address);
-}
-
-Result<std::string> InProcTransport::Call(const std::string& to,
-                                          const std::string& from,
-                                          const std::string& request) {
-  return faults_.Call(to, from, request);
-}
-
-void InProcTransport::InjectOutage(const std::string& address) {
-  faults_.InjectOutage(address);
-}
-
-void InProcTransport::ClearOutage(const std::string& address) {
-  faults_.ClearOutage(address);
-}
-
-uint64_t InProcTransport::delivered_calls() const { return bus_.delivered_calls(); }
 
 }  // namespace net
 }  // namespace pgrid

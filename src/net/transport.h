@@ -4,12 +4,14 @@
 // request/response, so the transport is a blocking RPC interface: a node serves a
 // handler under its address, and anyone can Call(address, request) and wait for the
 // reply. Implementations:
-//   - InProcTransport:          a process-local bus for tests and examples,
+//   - InProcTransport:          a process-local bus for tests and examples; it
+//                               injects no faults itself,
 //   - TcpTransport:             real sockets on localhost/LAN (length-prefixed
 //                               frames),
 //   - FaultInjectingTransport:  a decorator applying a seeded fault-rule table
 //                               (drops, delays, duplicates, errors, partitions)
-//                               to any inner transport -- see fault_transport.h.
+//                               to any inner transport, the in-process bus
+//                               included -- see fault_transport.h.
 // Retries around Call are layered on top (retry.h), not inside the transports.
 //
 // Handlers may issue outbound Calls (multi-hop routing, recursive exchanges) but

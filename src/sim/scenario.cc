@@ -606,7 +606,7 @@ struct ScenarioRunner::Impl {
           (p < pivot ? lo : hi).push_back(PeerAddress(p));
         }
         const uint64_t now = transport.virtual_now();
-        transport.Partition(lo, hi, now, now + 1 + step.c % 4096);
+        transport.PartitionGroups({lo, hi}, now, now + 1 + step.c % 4096);
         break;
       }
       case 5:  // let a partition window elapse

@@ -101,7 +101,7 @@ TEST(FaultTransportTest, PartitionIsBidirectionalAndTimeWindowed) {
     ASSERT_TRUE(faults.Serve(addr, Echo()).ok());
   }
   // Partition {a,b} from {c,d} while the virtual clock is within [100, 200].
-  faults.Partition({"a", "b"}, {"c", "d"}, 100, 200);
+  faults.PartitionGroups({{"a", "b"}, {"c", "d"}}, 100, 200);
 
   // Before the window everything flows.
   EXPECT_TRUE(faults.Call("c", "a", "x").ok());
@@ -116,6 +116,71 @@ TEST(FaultTransportTest, PartitionIsBidirectionalAndTimeWindowed) {
   faults.AdvanceTime(200);  // past the window: the partition heals by schedule
   EXPECT_TRUE(faults.Call("c", "a", "x").ok());
   EXPECT_TRUE(faults.Call("b", "d", "x").ok());
+}
+
+TEST(FaultTransportTest, PartitionGroupsSkipsEmptyGroups) {
+  InProcTransport inner;
+  FaultInjectingTransport faults(&inner, 1);
+  for (const char* addr : {"a", "b", "c"}) {
+    ASSERT_TRUE(faults.Serve(addr, Echo()).ok());
+  }
+  // An empty side cuts nothing: its rule would match every address, so the
+  // other group would lose even its own members.
+  const uint64_t id = faults.PartitionGroups({{"a", "b"}, {}});
+  for (const char* to : {"a", "b", "c"}) {
+    for (const char* from : {"a", "b", "c"}) {
+      EXPECT_TRUE(faults.Call(to, from, "x").ok()) << from << " -> " << to;
+    }
+  }
+  EXPECT_EQ(faults.dropped_calls(), 0u);
+  EXPECT_TRUE(faults.HealPartition(id));
+
+  // The non-empty groups around an empty one are still cut from each other.
+  faults.PartitionGroups({{"a"}, {}, {"c"}});
+  EXPECT_FALSE(faults.Call("c", "a", "x").ok());
+  EXPECT_FALSE(faults.Call("a", "c", "x").ok());
+  EXPECT_TRUE(faults.Call("b", "a", "x").ok());
+  EXPECT_TRUE(faults.Call("a", "b", "x").ok());
+  EXPECT_TRUE(faults.Call("a", "a", "x").ok());
+  EXPECT_EQ(faults.dropped_calls(), 2u);
+}
+
+TEST(FaultTransportTest, HealPartitionRemovesExactlyItsOwnRules) {
+  InProcTransport inner;
+  FaultInjectingTransport faults(&inner, 1);
+  for (const char* addr : {"a", "b", "c", "d"}) {
+    ASSERT_TRUE(faults.Serve(addr, Echo()).ok());
+  }
+  const uint64_t drop_d = faults.DropFirst("d", 1000);
+  const uint64_t ab = faults.PartitionGroups({{"a"}, {"b"}});
+  const uint64_t ac = faults.PartitionGroups({{"a"}, {"c"}});
+  EXPECT_FALSE(faults.Call("b", "a", "x").ok());
+  EXPECT_FALSE(faults.Call("c", "a", "x").ok());
+
+  EXPECT_TRUE(faults.HealPartition(ab));
+  EXPECT_TRUE(faults.Call("b", "a", "x").ok());   // healed, both directions
+  EXPECT_TRUE(faults.Call("a", "b", "x").ok());
+  EXPECT_FALSE(faults.Call("c", "a", "x").ok());  // the other partition holds
+  EXPECT_FALSE(faults.Call("a", "c", "x").ok());
+  EXPECT_FALSE(faults.Call("d", "a", "x").ok());  // so does the plain rule
+  EXPECT_FALSE(faults.HealPartition(ab));         // already healed
+
+  EXPECT_TRUE(faults.RemoveRule(drop_d));
+  EXPECT_TRUE(faults.HealPartition(ac));
+  EXPECT_TRUE(faults.Call("c", "a", "x").ok());
+  EXPECT_TRUE(faults.Call("d", "a", "x").ok());
+}
+
+TEST(FaultTransportTest, ClearRulesForgetsThePartition) {
+  InProcTransport inner;
+  FaultInjectingTransport faults(&inner, 1);
+  ASSERT_TRUE(faults.Serve("a", Echo()).ok());
+  ASSERT_TRUE(faults.Serve("b", Echo()).ok());
+  const uint64_t id = faults.PartitionGroups({{"a"}, {"b"}});
+  EXPECT_FALSE(faults.Call("b", "a", "x").ok());
+  faults.ClearRules();
+  EXPECT_TRUE(faults.Call("b", "a", "x").ok());
+  EXPECT_FALSE(faults.HealPartition(id));  // its rules went with the rest
 }
 
 TEST(FaultTransportTest, DelayAdvancesVirtualTime) {
@@ -223,17 +288,6 @@ TEST(FaultTransportTest, SameSeedSameDropSequenceAndMetrics) {
 
   auto [pattern3, json3] = run(43);
   EXPECT_NE(pattern1, pattern3);  // a different seed is a different scenario
-}
-
-TEST(FaultTransportTest, InProcExposesItsFaultLayer) {
-  // The shim: InProcTransport's legacy knobs now ride on the same rule table,
-  // and richer scenarios can be armed through faults().
-  InProcTransport transport;
-  ASSERT_TRUE(transport.Serve("a", Echo()).ok());
-  transport.faults().DropFirst("a", 1);
-  EXPECT_FALSE(transport.Call("a", "c", "x").ok());
-  EXPECT_TRUE(transport.Call("a", "c", "x").ok());
-  EXPECT_EQ(transport.delivered_calls(), 1u);
 }
 
 }  // namespace

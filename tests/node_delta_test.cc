@@ -233,7 +233,7 @@ class Community {
  private:
   std::string root_;
   NodeConfig config_;
-  InProcTransport transport_{/*seed=*/17};
+  InProcTransport transport_;
   std::vector<std::unique_ptr<PGridNode>> nodes_;
   std::vector<std::map<ItemId, DataItem>> published_;
   std::vector<bool> stopped_;

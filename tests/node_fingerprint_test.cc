@@ -9,7 +9,8 @@
 // constant. A change to how the node keeps its state must leave every draw of
 // the node's random stream, and so this value, unchanged. The durable case
 // runs the same community with storage on and folds the state of every node
-// after it was restarted from disk.
+// after it was restarted from disk. A third case runs the community through a
+// fault layer with no rule armed, which must be invisible to the nodes.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "net/fault_transport.h"
 #include "net/inproc_transport.h"
 #include "net/node.h"
 #include "obs/metrics.h"
@@ -88,9 +90,12 @@ NodeConfig Config(const std::string& store_dir) {
 
 /// The community. Each node keeps its counters in a registry of its own that
 /// outlives the node, so a restarted node reports the counters of the node it
-/// replaced.
+/// replaced. Nodes call each other on the bare bus, or through a fault layer
+/// over it that has no rule armed.
 struct Community {
-  explicit Community(const std::string& store_dir) : config(Config(store_dir)) {
+  explicit Community(const std::string& store_dir, bool through_fault_layer = false)
+      : config(Config(store_dir)),
+        transport(through_fault_layer ? static_cast<RpcTransport*>(&faults) : &bus) {
     for (size_t i = 0; i < kNodes; ++i) {
       registries.push_back(std::make_unique<obs::MetricsRegistry>());
       Restart(i);
@@ -101,7 +106,7 @@ struct Community {
     if (nodes.size() <= i) nodes.resize(i + 1);
     if (nodes[i] != nullptr) nodes[i]->Stop();
     nodes[i].reset();
-    nodes[i] = std::make_unique<PGridNode>(Address(i), &transport, config,
+    nodes[i] = std::make_unique<PGridNode>(Address(i), transport, config,
                                            DeriveStreamSeed(kSeed, 100 + i),
                                            registries[i].get());
     const Status started = nodes[i]->Start();
@@ -109,7 +114,9 @@ struct Community {
   }
 
   NodeConfig config;
-  InProcTransport transport{/*seed=*/99};
+  InProcTransport bus;
+  FaultInjectingTransport faults{&bus};
+  RpcTransport* transport;
   std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
   std::vector<std::unique_ptr<PGridNode>> nodes;
 };
@@ -187,6 +194,17 @@ TEST(NodeFingerprintTest, StorageOff) {
   RunWorkload(&c);
   const uint64_t fp = Fingerprint(&c);
   EXPECT_EQ(fp, kExpectedFingerprint) << "fingerprint 0x" << std::hex << fp;
+}
+
+TEST(NodeFingerprintTest, StorageOffThroughIdleFaultLayer) {
+  Community c("", /*through_fault_layer=*/true);
+  RunWorkload(&c);
+  const uint64_t fp = Fingerprint(&c);
+  EXPECT_EQ(fp, kExpectedFingerprint) << "fingerprint 0x" << std::hex << fp;
+  // Every call crossed the layer and none was held back.
+  EXPECT_GT(c.bus.delivered_calls(), 0u);
+  EXPECT_EQ(c.faults.delivered_calls(), c.bus.delivered_calls());
+  EXPECT_EQ(c.faults.dropped_calls(), 0u);
 }
 
 TEST(NodeFingerprintTest, StorageOnAfterRestart) {

@@ -11,6 +11,7 @@
 #include <set>
 #include <thread>
 
+#include "net/fault_transport.h"
 #include "net/inproc_transport.h"
 #include "net/node.h"
 #include "net/tcp_transport.h"
@@ -350,7 +351,8 @@ TEST(NodeRobustnessTest, NetworkPartitionDegradesGracefullyAndHeals) {
   // Split a converged cluster into two halves that cannot reach each other; each
   // half keeps answering what it can, fails cleanly on the rest, and full service
   // returns when the partition heals.
-  InProcTransport transport;
+  InProcTransport bus;
+  FaultInjectingTransport faults(&bus);
   NodeConfig config;
   config.maxl = 3;
   config.refmax = 4;
@@ -358,7 +360,7 @@ TEST(NodeRobustnessTest, NetworkPartitionDegradesGracefullyAndHeals) {
   const size_t n = 24;
   for (size_t i = 0; i < n; ++i) {
     nodes.push_back(std::make_unique<PGridNode>("node:" + std::to_string(i),
-                                                &transport, config, 3000 + i));
+                                                &faults, config, 3000 + i));
     ASSERT_TRUE(nodes.back()->Start().ok());
   }
   Rng rng(17);
@@ -373,7 +375,7 @@ TEST(NodeRobustnessTest, NetworkPartitionDegradesGracefullyAndHeals) {
   ASSERT_TRUE(nodes[0]->Publish(item).ok());
 
   // Partition: the second half becomes unreachable.
-  for (size_t i = n / 2; i < n; ++i) transport.InjectOutage(nodes[i]->address());
+  for (size_t i = n / 2; i < n; ++i) faults.InjectOutage(nodes[i]->address());
 
   size_t ok = 0, clean_failures = 0;
   for (size_t i = 0; i < n / 2; ++i) {
@@ -387,7 +389,7 @@ TEST(NodeRobustnessTest, NetworkPartitionDegradesGracefullyAndHeals) {
   EXPECT_EQ(ok + clean_failures, n / 2);
 
   // Heal and verify full service returns.
-  for (size_t i = n / 2; i < n; ++i) transport.ClearOutage(nodes[i]->address());
+  for (size_t i = n / 2; i < n; ++i) faults.ClearOutage(nodes[i]->address());
   size_t healed = 0;
   for (size_t i = 0; i < n; ++i) {
     if (nodes[i]->Search(item.key).ok()) ++healed;
@@ -531,19 +533,21 @@ TEST(NodeRobustnessTest, RetryRecoversScriptedDropsWithExactArithmetic) {
   // other. Script "drop the first 2 calls to node:b" and check the scenario's
   // arithmetic on both sides of the retry knob.
   struct Pair {
-    std::unique_ptr<InProcTransport> transport;
+    std::unique_ptr<InProcTransport> bus;
+    std::unique_ptr<FaultInjectingTransport> faults;
     std::unique_ptr<PGridNode> a, b;
   };
   auto build = [](size_t attempts) {
     Pair p;
-    p.transport = std::make_unique<InProcTransport>();
+    p.bus = std::make_unique<InProcTransport>();
+    p.faults = std::make_unique<FaultInjectingTransport>(p.bus.get());
     NodeConfig config;
     config.maxl = 1;
     config.retry.max_attempts = attempts;
     config.retry.initial_backoff_ms = 1;
     config.retry.sleep_between_attempts = false;
-    p.a = std::make_unique<PGridNode>("node:a", p.transport.get(), config, 31);
-    p.b = std::make_unique<PGridNode>("node:b", p.transport.get(), config, 32);
+    p.a = std::make_unique<PGridNode>("node:a", p.faults.get(), config, 31);
+    p.b = std::make_unique<PGridNode>("node:b", p.faults.get(), config, 32);
     EXPECT_TRUE(p.a->Start().ok());
     EXPECT_TRUE(p.b->Start().ok());
     EXPECT_TRUE(p.a->MeetWith("node:b").ok());
@@ -559,7 +563,7 @@ TEST(NodeRobustnessTest, RetryRecoversScriptedDropsWithExactArithmetic) {
     Pair p = build(/*attempts=*/3);
     const KeyPath target = p.b->path();  // the key b is responsible for
     ASSERT_NE(p.a->path().bit(0), target.bit(0));
-    p.transport->faults().DropFirst("node:b", 2);
+    p.faults->DropFirst("node:b", 2);
     auto r = p.a->Search(target);
     EXPECT_TRUE(r.ok()) << r.status();
     EXPECT_EQ(p.a->metrics().GetCounter("rpc.retries")->value(), 2u);
@@ -572,7 +576,7 @@ TEST(NodeRobustnessTest, RetryRecoversScriptedDropsWithExactArithmetic) {
   {
     Pair p = build(/*attempts=*/1);
     const KeyPath target = p.b->path();
-    p.transport->faults().DropFirst("node:b", 2);
+    p.faults->DropFirst("node:b", 2);
     auto r = p.a->Search(target);
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsNotFound());
@@ -585,7 +589,8 @@ TEST(NodeRobustnessTest, TimeWindowedPartitionHealsOnSchedule) {
   // Like NetworkPartitionDegradesGracefullyAndHeals, but the partition is a
   // scheduled rule on the fault layer: it heals when the virtual clock leaves
   // the window, with no Clear* intervention.
-  InProcTransport transport;
+  InProcTransport bus;
+  FaultInjectingTransport faults(&bus);
   NodeConfig config;
   config.maxl = 3;
   config.refmax = 4;
@@ -594,7 +599,7 @@ TEST(NodeRobustnessTest, TimeWindowedPartitionHealsOnSchedule) {
   std::vector<std::string> half_a, half_b;
   for (size_t i = 0; i < n; ++i) {
     nodes.push_back(std::make_unique<PGridNode>("node:" + std::to_string(i),
-                                                &transport, config, 7000 + i));
+                                                &faults, config, 7000 + i));
     ASSERT_TRUE(nodes.back()->Start().ok());
     (i < n / 2 ? half_a : half_b).push_back(nodes.back()->address());
   }
@@ -610,8 +615,8 @@ TEST(NodeRobustnessTest, TimeWindowedPartitionHealsOnSchedule) {
   ASSERT_TRUE(nodes[0]->Publish(item).ok());
 
   // Partition the halves for a window starting now.
-  const uint64_t now = transport.faults().virtual_now();
-  transport.faults().Partition(half_a, half_b, now, now + 1'000'000);
+  const uint64_t now = faults.virtual_now();
+  faults.PartitionGroups({half_a, half_b}, now, now + 1'000'000);
 
   size_t ok = 0, clean_failures = 0;
   for (size_t i = 0; i < n / 2; ++i) {
@@ -625,7 +630,7 @@ TEST(NodeRobustnessTest, TimeWindowedPartitionHealsOnSchedule) {
   EXPECT_EQ(ok + clean_failures, n / 2);  // degraded but never hung or crashed
 
   // The schedule runs out; service is whole again without touching the rules.
-  transport.faults().AdvanceTime(2'000'000);
+  faults.AdvanceTime(2'000'000);
   size_t healed = 0;
   for (size_t i = 0; i < n; ++i) {
     if (nodes[i]->Search(item.key).ok()) ++healed;
@@ -639,15 +644,16 @@ TEST(NodeRobustnessTest, ChronicallySlowPeerDrainsViaProbeTimeout) {
   // like failures, so after `suspicion_threshold` consecutive slow calls the
   // peer drains out of the reference levels -- and node.slow_calls records
   // that they were slow deliveries, not drops.
-  InProcTransport transport;
+  InProcTransport bus;
+  FaultInjectingTransport faults(&bus);
   obs::MetricsRegistry registry;
   NodeConfig config;
   config.maxl = 3;
   config.refmax = 1;
   config.probe_timeout_ms = 5;
   ASSERT_EQ(config.suspicion_threshold, 3u);
-  PGridNode a("node:a", &transport, config, 91, &registry);
-  PGridNode b("node:b", &transport, config, 92);
+  PGridNode a("node:a", &faults, config, 91, &registry);
+  PGridNode b("node:b", &faults, config, 92);
   ASSERT_TRUE(a.Start().ok());
   ASSERT_TRUE(b.Start().ok());
   ASSERT_TRUE(a.MeetWith("node:b").ok());
@@ -657,7 +663,7 @@ TEST(NodeRobustnessTest, ChronicallySlowPeerDrainsViaProbeTimeout) {
   slow.to = "node:b";
   slow.action = FaultAction::kDelay;
   slow.delay_sleep_ms = 20;  // well past the 5ms budget
-  transport.faults().AddRule(slow);
+  faults.AddRule(slow);
 
   // Two slow probes: suspected, still referenced.
   EXPECT_TRUE(a.Probe("node:b").ok());

@@ -247,7 +247,7 @@ void WriteStore(net::InProcTransport* transport, const net::NodeConfig& config) 
 
 TEST(NodeStoreTest, StartRejectsAWalRecordNamingAnIdOutsideTheTable) {
   const std::string dir = FreshDir("node_store_bad_id");
-  net::InProcTransport transport(/*seed=*/99);
+  net::InProcTransport transport;
   const net::NodeConfig config = StoreConfig(dir);
   WriteStore(&transport, config);
   {
@@ -283,7 +283,7 @@ TEST(NodeStoreTest, StartRejectsAWalRecordNamingAnIdOutsideTheTable) {
 
 TEST(NodeStoreTest, StartRejectsAStoreRecoveredUnderAnotherAddress) {
   const std::string dir = FreshDir("node_store_other_address");
-  net::InProcTransport transport(/*seed=*/99);
+  net::InProcTransport transport;
   const net::NodeConfig config = StoreConfig(dir);
   WriteStore(&transport, config);
 
@@ -309,7 +309,7 @@ TEST(NodeStoreTest, AnEntryTheRecoveredPathDoesNotCoverLeavesAtTheNextMeeting) {
   // path does not cover. The node restarts in place at the depth its last
   // drain saw, so only a drain that always looks can find that entry.
   const std::string dir = FreshDir("node_store_uncovered_entry");
-  net::InProcTransport transport(/*seed=*/99);
+  net::InProcTransport transport;
   const net::NodeConfig config = StoreConfig(dir);
   net::PGridNode a("node:1", &transport, config, 1);
   net::PGridNode b("node:2", &transport, config, 2);
@@ -354,7 +354,7 @@ TEST(NodeStoreTest, AnEntryTheRecoveredPathDoesNotCoverLeavesAtTheNextMeeting) {
 
 TEST(NodeStoreTest, StorageMetricsCountWhatTheCommitsWrote) {
   const std::string dir = FreshDir("node_store_metrics");
-  net::InProcTransport transport(/*seed=*/99);
+  net::InProcTransport transport;
   net::NodeConfig config = StoreConfig(dir);
   config.storage.compact_every = 0;
   net::PGridNode node("node:1", &transport, config, 1);

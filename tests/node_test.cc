@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "net/fault_transport.h"
 #include "net/inproc_transport.h"
 #include "net/tcp_transport.h"
 
@@ -15,18 +16,18 @@ namespace {
 
 KeyPath P(const char* bits) { return KeyPath::FromString(bits).value(); }
 
-/// A small in-process cluster of nodes.
+/// A small in-process cluster of nodes, every call through one fault layer.
 struct Cluster {
-  InProcTransport transport;
+  InProcTransport bus;
+  FaultInjectingTransport faults{&bus, /*seed=*/99};
   std::vector<std::unique_ptr<PGridNode>> nodes;
   Rng rng{12345};
 
-  explicit Cluster(size_t n, NodeConfig config = {}, double loss = 0.0)
-      : transport(/*seed=*/99) {
-    if (loss > 0.0) transport.faults().DropWithProbability("*", loss);
+  explicit Cluster(size_t n, NodeConfig config = {}, double loss = 0.0) {
+    if (loss > 0.0) faults.DropWithProbability("*", loss);
     for (size_t i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<PGridNode>("node:" + std::to_string(i),
-                                                  &transport, config, 1000 + i));
+                                                  &faults, config, 1000 + i));
       EXPECT_TRUE(nodes.back()->Start().ok());
     }
   }
@@ -372,7 +373,7 @@ TEST(NodeTest, OutageOfResponsibleRegionFailsSearchGracefully) {
   std::string searcher;
   for (const auto& node : c.nodes) {
     if (PathsOverlap(node->path(), item.key)) {
-      c.transport.InjectOutage(node->address());
+      c.faults.InjectOutage(node->address());
     } else if (searcher.empty()) {
       searcher = node->address();
     }

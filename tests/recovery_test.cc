@@ -523,7 +523,7 @@ TEST(RecoveryTest, RestartedPeerRejoinsByteIdenticalAndCheaperThanHealing) {
 // ---- simulated-network node recovery (net/node.h) ----
 
 TEST(RecoveryTest, NodeRestartsFromDurableStorage) {
-  net::InProcTransport transport(/*seed=*/99);
+  net::InProcTransport transport;
   net::NodeConfig config;
   config.maxl = 3;
   config.refmax = 2;

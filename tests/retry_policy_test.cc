@@ -74,11 +74,12 @@ TEST(RetryPolicyTest, JitteredBackoffIsSeedDeterministic) {
 }
 
 TEST(RetryPolicyTest, RetriesThroughTransientDrops) {
-  InProcTransport transport;
-  ASSERT_TRUE(transport.Serve("a", Echo()).ok());
-  transport.faults().DropFirst("a", 2);
+  InProcTransport bus;
+  FaultInjectingTransport faults(&bus);
+  ASSERT_TRUE(faults.Serve("a", Echo()).ok());
+  faults.DropFirst("a", 2);
   RetryPolicy policy(TestConfig(4), 1);
-  auto r = policy.Call(&transport, "a", "me", "hello");
+  auto r = policy.Call(&faults, "a", "me", "hello");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(*r, "me|hello");
   EXPECT_EQ(policy.retries(), 2u);  // exactly the scripted drops
@@ -86,11 +87,12 @@ TEST(RetryPolicyTest, RetriesThroughTransientDrops) {
 }
 
 TEST(RetryPolicyTest, ExhaustsBoundedAttempts) {
-  InProcTransport transport;
-  ASSERT_TRUE(transport.Serve("a", Echo()).ok());
-  transport.faults().DropFirst("a", 100);
+  InProcTransport bus;
+  FaultInjectingTransport faults(&bus);
+  ASSERT_TRUE(faults.Serve("a", Echo()).ok());
+  faults.DropFirst("a", 100);
   RetryPolicy policy(TestConfig(3), 1);
-  auto r = policy.Call(&transport, "a", "me", "hello");
+  auto r = policy.Call(&faults, "a", "me", "hello");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnavailable());  // the last transport error, verbatim
   EXPECT_EQ(policy.retries(), 2u);          // 3 attempts = 2 retries
@@ -98,28 +100,30 @@ TEST(RetryPolicyTest, ExhaustsBoundedAttempts) {
 }
 
 TEST(RetryPolicyTest, NonRetryableErrorsAreNotRetried) {
-  InProcTransport transport;
-  ASSERT_TRUE(transport.Serve("a", Echo()).ok());
+  InProcTransport bus;
+  FaultInjectingTransport faults(&bus);
+  ASSERT_TRUE(faults.Serve("a", Echo()).ok());
   FaultRule rule;
   rule.to = "a";
   rule.action = FaultAction::kError;
   rule.error_code = StatusCode::kResourceExhausted;
-  transport.faults().AddRule(rule);
+  faults.AddRule(rule);
   RetryPolicy policy(TestConfig(5), 1);
-  auto r = policy.Call(&transport, "a", "me", "hello");
+  auto r = policy.Call(&faults, "a", "me", "hello");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(policy.retries(), 0u);  // the peer answered; retrying cannot help
 }
 
 TEST(RetryPolicyTest, DeadlineCapsTotalBackoffTime) {
-  InProcTransport transport;
-  ASSERT_TRUE(transport.Serve("a", Echo()).ok());
-  transport.faults().DropFirst("a", 100);
+  InProcTransport bus;
+  FaultInjectingTransport faults(&bus);
+  ASSERT_TRUE(faults.Serve("a", Echo()).ok());
+  faults.DropFirst("a", 100);
   RetryConfig config = TestConfig(10);
   config.deadline_ms = 25;  // allows the 10 ms backoff, not 10 + 20
   RetryPolicy policy(config, 1);
-  auto r = policy.Call(&transport, "a", "me", "hello");
+  auto r = policy.Call(&faults, "a", "me", "hello");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(policy.retries(), 1u);
@@ -127,41 +131,44 @@ TEST(RetryPolicyTest, DeadlineCapsTotalBackoffTime) {
 }
 
 TEST(RetryPolicyTest, BudgetIsSharedAcrossCalls) {
-  InProcTransport transport;
-  ASSERT_TRUE(transport.Serve("a", Echo()).ok());
-  transport.faults().DropFirst("a", 100);
+  InProcTransport bus;
+  FaultInjectingTransport faults(&bus);
+  ASSERT_TRUE(faults.Serve("a", Echo()).ok());
+  faults.DropFirst("a", 100);
   RetryConfig config = TestConfig(3);
   config.retry_budget = 3;
   RetryPolicy policy(config, 1);
   // First call: 3 attempts, 2 retries spent from the budget.
-  EXPECT_FALSE(policy.Call(&transport, "a", "me", "x").ok());
+  EXPECT_FALSE(policy.Call(&faults, "a", "me", "x").ok());
   EXPECT_EQ(policy.retries(), 2u);
   // Second call: only 1 budget unit left; the call stops after spending it.
-  EXPECT_FALSE(policy.Call(&transport, "a", "me", "y").ok());
+  EXPECT_FALSE(policy.Call(&faults, "a", "me", "y").ok());
   EXPECT_EQ(policy.retries(), 3u);
   EXPECT_EQ(policy.metrics().GetCounter("rpc.retry_budget_exhausted")->value(), 1u);
   // Third call: no budget at all -- single shot.
-  EXPECT_FALSE(policy.Call(&transport, "a", "me", "z").ok());
+  EXPECT_FALSE(policy.Call(&faults, "a", "me", "z").ok());
   EXPECT_EQ(policy.retries(), 3u);
 }
 
 TEST(RetryPolicyTest, SingleAttemptMatchesBareTransportCall) {
-  InProcTransport transport;
-  ASSERT_TRUE(transport.Serve("a", Echo()).ok());
-  transport.faults().DropFirst("a", 1);
+  InProcTransport bus;
+  FaultInjectingTransport faults(&bus);
+  ASSERT_TRUE(faults.Serve("a", Echo()).ok());
+  faults.DropFirst("a", 1);
   RetryPolicy policy(TestConfig(1), 1);  // the library default: no retries
-  EXPECT_TRUE(policy.Call(&transport, "a", "me", "x").status().IsUnavailable());
+  EXPECT_TRUE(policy.Call(&faults, "a", "me", "x").status().IsUnavailable());
   EXPECT_EQ(policy.retries(), 0u);
   EXPECT_EQ(policy.exhausted(), 0u);  // nothing was retried, nothing exhausted
-  EXPECT_TRUE(policy.Call(&transport, "a", "me", "x").ok());
+  EXPECT_TRUE(policy.Call(&faults, "a", "me", "x").ok());
 }
 
 TEST(RetryPolicyTest, BackoffHistogramRecordsEachWait) {
-  InProcTransport transport;
-  ASSERT_TRUE(transport.Serve("a", Echo()).ok());
-  transport.faults().DropFirst("a", 3);
+  InProcTransport bus;
+  FaultInjectingTransport faults(&bus);
+  ASSERT_TRUE(faults.Serve("a", Echo()).ok());
+  faults.DropFirst("a", 3);
   RetryPolicy policy(TestConfig(4), 1);
-  ASSERT_TRUE(policy.Call(&transport, "a", "me", "x").ok());
+  ASSERT_TRUE(policy.Call(&faults, "a", "me", "x").ok());
   obs::Histogram* h =
       policy.metrics().GetHistogram("rpc.retry_backoff_ms", obs::BackoffBoundsMs());
   ASSERT_NE(h, nullptr);

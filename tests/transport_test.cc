@@ -3,6 +3,7 @@
 #include <atomic>
 #include <thread>
 
+#include "net/fault_transport.h"
 #include "net/inproc_transport.h"
 #include "net/tcp_transport.h"
 
@@ -47,8 +48,11 @@ TEST(InProcTransportTest, StopServingMakesAddressUnavailable) {
   EXPECT_TRUE(t.Serve("a", Echo()).ok());
 }
 
+// The bus injects no faults itself: outages and loss come from the fault layer
+// a caller wraps around it.
 TEST(InProcTransportTest, OutageInjection) {
-  InProcTransport t;
+  InProcTransport bus;
+  FaultInjectingTransport t(&bus);
   ASSERT_TRUE(t.Serve("a", Echo()).ok());
   t.InjectOutage("a");
   EXPECT_TRUE(t.Call("a", "x", "y").status().IsUnavailable());
@@ -57,8 +61,9 @@ TEST(InProcTransportTest, OutageInjection) {
 }
 
 TEST(InProcTransportTest, LossyTransportDropsSomeCalls) {
-  InProcTransport t(/*seed=*/7);
-  t.faults().DropWithProbability("*", 0.5);
+  InProcTransport bus;
+  FaultInjectingTransport t(&bus, /*seed=*/7);
+  t.DropWithProbability("*", 0.5);
   ASSERT_TRUE(t.Serve("a", Echo()).ok());
   int ok = 0;
   for (int i = 0; i < 400; ++i) {
