@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iomanip>
 #include <map>
+#include <utility>
 
 #include "check/invariants.h"
 #include "core/exchange.h"
@@ -55,8 +56,8 @@ std::string UsageFor(const std::string& command) {
   }
   if (command == "fuzz") {
     return "pgrid fuzz [--seeds=50] [--base-seed=1] [--min-steps=10]"
-           " [--max-steps=40] [--max-peers=48] [--heal-tail] [--crash-sweep]"
-           " [--macro-sweep] [--thread-sweep]"
+           " [--max-steps=40] [--max-peers=48]"
+           " [--heal-tail | --crash-sweep | --macro-sweep] [--thread-sweep]"
            " [--out=REPRO.pgs]"
            " [--keep-going] [--timeline-json=FILE]";
   }
@@ -357,9 +358,21 @@ Status CmdFuzz(const FlagSet& flags, std::ostream& out) {
   options.min_steps = static_cast<size_t>(min_steps);
   options.max_steps = static_cast<size_t>(max_steps);
   options.max_peers = static_cast<size_t>(max_peers);
-  options.heal_tail = flags.Has("heal-tail");
-  options.crash_sweep = flags.Has("crash-sweep");
-  options.macro_sweep = flags.Has("macro-sweep");
+  // Each corpus flag names one corpus, so two of them contradict each other.
+  const std::pair<const char*, sim::FuzzCorpus> kCorpusFlags[] = {
+      {"heal-tail", sim::FuzzCorpus::kHealTail},
+      {"crash-sweep", sim::FuzzCorpus::kCrash},
+      {"macro-sweep", sim::FuzzCorpus::kMacro}};
+  std::string corpus_flag;
+  for (const auto& [flag, corpus] : kCorpusFlags) {
+    if (!flags.Has(flag)) continue;
+    if (!corpus_flag.empty()) {
+      return Status::InvalidArgument(corpus_flag + " and --" + flag +
+                                     " select different corpora; pass one");
+    }
+    corpus_flag = "--" + std::string(flag);
+    options.corpus = corpus;
+  }
   options.vary_builder_threads = flags.Has("thread-sweep");
   options.stop_on_failure = !flags.Has("keep-going");
 

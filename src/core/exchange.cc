@@ -20,7 +20,6 @@ ExchangeEngine::ExchangeEngine(Grid* grid, const ExchangeConfig& config, Rng* rn
   splits_ = m.GetCounter("exchange.splits");
   entries_moved_ = m.GetCounter("exchange.entries_moved");
   recursion_depth_ = m.GetHistogram("exchange.recursion_depth", obs::CountBounds());
-  PGRID_CHECK(exchanges_ && splits_ && entries_moved_ && recursion_depth_);
 }
 
 bool ExchangeEngine::IsOnline(PeerId p, Rng* rng) const {

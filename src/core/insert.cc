@@ -1,13 +1,10 @@
 #include "core/insert.h"
 
-#include "util/macros.h"
-
 namespace pgrid {
 
 InsertEngine::InsertEngine(Grid* grid, const OnlineModel* online, Rng* rng)
     : grid_(grid), update_(grid, online, rng) {  // update_ checks grid and rng
   installed_ = grid->metrics().GetCounter("insert.entries_installed");
-  PGRID_CHECK(installed_ != nullptr);
 }
 
 Result<InsertOutcome> InsertEngine::Insert(const DataItem& item, PeerId holder,

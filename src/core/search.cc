@@ -36,8 +36,6 @@ SearchEngine::SearchEngine(Grid* grid, const OnlineModel* online, Rng* rng)
   sheds_ = m.GetCounter("search.sheds");
   failures_ = m.GetCounter("search.failures");
   hops_ = m.GetHistogram("search.hops", obs::CountBounds());
-  PGRID_CHECK(queries_ && messages_ && backtracks_ && offline_skips_ && sheds_ &&
-              failures_ && hops_);
 }
 
 QueryResult SearchEngine::Query(PeerId start, const KeyPath& key) {

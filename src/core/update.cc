@@ -22,7 +22,6 @@ UpdateEngine::UpdateEngine(Grid* grid, const OnlineModel* online, Rng* rng)
   updates_ = m.GetCounter("update.runs");
   messages_ = m.GetCounter("update.messages");
   fanout_ = m.GetHistogram("update.fanout", obs::CountBounds());
-  PGRID_CHECK(updates_ && messages_ && fanout_);
 }
 
 bool UpdateEngine::IsOnline(PeerId p) const {

@@ -63,8 +63,6 @@ FaultInjectingTransport::FaultInjectingTransport(RpcTransport* inner, uint64_t s
   c_duplicates_ = metrics_->GetCounter("fault.duplicates");
   c_errors_ = metrics_->GetCounter("fault.errors");
   h_delay_units_ = metrics_->GetHistogram("fault.delay_units", obs::CountBounds());
-  PGRID_CHECK(c_delivered_ && c_drops_ && c_delays_ && c_duplicates_ && c_errors_ &&
-              h_delay_units_);
 }
 
 Status FaultInjectingTransport::Serve(const std::string& address, Handler handler) {

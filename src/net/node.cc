@@ -82,11 +82,6 @@ PGridNode::PGridNode(std::string address, RpcTransport* transport,
   c_meet_entries_shipped_ = metrics_->GetCounter("node.meet_entries_shipped");
   c_replica_syncs_skipped_ = metrics_->GetCounter("node.replica_syncs_skipped");
   h_route_attempts_ = metrics_->GetHistogram("node.route_attempts", obs::CountBounds());
-  PGRID_CHECK(c_exchanges_initiated_ && c_exchanges_served_ && c_queries_served_ &&
-              c_publishes_served_ && c_entries_adopted_ && c_route_offline_skips_ &&
-              c_route_backtracks_ && c_call_deadline_exceeded_ && c_probes_sent_ &&
-              c_refs_evicted_ && c_refs_recruited_ && c_slow_calls_ &&
-              c_meet_entries_shipped_ && c_replica_syncs_skipped_ && h_route_attempts_);
   // An independent retry RNG stream: the node's protocol randomness (rng_) must
   // not shift when retries draw jitter.
   retry_ = std::make_unique<RetryPolicy>(config_.retry,
@@ -102,8 +97,6 @@ PGridNode::PGridNode(std::string address, RpcTransport* transport,
     c_storage_compactions_ = metrics_->GetCounter("storage.compactions");
     h_storage_commit_us_ =
         metrics_->GetHistogram("storage.commit_us", obs::LatencyBoundsUs());
-    PGRID_CHECK(c_storage_commits_ && c_storage_commit_records_ &&
-                c_storage_commit_bytes_ && c_storage_compactions_ && h_storage_commit_us_);
   }
 }
 

@@ -38,8 +38,6 @@ RetryPolicy::RetryPolicy(const RetryConfig& config, uint64_t seed,
   c_budget_exhausted_ = metrics_->GetCounter("rpc.retry_budget_exhausted");
   c_deadline_ = metrics_->GetCounter("rpc.retry_deadline_exceeded");
   h_backoff_ms_ = metrics_->GetHistogram("rpc.retry_backoff_ms", obs::BackoffBoundsMs());
-  PGRID_CHECK(c_retries_ && c_exhausted_ && c_budget_exhausted_ && c_deadline_ &&
-              h_backoff_ms_);
 }
 
 uint64_t RetryPolicy::NextBackoffMs(size_t retry_index) {

@@ -3,60 +3,80 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <vector>
 
 #include "util/logging.h"
-#include "util/macros.h"
 
 namespace pgrid {
 namespace net {
 
 namespace {
 
-/// Writes exactly `len` bytes; false on error/EOF.
-bool WriteAll(int fd, const char* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
+using Clock = std::chrono::steady_clock;
+
+/// Moves exactly `len` bytes by `deadline`: each time `fd` is ready for
+/// `events`, `step(done)` sends or receives the bytes after `done` without
+/// blocking. False on error, EOF or timeout.
+template <typename Step>
+bool MoveAll(int fd, short events, size_t len, Clock::time_point deadline, Step step) {
+  for (size_t done = 0; done < len;) {
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now()).count();
+    pollfd p{fd, events, 0};
+    if (left <= 0 || (::poll(&p, 1, static_cast<int>(left)) < 0 && errno != EINTR)) {
+      return false;
+    }
+    const ssize_t n = step(done);
+    if (n > 0) {
+      done += static_cast<size_t>(n);
+    } else if (n == 0 || (errno != EAGAIN && errno != EINTR)) {
+      return false;
+    }
   }
   return true;
 }
 
-/// Reads exactly `len` bytes; false on error/EOF.
-bool ReadAll(int fd, char* data, size_t len) {
-  size_t got = 0;
-  while (got < len) {
-    ssize_t n = ::recv(fd, data + got, len - got, 0);
-    if (n <= 0) return false;
-    got += static_cast<size_t>(n);
-  }
-  return true;
+bool WriteAll(int fd, const char* data, size_t len, Clock::time_point deadline) {
+  return MoveAll(fd, POLLOUT, len, deadline, [&](size_t done) {
+    return ::send(fd, data + done, len - done, MSG_NOSIGNAL | MSG_DONTWAIT);
+  });
+}
+
+bool ReadAll(int fd, char* data, size_t len, Clock::time_point deadline) {
+  return MoveAll(fd, POLLIN, len, deadline, [&](size_t done) {
+    return ::recv(fd, data + done, len - done, MSG_DONTWAIT);
+  });
 }
 
 constexpr uint32_t kMaxFrame = 64u << 20;  // 64 MiB sanity cap
 
-bool WriteFrame(int fd, const std::string& payload) {
+// Each whole frame gets `timeout_ms`: a per-recv/send socket timeout alone
+// would let a peer that moves one byte at a time hold the thread forever.
+bool WriteFrame(int fd, const std::string& payload, int timeout_ms) {
+  const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   uint32_t len = static_cast<uint32_t>(payload.size());
   char hdr[4];
   std::memcpy(hdr, &len, 4);
-  return WriteAll(fd, hdr, 4) && WriteAll(fd, payload.data(), payload.size());
+  return WriteAll(fd, hdr, 4, deadline) &&
+         WriteAll(fd, payload.data(), payload.size(), deadline);
 }
 
-bool ReadFrame(int fd, std::string* payload) {
+bool ReadFrame(int fd, std::string* payload, int timeout_ms) {
+  const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   char hdr[4];
-  if (!ReadAll(fd, hdr, 4)) return false;
+  if (!ReadAll(fd, hdr, 4, deadline)) return false;
   uint32_t len;
   std::memcpy(&len, hdr, 4);
   if (len > kMaxFrame) return false;
   payload->resize(len);
-  return len == 0 || ReadAll(fd, payload->data(), len);
+  return len == 0 || ReadAll(fd, payload->data(), len, deadline);
 }
 
 Status ParseAddress(const std::string& address, std::string* host, int* port) {
@@ -72,11 +92,12 @@ Status ParseAddress(const std::string& address, std::string* host, int* port) {
   return Status::OK();
 }
 
-void SetTimeouts(int fd, int ms) {
+/// Bounds a blocking connect() on `fd`: Linux applies SO_SNDTIMEO to it.
+/// Frames carry their own deadlines.
+void SetConnectTimeout(int fd, int ms) {
   timeval tv{};
   tv.tv_sec = ms / 1000;
   tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
@@ -110,9 +131,6 @@ TcpTransport::TcpTransport(obs::MetricsRegistry* registry) {
   h_call_latency_us_ = metrics_->GetHistogram("rpc.call_latency_us", obs::LatencyBoundsUs());
   h_request_bytes_ = metrics_->GetHistogram("rpc.request_bytes", obs::SizeBoundsBytes());
   h_response_bytes_ = metrics_->GetHistogram("rpc.response_bytes", obs::SizeBoundsBytes());
-  PGRID_CHECK(c_calls_ && c_connect_errors_ && c_timeouts_ && c_bytes_sent_ &&
-              c_bytes_received_ && c_requests_served_ && h_call_latency_us_ &&
-              h_request_bytes_ && h_response_bytes_);
 }
 
 TcpTransport::~TcpTransport() {
@@ -191,13 +209,12 @@ Status TcpTransport::ServeInternal(const std::string& host, int port, Handler ha
         if (server->stopping.load()) break;
         continue;
       }
-      SetTimeouts(conn, timeout_ms);
       int flag = 1;
       ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &flag, sizeof(flag));
       server->active_connections.fetch_add(1);
-      std::thread([server, conn, served]() {
+      std::thread([server, conn, served, timeout_ms]() {
         std::string frame;
-        if (ReadFrame(conn, &frame)) {
+        if (ReadFrame(conn, &frame, timeout_ms)) {
           // Frame: u32 from-length + from + request payload.
           std::string from, request;
           if (frame.size() >= 4) {
@@ -208,12 +225,13 @@ Status TcpTransport::ServeInternal(const std::string& host, int port, Handler ha
               request.assign(frame, 4 + from_len, std::string::npos);
               std::string response = server->handler(from, request);
               served->Increment();
-              WriteFrame(conn, response);
+              WriteFrame(conn, response, timeout_ms);
             }
           }
         }
         ::close(conn);
         server->active_connections.fetch_sub(1);
+        server->active_connections.notify_all();
       }).detach();
     }
   });
@@ -234,10 +252,11 @@ void TcpTransport::StopServing(const std::string& address) {
   ::close(server->listen_fd);
   if (server->acceptor.joinable()) server->acceptor.join();
   server->listen_fd = -1;  // only after the join: the acceptor reads it
-  // Wait briefly for in-flight connection threads (they hold a shared_ptr to the
-  // server, so even if they outlive this loop nothing dangles).
-  for (int i = 0; i < 100 && server->active_connections.load() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Wait for every in-flight handler. The acceptor is joined, so no new one
+  // starts, and each remaining one reads and writes its frame by a deadline.
+  for (int active = server->active_connections.load(); active > 0;
+       active = server->active_connections.load()) {
+    server->active_connections.wait(active);
   }
 }
 
@@ -251,7 +270,7 @@ Result<std::string> TcpTransport::Call(const std::string& to, const std::string&
 
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::Internal("socket() failed");
-  SetTimeouts(fd, timeout_ms_);
+  SetConnectTimeout(fd, timeout_ms_);
   int flag = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &flag, sizeof(flag));
 
@@ -273,7 +292,7 @@ Result<std::string> TcpTransport::Call(const std::string& to, const std::string&
   frame.append(reinterpret_cast<const char*>(&from_len), 4);
   frame.append(from);
   frame.append(request);
-  if (!WriteFrame(fd, frame)) {
+  if (!WriteFrame(fd, frame, timeout_ms_)) {
     ::close(fd);
     c_timeouts_->Increment();
     return Status::Unavailable("send to " + to + " failed");
@@ -281,7 +300,7 @@ Result<std::string> TcpTransport::Call(const std::string& to, const std::string&
   c_bytes_sent_->Increment(4 + frame.size());
   h_request_bytes_->Record(request.size());
   std::string response;
-  if (!ReadFrame(fd, &response)) {
+  if (!ReadFrame(fd, &response, timeout_ms_)) {
     ::close(fd);
     c_timeouts_->Increment();
     return Status::Unavailable("no response from " + to);

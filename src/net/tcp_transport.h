@@ -36,6 +36,10 @@ class TcpTransport : public RpcTransport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   Status Serve(const std::string& address, Handler handler) override;
+  /// Closes the listener, then waits for every in-flight handler of `address`
+  /// to return; a slow peer holds this up by at most the timeout per frame. It
+  /// must not be called from one of that address's own handlers, which would
+  /// wait for itself.
   void StopServing(const std::string& address) override;
   Result<std::string> Call(const std::string& to, const std::string& from,
                            const std::string& request) override;
@@ -44,7 +48,7 @@ class TcpTransport : public RpcTransport {
   /// "host:port" address. The convenient form for tests.
   Result<std::string> ServeAnyPort(const std::string& host, Handler handler);
 
-  /// Per-call socket timeout (connect/read/write), milliseconds.
+  /// Milliseconds allowed to connect, and to read or write each whole frame.
   void set_timeout_ms(int ms) { timeout_ms_ = ms; }
 
   /// The registry backing the transport's RPC metrics (shared or owned).

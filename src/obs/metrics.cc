@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "util/macros.h"
 
@@ -8,6 +9,17 @@ namespace pgrid {
 namespace obs {
 
 namespace {
+
+/// A name denotes exactly one instrument kind: asking for it as another kind is
+/// a programming error, reported with the name before the check aborts.
+void CheckKind(bool name_is_free, const std::string& name, const char* kind) {
+  if (!name_is_free) {
+    std::fprintf(stderr,
+                 "metric \"%s\" requested as a %s already exists as another kind\n",
+                 name.c_str(), kind);
+  }
+  PGRID_CHECK(name_is_free);
+}
 
 /// Atomic min/max update via CAS (fetch_min/fetch_max arrive only in C++26).
 void AtomicMin(std::atomic<uint64_t>* a, uint64_t v) {
@@ -97,7 +109,7 @@ std::vector<uint64_t> BackoffBoundsMs() {
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (gauges_.contains(name) || histograms_.contains(name)) return nullptr;
+  CheckKind(!gauges_.contains(name) && !histograms_.contains(name), name, "counter");
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
   return slot.get();
@@ -105,7 +117,7 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (counters_.contains(name) || histograms_.contains(name)) return nullptr;
+  CheckKind(!counters_.contains(name) && !histograms_.contains(name), name, "gauge");
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
   return slot.get();
@@ -114,7 +126,7 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<uint64_t> bounds) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (counters_.contains(name) || gauges_.contains(name)) return nullptr;
+  CheckKind(!counters_.contains(name) && !gauges_.contains(name), name, "histogram");
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>(std::move(bounds));
   return slot.get();

@@ -116,10 +116,10 @@ struct RegistrySnapshot {
   std::vector<HistogramSnapshot> histograms;               // sorted by name
 };
 
-/// Named instruments, created on first use. Thread-safe; returned pointers stay
-/// valid for the registry's lifetime. A name denotes exactly one instrument kind:
-/// requesting an existing name as a different kind returns nullptr (callers treat
-/// that as a programming error; see PGRID_CHECK at the call sites).
+/// Named instruments, created on first use. Thread-safe; returned pointers are
+/// never null and stay valid for the registry's lifetime. A name denotes exactly
+/// one instrument kind: requesting an existing name as a different kind is a
+/// programming error and aborts, naming the instrument.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -1,5 +1,6 @@
 #include "sim/fuzzer.h"
 
+#include <span>
 #include <utility>
 
 #include "util/rng.h"
@@ -12,162 +13,137 @@ namespace {
 /// streams (which use indices 1 .. steps+1 of the scenario seed).
 constexpr uint64_t kGeneratorStream = 0xF0220000ull;
 
-/// Crash-sweep variant of the weight table: same step shapes, but ~12% of the
-/// mass moves to kKill / kRestart so most seeds crash and recover several
-/// peers. Kept separate from RandomStep so plain-mode seeds keep their exact
-/// historical draw sequence (and hence their corpus of known-clean scenarios).
-ScenarioStep RandomCrashStep(Rng* rng, const ScenarioConfig& config) {
+/// One step kind's share of a corpus's step mix.
+struct KindWeight {
+  StepKind kind;
+  uint64_t percent;
+};
+
+// One step mix per corpus. Each generated step rolls UniformInt(0, 99) once and
+// takes the first kind whose running share exceeds the roll, so a table's order
+// is part of its corpus: reordering or reweighting a table changes the scenarios
+// its seeds stand for.
+
+/// Exchanges dominate (they are the protocol's engine), data and fault steps
+/// stress the invariants, barriers pin failures to a step.
+constexpr KindWeight kPlainMix[] = {
+    {StepKind::kExchange, 35}, {StepKind::kInsert, 20}, {StepKind::kUpdate, 10},
+    {StepKind::kChurn, 10},    {StepKind::kFault, 12},  {StepKind::kRepair, 6},
+    {StepKind::kBarrier, 7},
+};
+/// The plain kinds, with 12% moved to kKill / kRestart so most seeds crash and
+/// recover several peers.
+constexpr KindWeight kCrashMix[] = {
+    {StepKind::kExchange, 30}, {StepKind::kInsert, 20}, {StepKind::kUpdate, 8},
+    {StepKind::kChurn, 8},     {StepKind::kFault, 10},  {StepKind::kRepair, 6},
+    {StepKind::kKill, 6},      {StepKind::kRestart, 6}, {StepKind::kBarrier, 6},
+};
+/// The plain kinds keep a slim majority; the rest goes to the grid-scale events
+/// of docs/robustness.md (partitions, crash waves, flash crowds, gray failures,
+/// mass joins).
+constexpr KindWeight kMacroMix[] = {
+    {StepKind::kExchange, 22},  {StepKind::kInsert, 16},    {StepKind::kUpdate, 8},
+    {StepKind::kChurn, 6},      {StepKind::kFault, 6},      {StepKind::kRepair, 6},
+    {StepKind::kPartition, 8},  {StepKind::kCrashWave, 6},  {StepKind::kFlashCrowd, 6},
+    {StepKind::kSlowNode, 5},   {StepKind::kMassJoin, 5},   {StepKind::kBarrier, 6},
+};
+
+constexpr uint64_t TotalPercent(std::span<const KindWeight> mix) {
+  uint64_t total = 0;
+  for (const KindWeight& w : mix) total += w.percent;
+  return total;
+}
+static_assert(TotalPercent(kPlainMix) == 100);
+static_assert(TotalPercent(kCrashMix) == 100);
+static_assert(TotalPercent(kMacroMix) == 100);
+
+std::span<const KindWeight> StepMix(FuzzCorpus corpus) {
+  if (corpus == FuzzCorpus::kCrash) return kCrashMix;
+  if (corpus == FuzzCorpus::kMacro) return kMacroMix;
+  return kPlainMix;  // kPlain and kHealTail share their random steps
+}
+
+/// Draws one step of `kind`: its parameters, in the same order in every corpus.
+ScenarioStep DrawStep(StepKind kind, Rng* rng, const ScenarioConfig& config) {
   ScenarioStep step;
-  const uint64_t roll = rng->UniformInt(0, 99);
-  if (roll < 30) {
-    step.kind = StepKind::kExchange;
-    step.a = rng->UniformInt(1, 4 * config.num_peers);
-  } else if (roll < 50) {
-    step.kind = StepKind::kInsert;
-    step.a = rng->UniformInt(0, config.num_peers - 1);
-    step.b = rng->UniformInt(0, (1ull << config.maxl) - 1);
-    step.c = rng->UniformInt(0, config.maxl - 1);
-    step.d = rng->UniformInt(0, 15);
-  } else if (roll < 58) {
-    step.kind = StepKind::kUpdate;
-    step.a = rng->UniformInt(0, 1ull << 32);
-    step.b = rng->UniformInt(0, 2);
-  } else if (roll < 66) {
-    step.kind = StepKind::kChurn;
-    step.a = rng->UniformInt(0, 2);
-    step.b = rng->UniformInt(0, 1);
-    step.c = rng->UniformInt(0, 2);
-    step.d = rng->UniformInt(0, 2 * config.num_peers);
-  } else if (roll < 76) {
-    step.kind = StepKind::kFault;
-    step.a = rng->UniformInt(0, 6);
-    step.b = rng->UniformInt(0, 1ull << 32);
-    step.c = rng->UniformInt(0, 4095);
-  } else if (roll < 82) {
-    step.kind = StepKind::kRepair;
-    step.a = rng->UniformInt(1, 3);
-    step.b = rng->UniformInt(0, 2);
-  } else if (roll < 88) {
-    step.kind = StepKind::kKill;
-    step.a = rng->UniformInt(0, 1ull << 32);  // victim selector
-    step.c = rng->UniformInt(0, 1);           // snapshot vs WAL-delta flavor
-  } else if (roll < 94) {
-    step.kind = StepKind::kRestart;
-    step.a = rng->UniformInt(0, 1ull << 32);  // killed-list selector
-    step.b = rng->Bernoulli(0.25) ? 1 : 0;    // occasionally restart all
-    step.d = rng->UniformInt(0, 63);          // virtual-clock advance
-  } else {
-    step.kind = StepKind::kBarrier;
-    step.a = rng->UniformInt(0, 8);
+  step.kind = kind;
+  switch (kind) {
+    case StepKind::kExchange:
+      step.a = rng->UniformInt(1, 4 * config.num_peers);  // meetings
+      break;
+    case StepKind::kInsert:
+      step.a = rng->UniformInt(0, config.num_peers - 1);       // holder
+      step.b = rng->UniformInt(0, (1ull << config.maxl) - 1);  // key bits
+      step.c = rng->UniformInt(0, config.maxl - 1);            // key length
+      step.d = rng->UniformInt(0, 15);                         // payload size
+      break;
+    case StepKind::kUpdate:
+      step.a = rng->UniformInt(0, 1ull << 32);  // item selector
+      step.b = rng->UniformInt(0, 2);           // strategy
+      break;
+    case StepKind::kChurn:
+      step.a = rng->UniformInt(0, 2);                     // crashes
+      step.b = rng->UniformInt(0, 1);                     // graceful leaves
+      step.c = rng->UniformInt(0, 2);                     // joins
+      step.d = rng->UniformInt(0, 2 * config.num_peers);  // repair meetings
+      break;
+    case StepKind::kFault:
+      step.a = rng->UniformInt(0, 6);
+      step.b = rng->UniformInt(0, 1ull << 32);
+      step.c = rng->UniformInt(0, 4095);
+      break;
+    case StepKind::kRepair:
+      step.a = rng->UniformInt(1, 3);  // maintenance rounds
+      step.b = rng->UniformInt(0, 2);  // majority-read repairs
+      break;
+    case StepKind::kBarrier:
+      step.a = rng->UniformInt(0, 8);  // probe queries
+      break;
+    case StepKind::kKill:
+      step.a = rng->UniformInt(0, 1ull << 32);  // victim selector
+      step.c = rng->UniformInt(0, 1);           // snapshot vs WAL-delta flavor
+      break;
+    case StepKind::kRestart:
+      step.a = rng->UniformInt(0, 1ull << 32);  // killed-list selector
+      step.b = rng->Bernoulli(0.25) ? 1 : 0;    // occasionally restart all
+      step.d = rng->UniformInt(0, 63);          // virtual-clock advance
+      break;
+    case StepKind::kPartition:
+      step.a = rng->Bernoulli(0.35) ? 0 : rng->UniformInt(1, 6);  // heal vs split
+      step.b = rng->UniformInt(0, 4);                             // avail ticks
+      step.c = rng->UniformInt(0, 7);                             // group rotation
+      break;
+    case StepKind::kCrashWave:
+      step.a = rng->UniformInt(32, 128);         // wave fraction (of 256)
+      step.b = rng->UniformInt(0, 1ull << 32);   // prefix bits
+      step.c = rng->UniformInt(0, config.maxl);  // prefix length
+      break;
+    case StepKind::kFlashCrowd:
+      step.a = rng->UniformInt(0, 1ull << 32);       // hot-prefix bits
+      step.b = rng->UniformInt(0, config.maxl - 1);  // prefix length selector
+      step.c = rng->UniformInt(0, 6);                // load multiplier selector
+      step.d = rng->UniformInt(0, 3);                // crowd duration selector
+      break;
+    case StepKind::kSlowNode:
+      step.a = rng->Bernoulli(0.25) ? 0 : rng->UniformInt(24, 96);  // clear vs mark
+      step.b = rng->UniformInt(0, 59);                              // extra latency
+      break;
+    case StepKind::kMassJoin:
+      step.a = rng->UniformInt(0, 15);   // joiner count selector
+      step.b = rng->UniformInt(0, 128);  // integration meetings
+      break;
+    case StepKind::kCorrupt:  // test-only: no mix holds it
+      break;
   }
   return step;
 }
 
-/// Macro-sweep variant of the weight table: the classic step shapes keep a
-/// slim majority of the mass, and the rest goes to the grid-scale events of
-/// docs/robustness.md (partitions, crash waves, flash crowds, gray failures,
-/// mass joins). Kept separate from RandomStep / RandomCrashStep so each
-/// sweep's seed corpus stays stable.
-ScenarioStep RandomMacroStep(Rng* rng, const ScenarioConfig& config) {
-  ScenarioStep step;
-  const uint64_t roll = rng->UniformInt(0, 99);
-  if (roll < 22) {
-    step.kind = StepKind::kExchange;
-    step.a = rng->UniformInt(1, 4 * config.num_peers);
-  } else if (roll < 38) {
-    step.kind = StepKind::kInsert;
-    step.a = rng->UniformInt(0, config.num_peers - 1);
-    step.b = rng->UniformInt(0, (1ull << config.maxl) - 1);
-    step.c = rng->UniformInt(0, config.maxl - 1);
-    step.d = rng->UniformInt(0, 15);
-  } else if (roll < 46) {
-    step.kind = StepKind::kUpdate;
-    step.a = rng->UniformInt(0, 1ull << 32);
-    step.b = rng->UniformInt(0, 2);
-  } else if (roll < 52) {
-    step.kind = StepKind::kChurn;
-    step.a = rng->UniformInt(0, 2);
-    step.b = rng->UniformInt(0, 1);
-    step.c = rng->UniformInt(0, 2);
-    step.d = rng->UniformInt(0, 2 * config.num_peers);
-  } else if (roll < 58) {
-    step.kind = StepKind::kFault;
-    step.a = rng->UniformInt(0, 6);
-    step.b = rng->UniformInt(0, 1ull << 32);
-    step.c = rng->UniformInt(0, 4095);
-  } else if (roll < 64) {
-    step.kind = StepKind::kRepair;
-    step.a = rng->UniformInt(1, 3);
-    step.b = rng->UniformInt(0, 2);
-  } else if (roll < 72) {
-    step.kind = StepKind::kPartition;
-    step.a = rng->Bernoulli(0.35) ? 0 : rng->UniformInt(1, 6);  // heal vs split
-    step.b = rng->UniformInt(0, 4);                             // avail ticks
-    step.c = rng->UniformInt(0, 7);                             // group rotation
-  } else if (roll < 78) {
-    step.kind = StepKind::kCrashWave;
-    step.a = rng->UniformInt(32, 128);        // wave fraction (of 256)
-    step.b = rng->UniformInt(0, 1ull << 32);  // prefix bits
-    step.c = rng->UniformInt(0, config.maxl); // prefix length
-  } else if (roll < 84) {
-    step.kind = StepKind::kFlashCrowd;
-    step.a = rng->UniformInt(0, 1ull << 32);      // hot-prefix bits
-    step.b = rng->UniformInt(0, config.maxl - 1); // prefix length selector
-    step.c = rng->UniformInt(0, 6);               // load multiplier selector
-    step.d = rng->UniformInt(0, 3);               // crowd duration selector
-  } else if (roll < 89) {
-    step.kind = StepKind::kSlowNode;
-    step.a = rng->Bernoulli(0.25) ? 0 : rng->UniformInt(24, 96);  // clear vs mark
-    step.b = rng->UniformInt(0, 59);                              // extra latency
-  } else if (roll < 94) {
-    step.kind = StepKind::kMassJoin;
-    step.a = rng->UniformInt(0, 15);   // joiner count selector
-    step.b = rng->UniformInt(0, 128);  // integration meetings
-  } else {
-    step.kind = StepKind::kBarrier;
-    step.a = rng->UniformInt(0, 8);
-  }
-  return step;
-}
-
-ScenarioStep RandomStep(Rng* rng, const ScenarioConfig& config) {
-  ScenarioStep step;
-  // Weighted kinds: exchanges dominate (they are the protocol's engine), data
-  // and fault steps stress the invariants, barriers pin failures to a step.
-  const uint64_t roll = rng->UniformInt(0, 99);
-  if (roll < 35) {
-    step.kind = StepKind::kExchange;
-    step.a = rng->UniformInt(1, 4 * config.num_peers);
-  } else if (roll < 55) {
-    step.kind = StepKind::kInsert;
-    step.a = rng->UniformInt(0, config.num_peers - 1);
-    step.b = rng->UniformInt(0, (1ull << config.maxl) - 1);
-    step.c = rng->UniformInt(0, config.maxl - 1);
-    step.d = rng->UniformInt(0, 15);
-  } else if (roll < 65) {
-    step.kind = StepKind::kUpdate;
-    step.a = rng->UniformInt(0, 1ull << 32);
-    step.b = rng->UniformInt(0, 2);
-  } else if (roll < 75) {
-    step.kind = StepKind::kChurn;
-    step.a = rng->UniformInt(0, 2);  // crashes
-    step.b = rng->UniformInt(0, 1);  // graceful leaves
-    step.c = rng->UniformInt(0, 2);  // joins
-    step.d = rng->UniformInt(0, 2 * config.num_peers);  // repair meetings
-  } else if (roll < 87) {
-    step.kind = StepKind::kFault;
-    step.a = rng->UniformInt(0, 6);
-    step.b = rng->UniformInt(0, 1ull << 32);
-    step.c = rng->UniformInt(0, 4095);
-  } else if (roll < 93) {
-    step.kind = StepKind::kRepair;
-    step.a = rng->UniformInt(1, 3);  // maintenance rounds
-    step.b = rng->UniformInt(0, 2);  // majority-read repairs
-  } else {
-    step.kind = StepKind::kBarrier;
-    step.a = rng->UniformInt(0, 8);  // probe queries
-  }
-  return step;
+/// Rolls one kind from `mix`: the first whose running share exceeds the roll.
+StepKind RollKind(std::span<const KindWeight> mix, Rng* rng) {
+  uint64_t roll = rng->UniformInt(0, 99);
+  size_t i = 0;
+  while (roll >= mix[i].percent) roll -= mix[i++].percent;
+  return mix[i].kind;
 }
 
 }  // namespace
@@ -197,10 +173,9 @@ Scenario ScenarioFuzzer::Generate(uint64_t seed, const FuzzOptions& options) {
                    rng.UniformInt(2 * c.num_peers, 8 * c.num_peers), 0, 0, 0});
   const size_t steps =
       options.min_steps + rng.UniformIndex(options.max_steps - options.min_steps + 1);
+  const std::span<const KindWeight> mix = StepMix(options.corpus);
   for (size_t i = 0; i < steps; ++i) {
-    scenario.steps.push_back(options.crash_sweep  ? RandomCrashStep(&rng, c)
-                             : options.macro_sweep ? RandomMacroStep(&rng, c)
-                                                   : RandomStep(&rng, c));
+    scenario.steps.push_back(DrawStep(RollKind(mix, &rng), &rng, c));
   }
   if (options.vary_builder_threads) {
     // Drawn last so turning the sweep on perturbs no earlier draw: the same
@@ -208,24 +183,18 @@ Scenario ScenarioFuzzer::Generate(uint64_t seed, const FuzzOptions& options) {
     // only the execution engine differs.
     c.builder_threads = 1ull << rng.UniformInt(0, 3);  // 1, 2, 4, or 8
   }
-  if (options.heal_tail || options.crash_sweep || options.macro_sweep) {
-    // Whatever the random steps did, self-healing must converge: lift every
-    // transport fault, let exchanges re-mix the survivors, run repair rounds,
-    // then demand repair convergence at a strict barrier (kBarrier b != 0).
-    // The crash sweep additionally restarts every still-killed peer first, so
-    // the strict barrier covers recovered peers too: their recovered
-    // references must be live and their recovered indexes buddy-consistent.
-    // The macro sweep first heals any live partition (kPartition a = 0 runs
-    // anti-entropy to convergence and fails the seed if replica agreement
-    // cannot be restored) and clears every gray-failure mark so the strict
-    // barrier judges a fully reconnected, full-speed grid.
+  if (options.corpus != FuzzCorpus::kPlain) {
+    // The heal-and-converge tail of fuzzer.h: whatever the random steps did,
+    // heal partitions and gray failures (macro), lift every transport fault,
+    // restart every killed peer (crash, macro), re-mix the survivors, run
+    // repair rounds, then demand convergence at a strict barrier (b != 0).
     c.online_prob = 1.0;
-    if (options.macro_sweep) {
+    if (options.corpus == FuzzCorpus::kMacro) {
       scenario.steps.push_back(ScenarioStep{StepKind::kPartition, 0, 0, 0, 0});
       scenario.steps.push_back(ScenarioStep{StepKind::kSlowNode, 0, 0, 0, 0});
     }
     scenario.steps.push_back(ScenarioStep{StepKind::kFault, 6, 0, 0, 0});
-    if (options.crash_sweep || options.macro_sweep) {
+    if (options.corpus != FuzzCorpus::kHealTail) {
       scenario.steps.push_back(ScenarioStep{StepKind::kRestart, 0, 1, 0, 0});
     }
     scenario.steps.push_back(

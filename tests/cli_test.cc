@@ -212,6 +212,15 @@ TEST(CliTest, FuzzRejectsMisspelledFlags) {
   EXPECT_EQ(r.out.find("seed(s) run"), std::string::npos);
 }
 
+// Each corpus flag names one corpus: two of them fail before any seed runs.
+TEST(CliTest, FuzzRejectsTwoCorpora) {
+  CliResult r = RunArgs({"fuzz", "--seeds=2", "--crash-sweep", "--macro-sweep"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("--crash-sweep and --macro-sweep"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("usage: pgrid fuzz"), std::string::npos);
+  EXPECT_EQ(r.out.find("seed(s) run"), std::string::npos);
+}
+
 TEST(CliTest, BuildRejectsMisspelledThreshold) {
   const std::string file = TempSnapshot("cli_treshold.pgrid");
   std::remove(file.c_str());

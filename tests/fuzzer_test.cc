@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "check/invariants.h"
+#include "sim/digest.h"
 
 namespace pgrid {
 namespace sim {
@@ -45,6 +46,39 @@ TEST(ScenarioFuzzerTest, SameSeedSameExecutionDigest) {
   EXPECT_EQ(a.failed, b.failed);
 }
 
+// Pins the generator itself: for each corpus, with and without the thread
+// sweep, the scenario text of seeds 1-500 folds into one digest recorded here.
+// No scenario runs, so this costs milliseconds, and it catches a draw-order slip
+// in a step kind that the few seeds scenario_digest_test runs rarely draw.
+TEST(ScenarioFuzzerTest, GeneratedScenarioTextIsPinned) {
+  struct Pin {
+    FuzzCorpus corpus;
+    bool vary_builder_threads;
+    const char* digest;
+  };
+  const Pin kPins[] = {
+      {FuzzCorpus::kPlain, false, "012a5142cb6a744a"},
+      {FuzzCorpus::kHealTail, false, "00c33c152f357c96"},
+      {FuzzCorpus::kCrash, false, "f00ac4785f02d21f"},
+      {FuzzCorpus::kMacro, false, "d2093285fc25558f"},
+      {FuzzCorpus::kPlain, true, "ab0d530650ec83fa"},
+      {FuzzCorpus::kHealTail, true, "62f18a48bccfd632"},
+      {FuzzCorpus::kCrash, true, "4a262c3f871aa508"},
+      {FuzzCorpus::kMacro, true, "75a3cb412191f1ad"},
+  };
+  for (const Pin& pin : kPins) {
+    FuzzOptions options;
+    options.corpus = pin.corpus;
+    options.vary_builder_threads = pin.vary_builder_threads;
+    Digest d;
+    for (uint64_t seed = 1; seed <= 500; ++seed) {
+      d.Str(SerializeScenario(ScenarioFuzzer::Generate(seed, options)));
+    }
+    EXPECT_EQ(d.Hex(), pin.digest) << "corpus " << static_cast<int>(pin.corpus)
+                                   << ", thread sweep " << pin.vary_builder_threads;
+  }
+}
+
 // The acceptance bar of the harness: a seed sweep over generated interleavings
 // of exchanges, inserts, updates, churn, and transport faults completes with
 // zero invariant violations.
@@ -63,7 +97,7 @@ TEST(ScenarioFuzzerTest, FiftySeedsRunClean) {
 
 TEST(ScenarioFuzzerTest, HealTailAppendsRepairAndStrictBarrier) {
   FuzzOptions options;
-  options.heal_tail = true;
+  options.corpus = FuzzCorpus::kHealTail;
   Scenario s = ScenarioFuzzer::Generate(9, options);
   ASSERT_GE(s.steps.size(), 4u);
   // The tail: transport heal, mixing window, repair ticks, strict barrier.
@@ -74,7 +108,7 @@ TEST(ScenarioFuzzerTest, HealTailAppendsRepairAndStrictBarrier) {
   EXPECT_EQ(s.config.online_prob, 1.0);
   // Without the flag the generated scenario is unchanged from before.
   FuzzOptions plain = options;
-  plain.heal_tail = false;
+  plain.corpus = FuzzCorpus::kPlain;
   Scenario base = ScenarioFuzzer::Generate(9, plain);
   ASSERT_LT(base.steps.size(), s.steps.size());
   for (size_t i = 0; i < base.steps.size(); ++i) {
@@ -89,7 +123,7 @@ TEST(ScenarioFuzzerTest, HealTailSeedsConvergeClean) {
   FuzzOptions options;
   options.base_seed = 1;
   options.num_seeds = 25;
-  options.heal_tail = true;
+  options.corpus = FuzzCorpus::kHealTail;
   options.stop_on_failure = false;
   FuzzOutcome outcome = ScenarioFuzzer::Fuzz(options);
   EXPECT_EQ(outcome.seeds_run, 25u);

@@ -232,7 +232,7 @@ TEST(MacroScenarioTest, ShrinkReducesMacroFailingScenario) {
 
 TEST(MacroScenarioTest, MacroSweepGeneratesMacroStepsAndHealTail) {
   FuzzOptions options;
-  options.macro_sweep = true;
+  options.corpus = FuzzCorpus::kMacro;
   options.min_steps = 30;
   options.max_steps = 60;
   bool saw_macro = false;
@@ -267,7 +267,7 @@ TEST(MacroScenarioTest, MacroSweepGeneratesMacroStepsAndHealTail) {
 
 TEST(MacroScenarioTest, MacroSweepSeedsRunClean) {
   FuzzOptions options;
-  options.macro_sweep = true;
+  options.corpus = FuzzCorpus::kMacro;
   options.num_seeds = 5;
   options.min_steps = 8;
   options.max_steps = 16;

@@ -111,11 +111,13 @@ TEST(MetricsRegistryTest, SameNameReturnsSameInstrument) {
   EXPECT_EQ(h1->bounds(), (std::vector<uint64_t>{1, 2}));
 }
 
-TEST(MetricsRegistryTest, KindCollisionReturnsNull) {
+TEST(MetricsRegistryDeathTest, KindCollisionAbortsNamingTheInstrument) {
   MetricsRegistry reg;
-  ASSERT_NE(reg.GetCounter("name"), nullptr);
-  EXPECT_EQ(reg.GetGauge("name"), nullptr);
-  EXPECT_EQ(reg.GetHistogram("name", {1}), nullptr);
+  reg.GetCounter("name");
+  reg.GetHistogram("bins", {1});
+  EXPECT_DEATH(reg.GetGauge("name"), "metric \"name\" requested as a gauge");
+  EXPECT_DEATH(reg.GetHistogram("name", {1}), "metric \"name\" requested as a histogram");
+  EXPECT_DEATH(reg.GetCounter("bins"), "metric \"bins\" requested as a counter");
 }
 
 TEST(MetricsRegistryTest, SnapshotIsSortedByName) {

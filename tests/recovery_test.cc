@@ -407,7 +407,7 @@ TEST(RecoveryTest, CrashSweepFuzzRunsClean) {
   options.num_seeds = 10;
   options.min_steps = 8;
   options.max_steps = 20;
-  options.crash_sweep = true;
+  options.corpus = sim::FuzzCorpus::kCrash;
   sim::FuzzOutcome outcome = sim::ScenarioFuzzer::Fuzz(options);
   EXPECT_EQ(outcome.seeds_run, 10u);
   EXPECT_EQ(outcome.failures, 0u)

@@ -52,7 +52,7 @@ TEST(ScenarioDigestTest, HealTail) {
       "37373f2fa53d1d9b", "75845e61d4cb0678", "1d9d945c88dff9ee", "da213add88331df6",
   };
   FuzzOptions options;
-  options.heal_tail = true;
+  options.corpus = FuzzCorpus::kHealTail;
   ExpectDigests(options, kExpected);
 }
 
@@ -62,7 +62,7 @@ TEST(ScenarioDigestTest, CrashSweep) {
       "feee28a39fd3d17e", "031d62998f0b0fb0", "10dccd53dba32be0", "fadf732c9f444e75",
   };
   FuzzOptions options;
-  options.crash_sweep = true;
+  options.corpus = FuzzCorpus::kCrash;
   ExpectDigests(options, kExpected);
 }
 
@@ -72,7 +72,7 @@ TEST(ScenarioDigestTest, MacroSweep) {
       "8f83ded28eb6b003", "6ca07377c6635e4e", "09530c733f33b16b", "fe4a5f7bb6fe248d",
   };
   FuzzOptions options;
-  options.macro_sweep = true;
+  options.corpus = FuzzCorpus::kMacro;
   ExpectDigests(options, kExpected);
 }
 

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <thread>
 
 #include "net/fault_transport.h"
@@ -15,6 +20,40 @@ RpcTransport::Handler Echo() {
   return [](const std::string& from, const std::string& req) {
     return from + "|" + req;
   };
+}
+
+// A loopback TCP socket: connected to `port`, or (port 0) listening on an
+// ephemeral port, which is stored in *port. -1 on failure.
+int RawSocket(int* port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(*port));
+  auto* raw = reinterpret_cast<sockaddr*>(&addr);
+  socklen_t len = sizeof(addr);
+  const bool ok = *port != 0 ? ::connect(fd, raw, len) == 0
+                             : ::bind(fd, raw, len) == 0 && ::listen(fd, 1) == 0 &&
+                                   ::getsockname(fd, raw, &len) == 0;
+  if (!ok) {
+    ::close(fd);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+// Announces a 1000-byte frame on `fd`, then sends it one byte every 100 ms for
+// at most 4 s, until `stop` is set or the peer goes away.
+void TrickleFrame(int fd, const std::atomic<bool>& stop) {
+  const uint32_t len = 1000;
+  if (::send(fd, &len, 4, MSG_NOSIGNAL) != 4) return;
+  for (int i = 0; i < 40 && !stop.load(); ++i) {
+    const char byte = 'x';
+    if (::send(fd, &byte, 1, MSG_NOSIGNAL) != 1) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
 }
 
 TEST(InProcTransportTest, CallReachesHandler) {
@@ -132,6 +171,73 @@ TEST(TcpTransportTest, StopServingClosesListener) {
   ASSERT_TRUE(addr.ok());
   t.StopServing(*addr);
   EXPECT_FALSE(t.Call(*addr, "c", "x").ok());
+}
+
+// StopServing returns only after every in-flight handler has returned, so
+// whatever a handler uses may be destroyed once it does.
+TEST(TcpTransportTest, StopServingWaitsForInFlightHandlers) {
+  TcpTransport t;
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};
+  auto addr = t.ServeAnyPort(
+      "127.0.0.1", [&started, &finished](const std::string&, const std::string&) {
+        started.store(true);
+        std::this_thread::sleep_for(std::chrono::seconds(2));
+        finished.store(true);
+        return std::string("late");
+      });
+  ASSERT_TRUE(addr.ok());
+  std::thread caller([&t, &addr] { (void)t.Call(*addr, "c", "x"); });
+  while (!started.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  t.StopServing(*addr);
+  EXPECT_TRUE(finished.load());
+  caller.join();
+}
+
+// A peer that sends its request one byte at a time holds its connection only
+// until the frame's deadline, so it cannot hold StopServing past it either.
+TEST(TcpTransportTest, StopServingIsNotHeldByATricklingPeer) {
+  TcpTransport t;
+  t.set_timeout_ms(500);
+  auto addr = t.ServeAnyPort("127.0.0.1", Echo());
+  ASSERT_TRUE(addr.ok());
+  int port = std::stoi(addr->substr(addr->rfind(':') + 1));
+  const int fd = RawSocket(&port);
+  ASSERT_GE(fd, 0);
+  std::atomic<bool> stop{false};
+  std::thread trickler([fd, &stop] { TrickleFrame(fd, stop); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  t.StopServing(*addr);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  stop.store(true);
+  trickler.join();
+  ::close(fd);
+  EXPECT_LT(waited, std::chrono::milliseconds(1500));
+}
+
+// The same deadline ends a call whose peer sends its response that slowly.
+TEST(TcpTransportTest, CallFailsWhenTheResponseTrickles) {
+  int port = 0;
+  const int listener = RawSocket(&port);
+  ASSERT_GE(listener, 0);
+  std::atomic<bool> stop{false};
+  std::thread peer([listener, &stop] {
+    const int conn = ::accept(listener, nullptr, nullptr);
+    if (conn < 0) return;
+    TrickleFrame(conn, stop);
+    ::close(conn);
+  });
+  TcpTransport t;
+  t.set_timeout_ms(500);
+  const auto start = std::chrono::steady_clock::now();
+  auto r = t.Call("127.0.0.1:" + std::to_string(port), "c", "x");
+  const auto waited = std::chrono::steady_clock::now() - start;
+  stop.store(true);
+  peer.join();
+  ::close(listener);
+  EXPECT_TRUE(r.status().IsUnavailable());
+  EXPECT_LT(waited, std::chrono::milliseconds(1500));
 }
 
 TEST(TcpTransportTest, ConcurrentCalls) {

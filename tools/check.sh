@@ -35,7 +35,7 @@ repair-tsan    tsan     heal-tail     -         -L repair
 obs-asan       asan     -             -         -L obs
 obs-tsan       tsan     -             -         -L obs
 obs-overhead   release  -             overhead  -
-parallel       tsan     thread-sweep  -         -L parallel; -R ^(NodeTest|NodeTcpTest|NodeRobustnessTest|NodeDeltaTest)\.
+parallel       tsan     thread-sweep  -         -L parallel; -R ^(NodeTest|NodeTcpTest|NodeRobustnessTest|NodeDeltaTest|TcpTransportTest)\.
 scaling        release  -             scaling   -
 memory         release  -             memory    -
 '
